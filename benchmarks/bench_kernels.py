@@ -1,15 +1,15 @@
-"""Benchmark the compiled kernels against their numpy fallbacks.
+"""Benchmark the hot kernels.
 
 Usage:
     python3 benchmarks/bench_kernels.py [--repeats N]
 
-Each kernel is first checked for agreement between the two paths on the
-benchmark inputs (a benchmark of wrong answers is worthless), the
-compiled path is warmed up so one-time JIT compilation stays out of the
-timings, and then both paths run `--repeats` times; the table reports
-the best wall time of each and the speedup.  Run under
-DIQRNG_NO_NUMBA=1 to confirm the fallback selection itself (the script
-then reports the numpy path only).
+Each kernel is first checked against a reference on the benchmark
+inputs (a benchmark of wrong answers is worthless), then runs
+`--repeats` times; the table reports the best wall time.  The Toeplitz
+rows are checked against one FFT convolution over the whole stream.
+The two large rows hash a 1e7-bit stream to 1 742 455 bits (the
+budget-sized output of a 1e3 x 1e4-shot run, one output block) and to
+9e6 bits (five output blocks); their reference needs about 1.1 GB.
 """
 
 from __future__ import annotations
@@ -31,59 +31,58 @@ def _best_time(fn, args, repeats: int) -> float:
     return best
 
 
-def _row(name: str, numpy_fn, jit_fn, args, repeats: int) -> str:
-    got_numpy = numpy_fn(*args)
-    if jit_fn is not None:
-        got_jit = jit_fn(*args)
-        if not np.array_equal(got_numpy, got_jit):
-            raise AssertionError(f"{name}: compiled and numpy paths disagree")
-        jit_fn(*args)  # warm (compilation already triggered above)
-    t_numpy = _best_time(numpy_fn, args, repeats)
-    if jit_fn is None:
-        return f"{name:<26} {t_numpy * 1e3:>10.2f} {'-':>10} {'-':>8}"
-    t_jit = _best_time(jit_fn, args, repeats)
-    return (f"{name:<26} {t_numpy * 1e3:>10.2f} {t_jit * 1e3:>10.2f} "
-            f"{t_numpy / t_jit:>7.1f}x")
+def _whole_stream_toeplitz(seed_bits, x_bits, out_len):
+    """T @ x mod 2 from a single FFT convolution over the whole stream."""
+    n = x_bits.size
+    size = 1 << (seed_bits.size + n - 2).bit_length()
+    fs = np.fft.rfft(seed_bits.astype(np.float64), size)
+    fs *= np.fft.rfft(x_bits.astype(np.float64), size)
+    conv = np.fft.irfft(fs, size)[n - 1:n - 1 + out_len]
+    return (np.rint(conv).astype(np.int64) & 1).astype(np.uint8)
+
+
+def _row(name: str, fn, args, want, repeats: int) -> str:
+    if not np.array_equal(fn(*args), want):
+        raise AssertionError(f"{name}: kernel disagrees with its reference")
+    return f"{name:<28} {_best_time(fn, args, repeats) * 1e3:>10.2f}"
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5,
-                        help="timed repetitions per path (best is reported)")
+                        help="timed repetitions per kernel (best is reported)")
     args = parser.parse_args()
 
     rng = np.random.default_rng(12345)
-    jit = _kernels.JIT_ENABLED
 
     # sampling: 4-outcome distribution, 10M draws
     probs = np.array([0.15, 0.35, 0.05, 0.45])
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0
     u = rng.random(10_000_000)
+    want_idx = np.minimum((u[:, None] >= cdf[None, :]).sum(axis=1), cdf.size - 1)
 
     # von Neumann: 20M biased bits
     vn_bits = (rng.random(20_000_000) < 0.7).astype(np.uint8)
+    pairs = vn_bits.reshape(-1, 2)
+    want_vn = pairs[pairs[:, 0] != pairs[:, 1], 0]
 
-    # Toeplitz: hash 1M bits down to 4096
-    in_len, out_len = 1_000_000, 4096
-    seed_bits = (rng.random(in_len + out_len - 1) < 0.5).astype(np.uint8)
-    x_bits = (rng.random(in_len) < 0.5).astype(np.uint8)
+    print(f"{'kernel':<28} {'best ms':>10}")
+    print("-" * 39)
+    print(_row("sample_outcomes 1e7", _kernels.sample_outcomes, (cdf, u),
+               want_idx, args.repeats))
+    print(_row("von_neumann_pairs 2e7", _kernels.von_neumann_pairs, (vn_bits,),
+               want_vn, args.repeats))
+    del u, want_idx, vn_bits, pairs, want_vn
 
-    status = ("enabled" if jit
-              else "disabled via DIQRNG_NO_NUMBA" if _kernels.NUMBA_DISABLED
-              else "not importable")
-    print(f"backend: {_kernels.backend()}   (numba {status})")
-    print(f"{'kernel':<26} {'numpy ms':>10} {'numba ms':>10} {'speedup':>8}")
-    print("-" * 58)
-    print(_row("sample_outcomes 1e7", _kernels.sample_outcomes_numpy,
-               _kernels.sample_outcomes_jit if jit else None,
-               (cdf, u), args.repeats))
-    print(_row("von_neumann_pairs 2e7", _kernels.von_neumann_pairs_numpy,
-               _kernels.von_neumann_pairs_jit if jit else None,
-               (vn_bits,), args.repeats))
-    print(_row("toeplitz_gf2 1e6->4096", _kernels.toeplitz_gf2_numpy,
-               _kernels.toeplitz_gf2_jit if jit else None,
-               (seed_bits, x_bits, out_len), args.repeats))
+    for label, in_len, out_len in (("1e6->4096", 1_000_000, 4096),
+                                   ("1e7->1742455", 10_000_000, 1_742_455),
+                                   ("1e7->9e6", 10_000_000, 9_000_000)):
+        seed_bits = (rng.random(in_len + out_len - 1) < 0.5).astype(np.uint8)
+        x_bits = (rng.random(in_len) < 0.5).astype(np.uint8)
+        toeplitz_args = (seed_bits, x_bits, out_len)
+        print(_row(f"toeplitz_gf2 {label}", _kernels.toeplitz_gf2, toeplitz_args,
+                   _whole_stream_toeplitz(*toeplitz_args), args.repeats))
     return 0
 
 

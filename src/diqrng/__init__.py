@@ -6,7 +6,6 @@ depolarizing noise level to recorded device averages, and turn the
 certified outcomes into tested bit streams.
 """
 
-from ._kernels import JIT_ENABLED, backend
 from .certify import (
     CLASSICAL_S,
     DEFAULT_THRESHOLD_Z,

@@ -1,50 +1,23 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels, vectorized with numpy.
 
 Three loops dominate runtime at production sizes: inverse-CDF shot
 sampling, von Neumann pair scanning, and the GF(2) Toeplitz product
-(~1e10 bit operations for 1e5-bit streams if done naively).  Each kernel
-ships in two implementations that produce identical outputs:
-
-* ``*_jit``   — numba ``@njit`` (packed 64-bit words for Toeplitz),
-* ``*_numpy`` — vectorized numpy (FFT convolution for Toeplitz).
-
-Set ``DIQRNG_NO_NUMBA=1`` to select the numpy path; it is also chosen
-automatically when numba is not importable.  ``benchmarks/bench_kernels.py``
-times the two paths against each other.
+(~1e13 bit operations for a 1e7-bit stream hashed to 1e6 bits if done
+naively).  The Toeplitz product is an integer convolution computed with
+block-partitioned FFTs, so its working memory grows with the block size
+and the shorter of input and output, not with one whole-stream transform.  ``benchmarks/bench_kernels.py``
+checks each kernel against a reference and times it.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_ENV_FLAG = "DIQRNG_NO_NUMBA"
-NUMBA_DISABLED = os.environ.get(_ENV_FLAG, "").strip().lower() in {"1", "true", "yes", "on"}
-
-if not NUMBA_DISABLED:
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:  # pragma: no cover - exercised via env flag instead
-        HAS_NUMBA = False
-else:
-    HAS_NUMBA = False
-
-JIT_ENABLED = HAS_NUMBA and not NUMBA_DISABLED
-
-
-def backend() -> str:
-    """Name of the active kernel path: "numba" or "numpy"."""
-    return "numba" if JIT_ENABLED else "numpy"
-
 
 # ============================================================
 # inverse-CDF sampling
 # ============================================================
 
-def sample_outcomes_numpy(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+def sample_outcomes(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Map uniforms in [0,1) to outcome indices via the cumulative table."""
     idx = np.searchsorted(cdf, u, side="right")
     return np.minimum(idx, cdf.size - 1).astype(np.int64)
@@ -54,7 +27,7 @@ def sample_outcomes_numpy(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
 # von Neumann pair scan
 # ============================================================
 
-def von_neumann_pairs_numpy(bits: np.ndarray) -> np.ndarray:
+def von_neumann_pairs(bits: np.ndarray) -> np.ndarray:
     """Keep the first bit of each non-overlapping unequal pair."""
     m = bits.size // 2
     pairs = bits[: 2 * m].reshape(m, 2)
@@ -68,113 +41,70 @@ def von_neumann_pairs_numpy(bits: np.ndarray) -> np.ndarray:
 # Convention (documented in randomness.toeplitz_extract): T[i, j] =
 # seed[(n-1) + i - j] for input length n, so row i of T*x is the full
 # convolution of seed and x sampled at position (n-1) + i.
+#
+# Uniformly partitioned overlap-save: x and the output are cut into
+# blocks of p bits.  Output block o gets a contribution from every input
+# block b through the seed segment of length 2p-1 that starts at
+# n + (o-b-1)*p, so segments depend only on d = o - b.  A 2p-point
+# circular convolution of a segment with a zero-padded input block holds
+# the p wanted outputs at positions p-1 .. 2p-2, clear of wrap-around.
+# Products are summed in the frequency domain and each output block is
+# inverted once.  The sums are exact integers (at most n), far inside
+# float64's exact range, and the rounding check still guards them.
+#
+# Segments are visited in increasing d, each transformed once.  Input
+# block b is needed for d in [-b, n_out-1-b] and output block o is
+# complete after d = o, so at most min(n_in, n_out) input spectra and
+# open sums are alive at once: a short output keeps the working memory
+# at a few blocks however long the input is.
 
-def _pack_words(bits: np.ndarray, n_words: int) -> np.ndarray:
-    """Pack bits into little-endian uint64 words, zero-padded to n_words."""
-    buf = np.zeros(n_words * 8, dtype=np.uint8)
-    packed = np.packbits(bits, bitorder="little")
-    buf[: packed.size] = packed
-    return buf.view("<u8")
+# 2**19-bit blocks take 2**20-point transforms, which ran about 1.5x
+# faster per point than 2**22-point ones on a 2-vCPU x86 host; hashing
+# 1e7 bits took 1.25 s at 2**19 against 1.82 s at 2**21 (1.74e6 output
+# bits) and 2.64 s against 3.52 s (9e6 output bits).
+_MAX_BLOCK = 1 << 19
 
 
-def toeplitz_gf2_numpy(seed_bits: np.ndarray, x_bits: np.ndarray, out_len: int) -> np.ndarray:
-    """FFT convolution, rounded to exact integers, reduced mod 2."""
+def _block_size(n: int, out_len: int) -> int:
+    """Block length p: _MAX_BLOCK, or the next power of two for small inputs."""
+    return min(_MAX_BLOCK, 1 << (max(n, out_len) - 1).bit_length())
+
+
+def toeplitz_gf2(seed_bits: np.ndarray, x_bits: np.ndarray, out_len: int) -> np.ndarray:
+    """T @ x mod 2 by block-partitioned FFT convolution, rounded to exact integers."""
     n = x_bits.size
-    full = seed_bits.size + n - 1
-    size = 1 << max(full - 1, 1).bit_length()
-    fs = np.fft.rfft(seed_bits.astype(np.float64), size)
-    fx = np.fft.rfft(x_bits.astype(np.float64), size)
-    conv = np.fft.irfft(fs * fx, size)[n - 1 : n - 1 + out_len]
-    ints = np.rint(conv)
-    # counts are small integers; drift past 0.25 means the transform failed
-    if ints.size and np.max(np.abs(conv - ints)) > 0.25:
-        raise FloatingPointError("convolution drifted off integer lattice")
-    return (ints.astype(np.int64) & 1).astype(np.uint8)
+    p = _block_size(n, out_len)
+    size = 2 * p
+    n_in = -(-n // p)
+    n_out = -(-out_len // p)
 
+    def seed_spectrum(d: int) -> np.ndarray:
+        start = n + (d - 1) * p
+        lo, hi = max(start, 0), min(start + size - 1, seed_bits.size)
+        segment = np.zeros(size)
+        segment[lo - start:hi - start] = seed_bits[lo:hi]
+        return np.fft.rfft(segment)
 
-if JIT_ENABLED:
-
-    @njit(cache=True)
-    def _sample_outcomes_loop(cdf, u):  # pragma: no cover - jitted
-        k = cdf.size
-        out = np.empty(u.size, dtype=np.int64)
-        for i in range(u.size):
-            lo = 0
-            hi = k
-            v = u[i]
-            while lo < hi:
-                mid = (lo + hi) >> 1
-                if cdf[mid] <= v:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            if lo >= k:
-                lo = k - 1
-            out[i] = lo
-        return out
-
-    @njit(cache=True)
-    def _von_neumann_loop(bits):  # pragma: no cover - jitted
-        m = bits.size // 2
-        out = np.empty(m, dtype=np.uint8)
-        k = 0
-        for i in range(m):
-            a = bits[2 * i]
-            b = bits[2 * i + 1]
-            if a != b:
-                out[k] = a
-                k += 1
-        return out[:k]
-
-    @njit(cache=True)
-    def _toeplitz_fold(seed_words, xrev_words, out_len):  # pragma: no cover - jitted
-        n_words = xrev_words.size
-        out = np.empty(out_len, dtype=np.uint8)
-        for i in range(out_len):
-            a = i >> 6
-            r = i & 63
-            acc = np.uint64(0)
-            if r == 0:
-                for t in range(n_words):
-                    acc ^= seed_words[a + t] & xrev_words[t]
+    out = np.empty(out_len, dtype=np.uint8)
+    spectra: dict[int, np.ndarray] = {}  # input blocks a later segment still needs
+    sums: dict[int, np.ndarray] = {}  # output blocks still collecting terms
+    for d in range(1 - n_in, n_out):
+        fs = seed_spectrum(d)
+        for b in range(max(0, -d), min(n_in, n_out - d)):
+            if b not in spectra:
+                spectra[b] = np.fft.rfft(x_bits[b * p:(b + 1) * p], size)
+            if b + d in sums:
+                sums[b + d] += fs * spectra[b]
             else:
-                rs = np.uint64(r)
-                ls = np.uint64(64 - r)
-                for t in range(n_words):
-                    w = (seed_words[a + t] >> rs) | (seed_words[a + t + 1] << ls)
-                    acc ^= w & xrev_words[t]
-            # XOR-fold halves: parity of the popcount
-            acc ^= acc >> np.uint64(32)
-            acc ^= acc >> np.uint64(16)
-            acc ^= acc >> np.uint64(8)
-            acc ^= acc >> np.uint64(4)
-            acc ^= acc >> np.uint64(2)
-            acc ^= acc >> np.uint64(1)
-            out[i] = np.uint8(acc & np.uint64(1))
-        return out
-
-    def sample_outcomes_jit(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return _sample_outcomes_loop(
-            np.ascontiguousarray(cdf, dtype=np.float64),
-            np.ascontiguousarray(u, dtype=np.float64),
-        )
-
-    def von_neumann_pairs_jit(bits: np.ndarray) -> np.ndarray:
-        return _von_neumann_loop(np.ascontiguousarray(bits, dtype=np.uint8))
-
-    def toeplitz_gf2_jit(seed_bits: np.ndarray, x_bits: np.ndarray, out_len: int) -> np.ndarray:
-        # y[i] = XOR_k seed[i+k] * xrev[k], a sliding window AND-parity;
-        # both operands live in packed words, window extraction shifts two.
-        n_words = (x_bits.size + 63) // 64
-        xrev = _pack_words(x_bits[::-1], n_words)
-        max_word = (max(out_len - 1, 0) >> 6) + n_words + 1
-        seed_words = _pack_words(seed_bits, max_word + 1)
-        return _toeplitz_fold(seed_words, xrev, out_len)
-
-    sample_outcomes = sample_outcomes_jit
-    von_neumann_pairs = von_neumann_pairs_jit
-    toeplitz_gf2 = toeplitz_gf2_jit
-else:
-    sample_outcomes = sample_outcomes_numpy
-    von_neumann_pairs = von_neumann_pairs_numpy
-    toeplitz_gf2 = toeplitz_gf2_numpy
+                sums[b + d] = fs * spectra[b]
+        spectra.pop(n_out - 1 - d, None)  # its last segment was this one
+        if d < 0:
+            continue
+        start = d * p
+        conv = np.fft.irfft(sums.pop(d), size)[p - 1:p - 1 + min(p, out_len - start)]
+        ints = np.rint(conv)
+        # counts are small integers; drift past 0.25 means the transform failed
+        if np.max(np.abs(conv - ints)) > 0.25:
+            raise FloatingPointError("convolution drifted off integer lattice")
+        out[start:start + ints.size] = ints.astype(np.int64) & 1
+    return out

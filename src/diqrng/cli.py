@@ -3,8 +3,9 @@
 Subcommands: play, certify, qrng, extract, test, fit-noise, report.
 Every command is deterministic given its flags and seeds: reruns produce
 byte-identical files.  Exit codes: 0 success, 1 test-battery failure,
-2 certification not violated, 64 usage error, 65 data-format error,
-74 I/O error.  DIQRNG_OUT_DIR sets the default output directory.
+2 certification not violated, 64 usage error, 65 data-format error
+(including a numeric failure of the extraction kernel), 74 I/O error.
+DIQRNG_OUT_DIR sets the default output directory.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from .simulator import (
     DataFormatError,
     DataIntegrityError,
     apply_circuit,
-    bitstring,
     new_state,
     probabilities,
     record_from_indices,
@@ -332,10 +332,9 @@ def cmd_qrng(args) -> int:
     dist = probabilities(apply_circuit(new_state(args.qubits), gates))
     idx = sample_indices(dist, args.shots, args.seed)
     n = args.qubits
-    lines = "\n".join(bitstring(int(i), n) for i in idx) + "\n"
     shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
     flat = ((idx[:, None] >> shifts[None, :]) & 1).astype(np.uint8).reshape(-1)
-    atomic_write_text(args.out + ".txt", lines)
+    save_bits_text(args.out + ".txt", flat, line_width=n)
     save_bits_packed(args.out + ".bin", flat)
     if args.counts_out:
         rec = record_from_indices(idx, n, memory=True,
@@ -431,6 +430,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_DATA
     except SourceDepleted as exc:
         print(f"diqrng: data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except FloatingPointError as exc:
+        print(f"diqrng: numeric error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (ConfigError, ValueError, KeyError) as exc:
         print(f"diqrng: usage error: {exc}", file=sys.stderr)

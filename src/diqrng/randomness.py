@@ -275,11 +275,11 @@ def run_battery(bits, tests: Iterable[str] = BATTERY_TESTS, *,
 # byte multiples need the text twin or an explicit bit count to recover.
 
 def bits_to_text(bits: np.ndarray, line_width: int | None = None) -> str:
-    s = "".join("1" if b else "0" for b in np.asarray(bits, dtype=np.uint8))
+    digits = (np.asarray(bits, dtype=np.uint8) != 0) + np.uint8(ord("0"))
     if line_width:
-        lines = [s[i:i + line_width] for i in range(0, len(s), line_width)]
-        return "\n".join(lines) + "\n"
-    return s + "\n"
+        breaks = np.arange(line_width, digits.size, line_width)
+        digits = np.insert(digits, breaks, np.uint8(ord("\n")))
+    return digits.tobytes().decode("ascii") + "\n"
 
 
 def save_bits_text(path, bits, line_width: int | None = None) -> None:

@@ -263,6 +263,21 @@ class TestExtract:
         assert main(base + ["--out-len", "2", "--extractor-seed", "1",
                             "--seed-file", str(path)]) == EXIT_USAGE
 
+    def test_kernel_drift_exits_65(self, tmp_path, capsys, monkeypatch):
+        from diqrng import _kernels
+
+        def drifted(seed_bits, x_bits, out_len):
+            raise FloatingPointError("convolution drifted off integer lattice")
+
+        monkeypatch.setattr(_kernels, "toeplitz_gf2", drifted)
+        path = self._bits_file(tmp_path, "10110010" * 16)
+        code = main(["extract", "--in", str(path), "--method", "toeplitz",
+                     "--out-len", "32", "--extractor-seed", "4",
+                     "--out", str(tmp_path / "tp")])
+        assert code == EXIT_DATA
+        assert "drifted" in capsys.readouterr().err
+        assert not (tmp_path / "tp.txt").exists()
+
     def test_budget_enforcement_via_rate(self, tmp_path, capsys):
         path = self._bits_file(tmp_path, "10" * 100)  # 200 bits
         base = ["extract", "--in", str(path), "--method", "toeplitz",

@@ -1,26 +1,20 @@
-"""Kernel-path equivalence tests.
+"""Kernel tests.
 
-The package carries two implementations of every hot kernel: a compiled
-loop (numba) and a vectorized fallback (numpy).  Both must agree bit for
-bit with each other and with simple reference code on seeded inputs,
-including sizes that cross 64-bit word boundaries in the packed Toeplitz
-path.  Compiled-path tests skip automatically when the JIT is unavailable
-or disabled via DIQRNG_NO_NUMBA.
+Every hot kernel must agree bit for bit with simple reference code on
+seeded inputs.  The Toeplitz kernel is also checked with a shrunken
+block size, so that small inputs exercise several input and output
+blocks, short last blocks and the bounded-memory schedule.
 """
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from diqrng import _kernels
-
-needs_jit = pytest.mark.skipif(
-    not _kernels.JIT_ENABLED, reason="numba JIT unavailable or disabled")
+from diqrng.randomness import toeplitz_matrix
 
 
 def _reference_sample(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -44,25 +38,6 @@ def _reference_toeplitz(seed: np.ndarray, x: np.ndarray, out_len: int) -> np.nda
     return out
 
 
-class TestBackendSelection:
-    def test_backend_name_is_consistent(self):
-        assert _kernels.backend() in ("numba", "numpy")
-        assert (_kernels.backend() == "numba") == _kernels.JIT_ENABLED
-
-    def test_env_flag_disables_jit_in_subprocess(self):
-        env = dict(os.environ, DIQRNG_NO_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c", "from diqrng import _kernels; print(_kernels.backend())"],
-            env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "numpy"
-
-    def test_public_names_match_flag(self):
-        if _kernels.JIT_ENABLED:
-            assert _kernels.toeplitz_gf2 is _kernels.toeplitz_gf2_jit
-        else:
-            assert _kernels.toeplitz_gf2 is _kernels.toeplitz_gf2_numpy
-
-
 class TestSampleOutcomes:
     def _cases(self):
         rng = np.random.default_rng(700)
@@ -81,15 +56,8 @@ class TestSampleOutcomes:
 
     def test_numpy_path_matches_reference(self):
         for cdf, u in self._cases():
-            got = _kernels.sample_outcomes_numpy(cdf, u)
+            got = _kernels.sample_outcomes(cdf, u)
             np.testing.assert_array_equal(got, _reference_sample(cdf, u))
-
-    @needs_jit
-    def test_jit_path_matches_numpy_path(self):
-        for cdf, u in self._cases():
-            a = _kernels.sample_outcomes_numpy(cdf, u)
-            b = _kernels.sample_outcomes_jit(cdf, u)
-            np.testing.assert_array_equal(a, b)
 
     def test_zero_width_bin_is_never_selected(self):
         cdf = np.array([0.5, 0.5, 1.0])  # outcome 1 has zero probability
@@ -113,14 +81,7 @@ class TestVonNeumannPairs:
         for bits in self._cases():
             want = [int(bits[k]) for k in range(0, len(bits) - 1, 2)
                     if bits[k] != bits[k + 1]]
-            np.testing.assert_array_equal(_kernels.von_neumann_pairs_numpy(bits), want)
-
-    @needs_jit
-    def test_jit_path_matches_numpy_path(self):
-        for bits in self._cases():
-            a = _kernels.von_neumann_pairs_numpy(bits)
-            b = _kernels.von_neumann_pairs_jit(bits)
-            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(_kernels.von_neumann_pairs(bits), want)
 
 
 class TestToeplitzGf2:
@@ -142,25 +103,8 @@ class TestToeplitzGf2:
         for seed, x, out_len in self._cases():
             if len(x) * out_len > 40_000:
                 continue  # keep the python reference loop cheap
-            got = _kernels.toeplitz_gf2_numpy(seed, x, out_len)
+            got = _kernels.toeplitz_gf2(seed, x, out_len)
             np.testing.assert_array_equal(got, _reference_toeplitz(seed, x, out_len))
-
-    @needs_jit
-    def test_jit_path_matches_numpy_path(self):
-        for seed, x, out_len in self._cases():
-            a = _kernels.toeplitz_gf2_numpy(seed, x, out_len)
-            b = _kernels.toeplitz_gf2_jit(seed, x, out_len)
-            np.testing.assert_array_equal(a, b)
-
-    @needs_jit
-    def test_large_instance_cross_path(self):
-        rng = np.random.default_rng(703)
-        in_len, out_len = 100_000, 4096
-        seed = (rng.random(in_len + out_len - 1) < 0.5).astype(np.uint8)
-        x = (rng.random(in_len) < 0.5).astype(np.uint8)
-        a = _kernels.toeplitz_gf2_numpy(seed, x, out_len)
-        b = _kernels.toeplitz_gf2_jit(seed, x, out_len)
-        np.testing.assert_array_equal(a, b)
 
     def test_output_dtype_and_range(self):
         seed = np.ones(10, dtype=np.uint8)
@@ -169,17 +113,60 @@ class TestToeplitzGf2:
         assert out.dtype == np.uint8
         assert set(np.unique(out)) <= {0, 1}
 
+    def test_block_size_shrinks_to_next_power_of_two(self):
+        assert _kernels._block_size(1, 1) == 1
+        assert _kernels._block_size(5, 3) == 8
+        assert _kernels._block_size(8, 8) == 8
+        assert _kernels._block_size(9, 1) == 16
+        assert _kernels._block_size(10_000_000, 1) == _kernels._MAX_BLOCK
 
-class TestPackWords:
-    def test_little_endian_bit_packing(self):
-        bits = np.zeros(70, dtype=np.uint8)
-        bits[0] = 1    # lowest bit of word 0
-        bits[63] = 1   # highest bit of word 0
-        bits[65] = 1   # bit 1 of word 1
-        words = _kernels._pack_words(bits, 2)
-        assert words[0] == (1 | (1 << 63))
-        assert words[1] == 2
 
-    def test_padding_words_are_zero(self):
-        words = _kernels._pack_words(np.ones(3, dtype=np.uint8), 4)
-        assert list(words) == [7, 0, 0, 0]
+class TestToeplitzPartitioned:
+    """Small inputs under a patched block size of 8 bits."""
+
+    BLOCK = 8
+    # several input and output blocks, lengths off the block grid on
+    # either side, out_len > n, and single-bit input or output
+    SIZES = [(37, 21), (21, 37), (64, 64), (8, 8), (9, 17), (17, 9), (100, 3),
+             (3, 100), (40, 41), (1, 1), (1, 20), (20, 1), (1, 8), (8, 1)]
+
+    @pytest.fixture(autouse=True)
+    def _small_blocks(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "_MAX_BLOCK", self.BLOCK)
+
+    @pytest.mark.parametrize("in_len, out_len", SIZES)
+    def test_matches_reference_and_dense_matrix(self, in_len, out_len):
+        rng = np.random.default_rng(704 + in_len * 1000 + out_len)
+        seed = (rng.random(in_len + out_len - 1) < 0.5).astype(np.uint8)
+        x = (rng.random(in_len) < 0.5).astype(np.uint8)
+        got = _kernels.toeplitz_gf2(seed, x, out_len)
+        np.testing.assert_array_equal(got, _reference_toeplitz(seed, x, out_len))
+        dense = toeplitz_matrix(seed, in_len, out_len).astype(np.int64) @ x % 2
+        np.testing.assert_array_equal(got, dense)
+
+    def test_sizes_span_several_blocks(self):
+        assert _kernels._block_size(37, 21) == self.BLOCK
+        assert _kernels._block_size(1, 1) == 1
+        assert max(-(-n // self.BLOCK) for n, _ in self.SIZES) > 2
+        assert max(-(-m // self.BLOCK) for _, m in self.SIZES) > 2
+
+
+def test_peak_memory_is_bounded_by_the_block(monkeypatch):
+    block = 1 << 12
+    monkeypatch.setattr(_kernels, "_MAX_BLOCK", block)
+    rng = np.random.default_rng(705)
+    in_len, out_len = 1 << 18, 1 << 14
+    seed = (rng.random(in_len + out_len - 1) < 0.5).astype(np.uint8)
+    x = (rng.random(in_len) < 0.5).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        _kernels.toeplitz_gf2(seed, x, out_len)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One 2p-point float64 array; a block spectrum is as large.  Four
+    # output blocks keep up to four input spectra and four open sums
+    # alive, plus the segment and product in flight.  A whole-stream
+    # transform needs 2**20-point arrays, each 128 times this.
+    block_array = 2 * block * 8
+    assert peak <= 16 * block_array
