@@ -32,11 +32,9 @@ from .game import (
     classical_win_value,
     compile_round,
     play_classical_round,
-    play_round,
     referee_inputs,
     round_distribution,
     round_state,
-    run_experiment,
     win_condition,
 )
 from .harness import (
@@ -53,7 +51,6 @@ from .harness import (
     read_rounds_csv,
     replay_backend,
     run_certified_experiment,
-    run_device_profile,
     write_rounds_csv,
 )
 from .randomness import (

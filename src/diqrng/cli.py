@@ -31,6 +31,7 @@ from .harness import (
     get_device_profile,
     read_rounds_csv,
     run_certified_experiment,
+    run_summary,
     save_counts_record,
     write_rounds_csv,
 )
@@ -41,9 +42,11 @@ from .randomness import (
     DEFAULT_BLOCK_LEN,
     DEFAULT_SECURITY_MARGIN,
     hadamard_circuit,
+    indices_to_bits,
     load_bits_packed,
     load_bits_text,
     parity_state,
+    qrng_indices,
     run_battery,
     save_bits_packed,
     save_bits_text,
@@ -52,15 +55,7 @@ from .randomness import (
     von_neumann,
 )
 from .rng import SourceDepleted
-from .simulator import (
-    DataFormatError,
-    DataIntegrityError,
-    apply_circuit,
-    new_state,
-    probabilities,
-    record_from_indices,
-    sample_indices,
-)
+from .simulator import DataFormatError, DataIntegrityError, record_from_indices
 
 EXIT_OK = 0
 EXIT_TEST_FAIL = 1
@@ -261,19 +256,11 @@ def cmd_play(args) -> int:
     # reload into an internally-consistent Certificate
     atomic_write_text(os.path.join(out_dir, "certificate.json"),
                       canonical_json(run.certificate.to_json_obj(), precise=True) + "\n")
-    summary: dict[str, Any] = {
-        "format_version": 1,
-        "label": args.profile or "experiment",
-        "rounds": len(run.experiment.rounds),
+    summary = run_summary(run.experiment, args.profile or "experiment")
+    summary.update({
         "shots_per_round": config.shots,
-        "total_shots": run.experiment.total_shots(),
         "lambda": config.lam,
         "master_seed": config.master_seed,
-        "p_min": run.experiment.p_min,
-        "p_avg": run.experiment.p_avg,
-        "p_max": run.experiment.p_max,
-        "sigma": run.experiment.sigma,
-        "pooled_win_fraction": run.experiment.pooled_win_fraction(),
         "verdict": run.certificate.verdict.value,
         "loopholes": {
             "independent_inputs": loopholes.independent_inputs,
@@ -282,7 +269,7 @@ def cmd_play(args) -> int:
             "report_all_events": loopholes.report_all_events,
             "spacelike_separation": "open (single-process simulation)",
         },
-    }
+    })
     if profile is not None:
         summary["avg_win_target"] = profile.avg_win_target
     if loopholes.report_all_events and loopholes.detection_efficiency < 1.0:
@@ -327,13 +314,10 @@ def cmd_certify(args) -> int:
 
 
 def cmd_qrng(args) -> int:
-    gates = (hadamard_circuit(args.qubits) if args.mode == "hadamard"
-             else parity_state(args.qubits))
-    dist = probabilities(apply_circuit(new_state(args.qubits), gates))
-    idx = sample_indices(dist, args.shots, args.seed)
     n = args.qubits
-    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
-    flat = ((idx[:, None] >> shifts[None, :]) & 1).astype(np.uint8).reshape(-1)
+    gates = hadamard_circuit(n) if args.mode == "hadamard" else parity_state(n)
+    idx = qrng_indices(gates, n, args.shots, args.seed)
+    flat = indices_to_bits(idx, n).reshape(-1)
     save_bits_text(args.out + ".txt", flat, line_width=n)
     save_bits_packed(args.out + ".bin", flat)
     if args.counts_out:

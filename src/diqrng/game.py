@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .rng import BitSource, SeededBitSource, derive_seed
+from .rng import BitSource
 from .simulator import (
     CountsRecord,
     Gate,
@@ -29,8 +29,6 @@ from .simulator import (
     depolarize,
     new_state,
     probabilities,
-    record_from_indices,
-    sample_indices,
 )
 
 _ANGLE_TOL = 1e-12
@@ -227,18 +225,6 @@ def result_from_indices(setting: GameSetting, idx: np.ndarray, *,
                        diff_count=diff, win_fraction=wins / shots, counts=counts)
 
 
-def play_round(setting: GameSetting, strategy: QuantumStrategy, shots: int,
-               lam: float = 0.0, rng_seed: int = 0, *,
-               keep_counts: bool = True, keep_memory: bool = False) -> RoundResult:
-    """Compile, simulate, depolarize, and sample one round."""
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    dist = round_distribution(setting, strategy, lam)
-    idx = sample_indices(dist, shots, rng_seed)
-    rec = record_from_indices(idx, 2, memory=keep_memory) if keep_counts else None
-    return result_from_indices(setting, idx, counts=rec)
-
-
 def referee_inputs(rounds: int, source_a: BitSource, source_b: BitSource) -> list[GameSetting]:
     """Draw x from source_a and y from source_b, one pair per round.
 
@@ -288,30 +274,3 @@ class ExperimentResult:
         total = self.total_shots()
         return self.total_wins() / total if total else 0.0
 
-
-def run_experiment(rounds: int, shots: int, strategy: QuantumStrategy | None = None,
-                   lam: float = 0.0, master_seed: int = 0, *,
-                   settings: Sequence[GameSetting] | None = None,
-                   keep_memory: bool = False) -> ExperimentResult:
-    """Play `rounds` rounds at `shots` each, all derived from one master seed.
-
-    Referee inputs come from two independently-derived streams; each round
-    samples from its own derived seed, so any round replays in isolation.
-    """
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
-    if settings is None:
-        settings = referee_inputs(
-            rounds,
-            SeededBitSource(derive_seed(master_seed, "alice-inputs")),
-            SeededBitSource(derive_seed(master_seed, "bob-inputs")),
-        )
-    elif len(settings) != rounds:
-        raise ValueError("settings list does not match the round count")
-    strategy = strategy or QuantumStrategy()
-    results = [
-        play_round(s, strategy, shots, lam, derive_seed(master_seed, "round", i),
-                   keep_memory=keep_memory)
-        for i, s in enumerate(settings)
-    ]
-    return ExperimentResult.from_rounds(results)

@@ -47,7 +47,7 @@ from .game import (
 )
 from .io import atomic_write_text, canonical_json, round_sig
 from .randomness import BitStream
-from .rng import RecordedBitSource, SeededBitSource, SourceDepleted, derive_seed, make_rng
+from .rng import RecordedBitSource, SeededBitSource, derive_seed, make_rng
 from .simulator import (
     CountsRecord,
     DataFormatError,
@@ -312,13 +312,14 @@ def run_certified_experiment(config: ExperimentConfig,
     eta = loopholes.detection_efficiency
     shared_rng = (None if loopholes.fresh_state_per_round
                   else make_rng(derive_seed(config.master_seed, "shared-stream")))
+    # at most four distinct settings: build each distribution once
+    dists = {s: round_distribution(s, config.strategy, config.lam) for s in set(settings)}
     rounds: list[RoundResult] = []
     alice_chunks: list[np.ndarray] = []
     for i, setting in enumerate(settings):
-        dist = round_distribution(setting, config.strategy, config.lam)
         rng = (make_rng(derive_seed(config.master_seed, "round", i))
                if shared_rng is None else shared_rng)
-        idx = sample_indices(dist, config.shots, rng=rng)
+        idx = sample_indices(dists[setting], config.shots, rng=rng)
         meta: dict[str, Any] = {}
         if eta < 1.0:
             detected_a = rng.random(config.shots) < eta
@@ -349,15 +350,6 @@ def run_certified_experiment(config: ExperimentConfig,
     alice = (np.concatenate(alice_chunks) if alice_chunks
              else np.zeros(0, dtype=np.uint8))
     return CertifiedRun(experiment, certificate, BitStream(alice, "chsh"))
-
-
-def run_device_profile(profile: DeviceProfile, rounds: int = DEFAULT_ROUNDS,
-                       shots: int = DEFAULT_SHOTS, master_seed: int = 0,
-                       loopholes: LoopholeConfig | None = None) -> CertifiedRun:
-    """Certified run at the noise level fitted to a device's published average."""
-    config = ExperimentConfig(rounds=rounds, shots=shots, lam=profile.fitted_lambda,
-                              master_seed=master_seed)
-    return run_certified_experiment(config, loopholes)
 
 
 # ============================================================
@@ -426,9 +418,23 @@ def _gaussian_kde(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return dens
 
 
+def run_summary(experiment: ExperimentResult, label: str) -> dict[str, Any]:
+    """The summary.json fields shared by `play` and `report`."""
+    return {
+        "format_version": FORMAT_VERSION,
+        "label": label,
+        "rounds": len(experiment.rounds),
+        "total_shots": experiment.total_shots(),
+        "p_min": experiment.p_min,
+        "p_avg": experiment.p_avg,
+        "p_max": experiment.p_max,
+        "sigma": experiment.sigma,
+        "pooled_win_fraction": experiment.pooled_win_fraction(),
+    }
+
+
 def emit_reports(experiment: ExperimentResult, out_dir: str | os.PathLike,
-                 label: str = "experiment",
-                 extra_summary: Mapping[str, Any] | None = None) -> dict[str, str]:
+                 label: str = "experiment") -> dict[str, str]:
     """Write running_avg.csv, hist.csv, density.csv, and summary.json.
 
     Returns a name -> path map.  All floats are written at 6 significant
@@ -465,19 +471,6 @@ def emit_reports(experiment: ExperimentResult, out_dir: str | os.PathLike,
     paths["density"] = os.path.join(out_dir, "density.csv")
     atomic_write_text(paths["density"], "\n".join(lines) + "\n")
 
-    summary = {
-        "format_version": FORMAT_VERSION,
-        "label": label,
-        "rounds": len(experiment.rounds),
-        "total_shots": experiment.total_shots(),
-        "p_min": experiment.p_min,
-        "p_avg": experiment.p_avg,
-        "p_max": experiment.p_max,
-        "sigma": experiment.sigma,
-        "pooled_win_fraction": experiment.pooled_win_fraction(),
-    }
-    if extra_summary:
-        summary.update(dict(extra_summary))
     paths["summary"] = os.path.join(out_dir, "summary.json")
-    atomic_write_text(paths["summary"], canonical_json(summary) + "\n")
+    atomic_write_text(paths["summary"], canonical_json(run_summary(experiment, label)) + "\n")
     return paths

@@ -21,7 +21,7 @@ from scipy.special import gammaincc
 from . import _kernels
 from .io import atomic_write_bytes, atomic_write_text
 from .rng import make_rng
-from .simulator import DataFormatError, Gate, OutcomeDistribution, apply_circuit, new_state, probabilities, sample_indices
+from .simulator import DataFormatError, Gate, apply_circuit, new_state, probabilities, sample_indices
 
 PASS_P = 0.01
 MONOBIT_MIN_LEN = 100
@@ -76,27 +76,33 @@ def parity_state(n_qubits: int) -> list[Gate]:
     return gates
 
 
-def _qrng_indices(gates: list[Gate], n_qubits: int, shots: int, rng_seed: int) -> np.ndarray:
+def qrng_indices(gates: list[Gate], n_qubits: int, shots: int, rng_seed: int) -> np.ndarray:
+    """Outcome indices of `shots` draws from the circuit's output state."""
     dist = probabilities(apply_circuit(new_state(n_qubits), gates))
     return sample_indices(dist, shots, rng_seed)
 
 
+def indices_to_bits(idx: np.ndarray, n_qubits: int) -> np.ndarray:
+    """Shots x qubits bit matrix; qubit 0 is the most significant index bit."""
+    shifts = np.arange(n_qubits - 1, -1, -1, dtype=np.int64)
+    return ((idx[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+
+
 def streams_from_indices(idx: np.ndarray, n_qubits: int, source_tag: str) -> list[BitStream]:
     """Split outcome indices into per-qubit streams in shot order."""
-    shifts = np.arange(n_qubits - 1, -1, -1, dtype=np.int64)
-    bits = ((idx[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+    bits = indices_to_bits(idx, n_qubits)
     return [BitStream(bits[:, q], source_tag) for q in range(n_qubits)]
 
 
 def hadamard_qrng(n_qubits: int, shots: int, rng_seed: int) -> list[BitStream]:
     """n_qubits independent unbiased streams of `shots` bits each."""
-    idx = _qrng_indices(hadamard_circuit(n_qubits), n_qubits, shots, rng_seed)
+    idx = qrng_indices(hadamard_circuit(n_qubits), n_qubits, shots, rng_seed)
     return streams_from_indices(idx, n_qubits, "hadamard")
 
 
 def parity_qrng(n_qubits: int, shots: int, rng_seed: int) -> list[BitStream]:
     """Per-qubit streams whose bits XOR to zero within every shot."""
-    idx = _qrng_indices(parity_state(n_qubits), n_qubits, shots, rng_seed)
+    idx = qrng_indices(parity_state(n_qubits), n_qubits, shots, rng_seed)
     return streams_from_indices(idx, n_qubits, "parity")
 
 

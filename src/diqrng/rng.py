@@ -10,7 +10,7 @@ round can be replayed in isolation from its own seed.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterator, Protocol
+from typing import Protocol
 
 import numpy as np
 
@@ -80,7 +80,3 @@ class RecordedBitSource:
         out = self._bits[self._pos:self._pos + n]
         self._pos += n
         return out
-
-    def __iter__(self) -> Iterator[int]:
-        while self.remaining() > 0:
-            yield int(self.take(1)[0])

@@ -240,9 +240,6 @@ class CountsRecord:
     memory: list[str] | None = None
     metadata: dict[str, Any] = field(default_factory=dict)
 
-    def n_qubits(self) -> int:
-        return len(next(iter(self.counts)))
-
     def to_json_obj(self) -> dict[str, Any]:
         return {
             "shots": self.shots,

@@ -47,9 +47,8 @@ from diqrng.game import (
     analytic_win_probability,
     best_classical_win_probability,
     round_distribution,
-    run_experiment,
 )
-from diqrng.harness import load_device_profiles
+from diqrng.harness import ExperimentConfig, load_device_profiles, run_certified_experiment
 from diqrng.randomness import (
     BitStream,
     hadamard_qrng,
@@ -79,8 +78,9 @@ def _device_runs():
     """One 100x1000 experiment per shipped profile (shared by tests 3 and 8)."""
     runs = {}
     for profile in load_device_profiles():
-        runs[profile.name] = (profile, run_experiment(
-            100, 1000, lam=profile.fitted_lambda, master_seed=7))
+        config = ExperimentConfig(rounds=100, shots=1000, lam=profile.fitted_lambda,
+                                  master_seed=7)
+        runs[profile.name] = (profile, run_certified_experiment(config).experiment)
     return runs
 
 
@@ -110,7 +110,8 @@ def test_criterion_2_quantum_value():
             p = analytic_win_probability(setting, QuantumStrategy())
             assert abs(p - IDEAL) < 1e-9, \
                 f"setting ({setting.x},{setting.y}): {p!r} vs cos^2(pi/8)"
-        experiment = run_experiment(100, 1000, master_seed=42)
+        experiment = run_certified_experiment(
+            ExperimentConfig(rounds=100, shots=1000, master_seed=42)).experiment
         pooled = experiment.pooled_win_fraction()
         assert abs(pooled - 0.8536) <= 0.004, \
             f"pooled Monte-Carlo value {pooled:.5f} outside 0.8536 +/- 0.004"

@@ -26,7 +26,7 @@ from diqrng.certify import (
     s_value,
     violation_significance,
 )
-from diqrng.game import run_experiment
+from diqrng.harness import ExperimentConfig, run_certified_experiment
 from diqrng.io import canonical_json
 
 # frozen reference values (independent evaluation of the closed forms)
@@ -193,20 +193,23 @@ class TestCertificate:
 
 class TestCertifyExperiment:
     def test_ideal_experiment_is_certified(self):
-        exp = run_experiment(20, 500, master_seed=2)
+        exp = run_certified_experiment(
+            ExperimentConfig(rounds=20, shots=500, master_seed=2)).experiment
         cert = certify(exp)
         assert cert.verdict is Verdict.CERTIFIED
         assert cert.n == 10_000
         assert cert.p_win == pytest.approx(exp.pooled_win_fraction(), abs=0)
 
     def test_fully_depolarized_experiment_is_not(self):
-        exp = run_experiment(10, 500, lam=1.0, master_seed=2)
+        exp = run_certified_experiment(
+            ExperimentConfig(rounds=10, shots=500, lam=1.0, master_seed=2)).experiment
         cert = certify(exp)
         assert cert.verdict is Verdict.NOT_VIOLATED
         assert cert.min_entropy_rate == 0.0
 
     def test_wrapper_agrees_with_pooled(self):
-        exp = run_experiment(5, 300, master_seed=14)
+        exp = run_certified_experiment(
+            ExperimentConfig(rounds=5, shots=300, master_seed=14)).experiment
         a = certify(exp)
         b = certify_pooled(exp.pooled_win_fraction(), exp.total_shots())
         assert a == b

@@ -28,15 +28,14 @@ from diqrng.game import (
     best_classical_win_probability,
     classical_win_value,
     compile_round,
-    play_round,
     referee_inputs,
     result_from_indices,
     round_distribution,
     round_state,
-    run_experiment,
     win_condition,
     win_probability_from_dist,
 )
+from diqrng.harness import ExperimentConfig, run_certified_experiment
 from diqrng.rng import SeededBitSource
 from diqrng.simulator import Gate
 
@@ -213,23 +212,19 @@ class TestRoundResults:
                         diff_count=1, win_fraction=0.5, counts=None)
 
     def test_play_round_deterministic(self):
-        a = play_round(GameSetting(0, 1), QuantumStrategy(), 300, rng_seed=9)
-        b = play_round(GameSetting(0, 1), QuantumStrategy(), 300, rng_seed=9)
+        config = ExperimentConfig(rounds=1, shots=300, master_seed=9)
+        a = run_certified_experiment(config).experiment.rounds[0]
+        b = run_certified_experiment(config).experiment.rounds[0]
         assert a.win_fraction == b.win_fraction
         assert a.counts.counts == b.counts.counts
 
     def test_play_round_statistics(self):
         shots = 20_000
-        result = play_round(GameSetting(0, 0), QuantumStrategy(), shots, rng_seed=21)
+        # every setting of the ideal strategy wins with probability cos^2(pi/8)
+        config = ExperimentConfig(rounds=1, shots=shots, master_seed=21)
+        result = run_certified_experiment(config).experiment.rounds[0]
         sigma = math.sqrt(COS2_PI_8 * (1 - COS2_PI_8) / shots)
         assert abs(result.win_fraction - COS2_PI_8) < 4 * sigma
-
-    def test_keep_memory_threads_through(self):
-        result = play_round(GameSetting(0, 0), QuantumStrategy(), 50, rng_seed=3,
-                            keep_memory=True)
-        assert result.counts.memory is not None
-        assert len(result.counts.memory) == 50
-        result.counts.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -278,25 +273,21 @@ class TestExperiment:
             sum(r.wins for r in rounds) / 80)
 
     def test_run_experiment_reproducible(self):
-        a = run_experiment(10, 200, master_seed=5)
-        b = run_experiment(10, 200, master_seed=5)
+        config = ExperimentConfig(rounds=10, shots=200, master_seed=5)
+        a = run_certified_experiment(config).experiment
+        b = run_certified_experiment(config).experiment
         assert [r.win_fraction for r in a.rounds] == [r.win_fraction for r in b.rounds]
         assert [(r.setting.x, r.setting.y) for r in a.rounds] == \
                [(r.setting.x, r.setting.y) for r in b.rounds]
 
     def test_run_experiment_seed_sensitivity(self):
-        a = run_experiment(10, 200, master_seed=5)
-        b = run_experiment(10, 200, master_seed=6)
+        a = run_certified_experiment(ExperimentConfig(rounds=10, shots=200, master_seed=5))
+        b = run_certified_experiment(ExperimentConfig(rounds=10, shots=200, master_seed=6))
+        a, b = a.experiment, b.experiment
         assert [r.win_fraction for r in a.rounds] != [r.win_fraction for r in b.rounds]
 
-    def test_explicit_settings_override(self):
-        settings = [GameSetting(0, 0)] * 5
-        result = run_experiment(5, 100, master_seed=1, settings=settings)
-        assert all(r.setting == GameSetting(0, 0) for r in result.rounds)
-        with pytest.raises(ValueError, match="settings"):
-            run_experiment(5, 100, master_seed=1, settings=settings[:3])
-
     def test_noisy_experiment_depresses_value(self):
-        noisy = run_experiment(20, 500, lam=0.6, master_seed=8)
+        noisy = run_certified_experiment(
+            ExperimentConfig(rounds=20, shots=500, lam=0.6, master_seed=8)).experiment
         assert noisy.p_avg < 0.8
         assert noisy.p_avg > 0.5 - 0.1  # still above coin flipping minus slack

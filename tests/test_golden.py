@@ -1,0 +1,146 @@
+"""Golden-output tests for `play`: every file it writes, pinned by sha256.
+
+Five loophole configurations run through `main()` at 20 rounds x 50 shots
+and the digests of all files written (including the `qrng` records that
+feed the replay run and a `report` over the defaults run) are compared
+with constants recorded before the two round engines were merged.  Any change
+to input drawing, seed derivation, sampling, detection, tallying,
+certification or serialisation shows up here as a digest mismatch.
+
+Randomness scheme: diqrng/philox-sha256/v1.  To re-record after a
+deliberate scheme change, run ``python tests/test_golden.py`` and paste
+the printed table.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+
+import pytest
+
+from diqrng.cli import EXIT_NOT_VIOLATED, EXIT_OK, main
+
+SIZE = ["--rounds", "20", "--shots", "50"]
+
+
+def _run_defaults(d: str) -> None:
+    assert main(["play", *SIZE, "--seed", "5", "--out-dir", d]) == EXIT_OK
+    assert main(["report", "--rounds-csv", os.path.join(d, "rounds.csv"),
+                 "--label", "golden", "--out-dir", os.path.join(d, "report")]) == EXIT_OK
+
+
+def _run_stale_state(d: str) -> None:
+    assert main(["play", *SIZE, "--seed", "6", "--lambda", "0.05", "--stale-state",
+                 "--out-dir", d]) == EXIT_OK
+
+
+def _run_dependent_inputs(d: str) -> None:
+    # the belem noise level is too high to certify at 1000 shots
+    assert main(["play", *SIZE, "--seed", "7", "--profile", "ibmq_belem",
+                 "--dependent-inputs", "--out-dir", d]) == EXIT_NOT_VIOLATED
+
+
+def _run_lossy(d: str) -> None:
+    assert main(["play", *SIZE, "--seed", "8", "--efficiency", "0.7",
+                 "--report-all-events", "--out-dir", d]) == EXIT_OK
+
+
+def _run_replay(d: str) -> None:
+    qx, qy = os.path.join(d, "qx"), os.path.join(d, "qy")
+    assert main(["qrng", "--mode", "parity", "--qubits", "3", "--shots", "10",
+                 "--seed", "31", "--out", qx, "--counts-out", qx + ".json"]) == EXIT_OK
+    assert main(["qrng", "--mode", "hadamard", "--qubits", "2", "--shots", "15",
+                 "--seed", "32", "--out", qy, "--counts-out", qy + ".json"]) == EXIT_OK
+    assert main(["play", *SIZE, "--seed", "9", "--replay-x", qx + ".json",
+                 "--replay-y", qy + ".json", "--out-dir", os.path.join(d, "play")]) == EXIT_OK
+
+
+RUNS = {
+    "defaults": _run_defaults,
+    "stale_state": _run_stale_state,
+    "dependent_inputs": _run_dependent_inputs,
+    "lossy_report_all": _run_lossy,
+    "replay": _run_replay,
+}
+
+# sha256 of every file written, keyed by path relative to the run directory
+GOLDEN: dict[str, dict[str, str]] = {
+    'defaults': {
+        'alice_bits.bin': '55ab5bd5ebeae609078d0e5802aa0be72f6d47794de2523c92fc1b0396707dc2',
+        'alice_bits.txt': 'cf8209dd3df3f907e9eaa1b371075bfbaf840caabdb3a25b01e400cae82628a2',
+        'certificate.json': 'ae16dba1814171af7ec3d1771ee5198e1dd65e1c395d998f04ffc62649074ff3',
+        'report/density.csv': '5296637f7d91143a01f37c6d55a7f64f8a9fa4c5419acb780731b9f330e4218b',
+        'report/hist.csv': 'd4c86fcee420c137d69ece9b60f78f9d73043c1314612ab81b5691f3000efb9a',
+        'report/running_avg.csv': 'cc520a9459e5d798ae3454dbded2e90661798ff2c3b042a29367a070dd167456',
+        'report/summary.json': 'ee35bfae17289b6f8675778e0a0ea4646d544d74ae76098e84053668239b7c93',
+        'rounds.csv': 'c04fc36717e78356a23785e7397897fcaba029527ba78e1c89e9669052e501f6',
+        'summary.json': '80821c9869388bceddcfc5527cdf9bcdd0e18cd439b6fef9424b890f571893bd',
+    },
+    'dependent_inputs': {
+        'alice_bits.bin': 'e8ffbc8e0e686b70e9b6e3a0800a4a37dbbb69f0bbe065844ea74d8b023da040',
+        'alice_bits.txt': 'c697ae293d4e76de36753e4030646777ca1b9f65fee07b9d8d4421da8d715e06',
+        'certificate.json': 'ec32fda27081b483ea4139b4a9817119854e040f009803b8264bb0a51ecb03a2',
+        'rounds.csv': '3772b1314cd6346f14ed6b17ee50bfd11a3541672df86706473fc6ae626704c6',
+        'summary.json': 'd2738a7303eb4b9966dc0f478beb5374dd02564249f82d8e1565fdbf4c16e5ed',
+    },
+    'lossy_report_all': {
+        'alice_bits.bin': 'a6e2116649ce9eda5cac22974b9f90ce0f4b774de3ccd6addbc2cf6bd0da4a51',
+        'alice_bits.txt': 'c2f0f566c268f60f59735147149ce81a259e98e5af1bf9bbdd5a565499b7aed5',
+        'certificate.json': 'f056698cbaa8a6fe5d4c49e940cc7a5bef2647380310e10b2df2b42b5040870e',
+        'rounds.csv': '5ce5194ba30d766291085d6322e940a30e55d2bc78a650cadaf8e6e7c56efaed',
+        'summary.json': 'aa1991f929223a73a94e36b45aa64d86e0504c78d2b0307639976741a76e0828',
+    },
+    'replay': {
+        'play/alice_bits.bin': 'dca389cd58a4804063480bec9e31e98e3b73c04a4dca143f46923d127692f748',
+        'play/alice_bits.txt': '4ee80fa37893aeaafa3e74903d890e2d0ee78bb24ee1e1c72026765b5e70abc3',
+        'play/certificate.json': '3764cba923cec5cc0726425b081ddbb0a465af3589d81d37c211cdc947bf66d0',
+        'play/rounds.csv': '425d1d3e88028cbb1397cf792490e6f691330204348cd9a1101f4a5c6017c850',
+        'play/summary.json': 'a2ed1a43417a8fcdacbe7cc8192f8e1b64d7be4da7b6076f36ae6b1a6c68aa00',
+        'qx.bin': '570b105c50eb0d962d5b06aa4878ce84ae4c55cfa2432b3726c0fae901d0532b',
+        'qx.json': '2e24cf324cb7854ae20bff41753404539cb30d6d06257d8dc2c3043bac402a14',
+        'qx.txt': '7d51a1fd4c049ecffc16a41ba71ce7051b1a51a1fadc54ea4be52cd1b245da52',
+        'qy.bin': '1375a574e0bc3b0124669679f35626f84849fd5b3814d5d71a5c7a2e8dbbfadc',
+        'qy.json': 'cee830fdafaaed41ecdd976cc351b3bb1f3531762469f87705df9a3ad953c813',
+        'qy.txt': '54d9d34e8e0e3558bfde4b4edcb85ada48dfe76232a3085146845fe88868b3a8',
+    },
+    'stale_state': {
+        'alice_bits.bin': '2fba7bb95847f27131ad54f604414fb11332b40b2b53bc3c4fb783b7cc93a2e6',
+        'alice_bits.txt': 'b7d84a9e53e82b7569084cd6732d8619b74cbfc9e5ca4954b828240c53ecbd8a',
+        'certificate.json': 'cdb2cc87b768fd03d11dda98ba0536b708dc2ccaaeb8f9e0f36642b5d7b325b9',
+        'rounds.csv': 'ce88c961c484dfed8af5b237bb24027def0c69e9c1e303b6b8f13185ed23a185',
+        'summary.json': 'd2cbb840748d45d432bdd7b63a9dc16020f7cd1991958aa465303e5695858ba1',
+    },
+}
+
+
+def _digests(root: str) -> dict[str, str]:
+    out = {}
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            out[os.path.relpath(path, root).replace(os.sep, "/")] = digest
+    return dict(sorted(out.items()))
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_play_outputs_match_golden_digests(name, tmp_path):
+    RUNS[name](str(tmp_path))
+    assert _digests(str(tmp_path)) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+    import tempfile
+
+    for name in sorted(RUNS):
+        with tempfile.TemporaryDirectory() as d:
+            with contextlib.redirect_stdout(io.StringIO()):
+                RUNS[name](d)
+            print(f"    {name!r}: {{")
+            for rel, digest in _digests(d).items():
+                print(f"        {rel!r}: {digest!r},")
+            print("    },")

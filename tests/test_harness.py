@@ -12,8 +12,9 @@ import os
 import numpy as np
 import pytest
 
+from diqrng import harness
 from diqrng.certify import Verdict
-from diqrng.game import ConfigError, GameSetting, QuantumStrategy, play_round
+from diqrng.game import ConfigError, GameSetting, QuantumStrategy, result_from_indices
 from diqrng.harness import (
     DEFAULT_SHOTS,
     FORMAT_VERSION,
@@ -31,7 +32,6 @@ from diqrng.harness import (
     replay_backend,
     rounds_csv_text,
     run_certified_experiment,
-    run_device_profile,
     save_counts_record,
     write_rounds_csv,
 )
@@ -42,7 +42,9 @@ from diqrng.simulator import (
     DataFormatError,
     DataIntegrityError,
     OutcomeDistribution,
+    record_from_indices,
     sample,
+    sample_indices,
 )
 
 # frozen: (cos^2(pi/8) - target) / (cos^2(pi/8) - 1/2)
@@ -114,7 +116,9 @@ class TestDeviceProfiles:
 
     def test_run_device_profile_smoke(self):
         profile = get_device_profile("ibmq_belem")
-        run = run_device_profile(profile, rounds=5, shots=300, master_seed=1)
+        config = ExperimentConfig(rounds=5, shots=300, lam=profile.fitted_lambda,
+                                  master_seed=1)
+        run = run_certified_experiment(config)
         assert run.experiment.total_shots() == 1500
         assert 0.6 < run.experiment.p_avg < 0.95
 
@@ -187,8 +191,10 @@ class TestCertifiedRuns:
         run = run_certified_experiment(config)
         for i, round_result in enumerate(run.experiment.rounds):
             seed = derive_seed(config.master_seed, "round", i)
-            solo = play_round(round_result.setting, config.strategy, config.shots,
-                              lam=config.lam, rng_seed=seed)
+            dist = round_distribution(round_result.setting, config.strategy, config.lam)
+            idx = sample_indices(dist, config.shots, seed)
+            solo = result_from_indices(round_result.setting, idx,
+                                       counts=record_from_indices(idx, 2))
             assert solo.win_fraction == round_result.win_fraction
             assert solo.counts.counts == round_result.counts.counts
 
@@ -244,6 +250,18 @@ class TestCertifiedRuns:
             assert r.counts is None
             assert r.win_fraction == 0.0
         assert run.experiment.total_shots() == sum(r.shots for r in run.experiment.rounds)
+
+    def test_distribution_built_once_per_setting(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return round_distribution(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "round_distribution", counting)
+        run = run_certified_experiment(ExperimentConfig(rounds=200, shots=10, master_seed=4))
+        assert len(run.experiment.rounds) == 200
+        assert len(calls) <= 4
 
 
 # ---------------------------------------------------------------------------
