@@ -25,7 +25,6 @@ from .game import (
     ExperimentResult,
     GameSetting,
     QuantumStrategy,
-    RoundResult,
     all_classical_strategies,
     analytic_win_probability,
     best_classical_win_probability,

@@ -18,8 +18,6 @@ import os
 import sys
 from typing import Any, Sequence
 
-import numpy as np
-
 from . import __version__
 from .certify import DEFAULT_THRESHOLD_Z, Certificate, Verdict, certify
 from .game import ConfigError
@@ -273,13 +271,10 @@ def cmd_play(args) -> int:
     if profile is not None:
         summary["avg_win_target"] = profile.avg_win_target
     if loopholes.report_all_events and loopholes.detection_efficiency < 1.0:
-        fractions = [r.counts.metadata.get("all_event_win_fraction")
-                     for r in run.experiment.rounds if r.counts is not None]
-        fractions = [f for f in fractions if f is not None]
-        if fractions:
-            summary["all_event_p_avg"] = float(np.mean(fractions))
-        detected = sum(r.shots for r in run.experiment.rounds)
-        summary["detected_fraction"] = detected / (config.rounds * config.shots)
+        if run.all_event_win_fractions.size:
+            summary["all_event_p_avg"] = float(run.all_event_win_fractions.mean())
+        summary["detected_fraction"] = (run.experiment.total_shots()
+                                        / (config.rounds * config.shots))
     atomic_write_text(os.path.join(out_dir, "summary.json"),
                       canonical_json(summary) + "\n")
     save_bits_text(os.path.join(out_dir, "alice_bits.txt"), run.alice_bits.bits)
@@ -350,7 +345,7 @@ def cmd_extract(args) -> int:
             with open(args.certificate, "r", encoding="utf-8") as fh:
                 try:
                     cert = Certificate.from_json_obj(json.load(fh))
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     raise DataFormatError(f"{args.certificate}: bad certificate: {exc}") from exc
             if cert.min_entropy_rate is None:
                 raise DataFormatError(f"{args.certificate}: certificate has no rate")

@@ -15,13 +15,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from .rng import BitSource
 from .simulator import (
-    CountsRecord,
     Gate,
     OutcomeDistribution,
     StateVector,
@@ -191,38 +189,10 @@ def analytic_win_probability(setting: GameSetting,
 # rounds and experiments
 # ============================================================
 
-@dataclass(frozen=True)
-class RoundResult:
-    """Tallies of one round; counts carries the full record when kept."""
-
-    setting: GameSetting
-    shots: int
-    same_count: int
-    diff_count: int
-    win_fraction: float
-    counts: CountsRecord | None = None
-
-    def __post_init__(self):
-        if self.same_count + self.diff_count != self.shots:
-            raise ValueError("same_count + diff_count must equal shots")
-        if self.shots > 0 and self.win_fraction != self.wins / self.shots:
-            raise ValueError("win_fraction does not match the stored tallies")
-
-    @property
-    def wins(self) -> int:
-        """Winning shots: different bits at (1,1), matching bits otherwise."""
-        return self.diff_count if self.setting.x & self.setting.y else self.same_count
-
-
-def result_from_indices(setting: GameSetting, idx: np.ndarray, *,
-                        counts: CountsRecord | None = None) -> RoundResult:
-    """Tally sampled 2-qubit outcome indices into a RoundResult."""
-    shots = int(idx.size)
+def result_from_indices(idx: np.ndarray) -> tuple[int, int]:
+    """Tally one round's 2-qubit outcome indices: (same-bit, different-bit) shots."""
     same = int(np.count_nonzero((idx == 0) | (idx == 3)))
-    diff = shots - same
-    wins = diff if setting.x & setting.y else same
-    return RoundResult(setting=setting, shots=shots, same_count=same,
-                       diff_count=diff, win_fraction=wins / shots, counts=counts)
+    return same, int(idx.size) - same
 
 
 def referee_inputs(rounds: int, source_a: BitSource, source_b: BitSource) -> list[GameSetting]:
@@ -240,37 +210,64 @@ def referee_inputs(rounds: int, source_a: BitSource, source_b: BitSource) -> lis
     return [GameSetting(int(x), int(y)) for x, y in zip(xs, ys)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentResult:
-    """Per-round results plus summary statistics over win fractions."""
+    """Per-round columns: referee inputs x, y and the same/diff bit tallies.
 
-    rounds: tuple[RoundResult, ...]
-    p_min: float
-    p_avg: float
-    p_max: float
-    sigma: float
+    Everything else (shots, wins, win fractions and their statistics) is
+    derived from these four equal-length int64 arrays.
+    """
 
-    @staticmethod
-    def compute_stats(fractions: Sequence[float]) -> tuple[float, float, float, float]:
-        arr = np.asarray(fractions, dtype=np.float64)
-        return (float(arr.min()), float(arr.mean()), float(arr.max()),
-                float(arr.std(ddof=0)))
+    x: np.ndarray
+    y: np.ndarray
+    same: np.ndarray
+    diff: np.ndarray
 
     @classmethod
-    def from_rounds(cls, rounds: Iterable[RoundResult]) -> "ExperimentResult":
-        rounds = tuple(rounds)
-        if not rounds:
-            return cls(rounds=(), p_min=0.0, p_avg=0.0, p_max=0.0, sigma=0.0)
-        stats = cls.compute_stats([r.win_fraction for r in rounds])
-        return cls(rounds, *stats)
+    def from_rounds(cls, x, y, same, diff) -> "ExperimentResult":
+        cols = [np.asarray(c, dtype=np.int64) for c in (x, y, same, diff)]
+        shape = cols[0].shape
+        if len(shape) != 1 or shape == (0,) or any(c.shape != shape for c in cols):
+            raise ValueError("x, y, same and diff must be equal-length, non-empty 1-d arrays")
+        return cls(*cols)
+
+    @property
+    def shots(self) -> np.ndarray:
+        return self.same + self.diff
+
+    @property
+    def wins(self) -> np.ndarray:
+        """Winning shots: different bits at (1,1), matching bits otherwise."""
+        return np.where(self.x & self.y, self.diff, self.same)
+
+    @property
+    def win_fractions(self) -> np.ndarray:
+        """wins / shots per round; a round with no shots has fraction 0.0."""
+        shots = self.shots
+        return np.divide(self.wins, shots, out=np.zeros(shots.size), where=shots > 0)
+
+    @property
+    def p_min(self) -> float:
+        return float(self.win_fractions.min())
+
+    @property
+    def p_avg(self) -> float:
+        return float(self.win_fractions.mean())
+
+    @property
+    def p_max(self) -> float:
+        return float(self.win_fractions.max())
+
+    @property
+    def sigma(self) -> float:
+        return float(self.win_fractions.std(ddof=0))
 
     def total_shots(self) -> int:
-        return sum(r.shots for r in self.rounds)
+        return int(self.shots.sum())
 
     def total_wins(self) -> int:
-        return sum(r.wins for r in self.rounds)
+        return int(self.wins.sum())
 
     def pooled_win_fraction(self) -> float:
         total = self.total_shots()
         return self.total_wins() / total if total else 0.0
-

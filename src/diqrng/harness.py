@@ -40,7 +40,6 @@ from .game import (
     ExperimentResult,
     GameSetting,
     QuantumStrategy,
-    RoundResult,
     referee_inputs,
     result_from_indices,
     round_distribution,
@@ -52,7 +51,6 @@ from .simulator import (
     CountsRecord,
     DataFormatError,
     DataIntegrityError,
-    record_from_indices,
     sample_indices,
 )
 
@@ -206,14 +204,14 @@ class ExperimentConfig:
             raise DataFormatError("experiment config must be a JSON object")
         if obj.get("format_version") != FORMAT_VERSION:
             raise DataFormatError("experiment config missing a supported format_version")
-        strat = obj.get("strategy") or {}
-        strategy = QuantumStrategy(
-            alice_angles=tuple(strat.get("alice_angles", (0.0, math.pi / 4))),
-            bob_angles=tuple(strat.get("bob_angles", (math.pi / 8, -math.pi / 8))),
-            global_offset=float(strat.get("global_offset", 0.0)),
-        )
-        source = obj.get("input_source") or {"mode": "seeded"}
         try:
+            strat = obj.get("strategy") or {}
+            strategy = QuantumStrategy(
+                alice_angles=tuple(strat.get("alice_angles", (0.0, math.pi / 4))),
+                bob_angles=tuple(strat.get("bob_angles", (math.pi / 8, -math.pi / 8))),
+                global_offset=float(strat.get("global_offset", 0.0)),
+            )
+            source = obj.get("input_source") or {"mode": "seeded"}
             return cls(
                 rounds=int(obj["rounds"]),
                 shots=int(obj["shots"]),
@@ -225,7 +223,7 @@ class ExperimentConfig:
                 replay_y=tuple(source.get("y_files", ())),
                 threshold_z=float(obj.get("threshold_z", DEFAULT_THRESHOLD_Z)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise DataFormatError(f"malformed experiment config: {exc}") from exc
 
     @classmethod
@@ -286,6 +284,9 @@ class CertifiedRun(NamedTuple):
     experiment: ExperimentResult
     certificate: Certificate
     alice_bits: BitStream
+    # with report_all_events under lossy detection: per round that kept a
+    # shot, the win fraction over every emitted pair; empty otherwise
+    all_event_win_fractions: np.ndarray
 
 
 def _draw_settings(config: ExperimentConfig, loopholes: LoopholeConfig) -> list[GameSetting]:
@@ -314,42 +315,36 @@ def run_certified_experiment(config: ExperimentConfig,
                   else make_rng(derive_seed(config.master_seed, "shared-stream")))
     # at most four distinct settings: build each distribution once
     dists = {s: round_distribution(s, config.strategy, config.lam) for s in set(settings)}
-    rounds: list[RoundResult] = []
+    same = np.zeros(len(settings), dtype=np.int64)
+    diff = np.zeros(len(settings), dtype=np.int64)
+    all_event: list[float] = []
     alice_chunks: list[np.ndarray] = []
     for i, setting in enumerate(settings):
         rng = (make_rng(derive_seed(config.master_seed, "round", i))
                if shared_rng is None else shared_rng)
         idx = sample_indices(dists[setting], config.shots, rng=rng)
-        meta: dict[str, Any] = {}
+        kept = idx
         if eta < 1.0:
             detected_a = rng.random(config.shots) < eta
             detected_b = rng.random(config.shots) < eta
-            coincident = detected_a & detected_b
-            kept = idx[coincident]
-            meta["total_shots"] = config.shots
-            meta["detected_shots"] = int(kept.size)
-            meta["detection_efficiency"] = eta
-            if loopholes.report_all_events:
-                # ground truth over every emitted pair, detected or not --
-                # the quantity a real experiment cannot observe
-                same_all = int(np.count_nonzero((idx == 0) | (idx == 3)))
-                wins_all = (idx.size - same_all) if setting.x & setting.y else same_all
-                meta["all_event_win_fraction"] = wins_all / config.shots
-        else:
-            kept = idx
+            kept = idx[detected_a & detected_b]
         if kept.size == 0:
-            # every shot lost to the detectors; keep the round with no tallies
-            rounds.append(RoundResult(setting=setting, shots=0, same_count=0,
-                                      diff_count=0, win_fraction=0.0, counts=None))
+            # every shot lost to the detectors; the round keeps zero tallies
             continue
-        rec = record_from_indices(kept, 2, metadata=meta)
-        rounds.append(result_from_indices(setting, kept, counts=rec))
+        same[i], diff[i] = result_from_indices(kept)
+        if eta < 1.0 and loopholes.report_all_events:
+            # ground truth over every emitted pair, detected or not --
+            # the quantity a real experiment cannot observe
+            same_all, diff_all = result_from_indices(idx)
+            all_event.append((diff_all if setting.x & setting.y else same_all) / config.shots)
         alice_chunks.append(((kept >> 1) & 1).astype(np.uint8))
-    experiment = ExperimentResult.from_rounds(rounds)
+    experiment = ExperimentResult.from_rounds(
+        [s.x for s in settings], [s.y for s in settings], same, diff)
     certificate = certify(experiment, config.threshold_z)
     alice = (np.concatenate(alice_chunks) if alice_chunks
              else np.zeros(0, dtype=np.uint8))
-    return CertifiedRun(experiment, certificate, BitStream(alice, "chsh"))
+    return CertifiedRun(experiment, certificate, BitStream(alice, "chsh"),
+                        np.array(all_event, dtype=np.float64))
 
 
 # ============================================================
@@ -361,9 +356,10 @@ def rounds_csv_text(experiment: ExperimentResult) -> str:
     buf.write(f"# format_version={FORMAT_VERSION}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(ROUNDS_CSV_FIELDS)
-    for i, r in enumerate(experiment.rounds):
-        writer.writerow([i, r.setting.x, r.setting.y, r.same_count, r.diff_count,
-                         repr(r.win_fraction)])
+    e = experiment
+    # tolist() hands back Python ints and floats, so repr is the plain float text
+    writer.writerows(zip(range(e.x.size), e.x.tolist(), e.y.tolist(), e.same.tolist(),
+                         e.diff.tolist(), map(repr, e.win_fractions.tolist())))
     return buf.getvalue()
 
 
@@ -372,7 +368,7 @@ def write_rounds_csv(path: str | os.PathLike, experiment: ExperimentResult) -> N
 
 
 def read_rounds_csv(path: str | os.PathLike) -> ExperimentResult:
-    """Rebuild an ExperimentResult (without counts) from a rounds table."""
+    """Rebuild an ExperimentResult from a rounds table."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     if not lines or not lines[0].startswith(f"# format_version={FORMAT_VERSION}"):
@@ -381,28 +377,30 @@ def read_rounds_csv(path: str | os.PathLike) -> ExperimentResult:
     header = next(reader, None)
     if header != list(ROUNDS_CSV_FIELDS):
         raise DataFormatError(f"{path}: unexpected header {header!r}")
-    rounds = []
+    table, stored = [], []
     for row in reader:
         if len(row) != len(ROUNDS_CSV_FIELDS):
             raise DataFormatError(f"{path}: malformed row {row!r}")
         try:
-            _, x, y, same, diff, stored = row
-            setting = GameSetting(int(x), int(y))
-            same_i, diff_i = int(same), int(diff)
-            stored_f = float(stored)
+            x, y, same, diff = (int(v) for v in row[1:5])
+            stored.append(float(row[5]))
         except ValueError as exc:
             raise DataFormatError(f"{path}: malformed row {row!r}: {exc}") from exc
-        shots = same_i + diff_i
-        wins = diff_i if setting.x & setting.y else same_i
-        fraction = wins / shots if shots else 0.0
-        if abs(fraction - stored_f) > 1e-9:
-            raise DataIntegrityError(
-                f"{path}: stored win_fraction {stored_f!r} disagrees with tallies")
-        rounds.append(RoundResult(setting=setting, shots=shots, same_count=same_i,
-                                  diff_count=diff_i, win_fraction=fraction))
-    if not rounds:
+        if x not in (0, 1) or y not in (0, 1) or same < 0 or diff < 0:
+            raise DataFormatError(
+                f"{path}: malformed row {row!r}: inputs must be bits, tallies non-negative")
+        table.append((x, y, same, diff))
+    if not table:
         raise DataFormatError(f"{path}: no data rows")
-    return ExperimentResult.from_rounds(rounds)
+    # the columns are int64; a larger total would wrap instead of failing
+    if sum(same + diff for _, _, same, diff in table) >= 2 ** 63:
+        raise DataFormatError(f"{path}: total shots exceed the int64 range")
+    experiment = ExperimentResult.from_rounds(*np.array(table, dtype=np.int64).T)
+    bad = np.flatnonzero(np.abs(experiment.win_fractions - stored) > 1e-9)
+    if bad.size:
+        raise DataIntegrityError(
+            f"{path}: stored win_fraction {stored[bad[0]]!r} disagrees with tallies")
+    return experiment
 
 
 def _gaussian_kde(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -423,7 +421,7 @@ def run_summary(experiment: ExperimentResult, label: str) -> dict[str, Any]:
     return {
         "format_version": FORMAT_VERSION,
         "label": label,
-        "rounds": len(experiment.rounds),
+        "rounds": experiment.x.size,
         "total_shots": experiment.total_shots(),
         "p_min": experiment.p_min,
         "p_avg": experiment.p_avg,
@@ -442,9 +440,7 @@ def emit_reports(experiment: ExperimentResult, out_dir: str | os.PathLike,
     """
     out_dir = os.fspath(out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    fractions = np.array([r.win_fraction for r in experiment.rounds], dtype=np.float64)
-    if fractions.size == 0:
-        raise ValueError("cannot report on an experiment with no rounds")
+    fractions = experiment.win_fractions
 
     def fmt(x: float) -> str:
         return f"{round_sig(float(x)):g}"

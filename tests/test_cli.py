@@ -105,6 +105,21 @@ class TestPlay:
         assert summary["shots_per_round"] == 150  # file value survives
         assert summary["master_seed"] == 21
 
+    @pytest.mark.parametrize("field", [
+        {"strategy": {"alice_angles": 5}},
+        {"strategy": [1]},
+        {"input_source": "x"},
+        {"rounds": float("inf")},
+    ], ids=["angles-not-a-list", "strategy-not-an-object", "source-not-an-object",
+            "rounds-infinite"])
+    def test_malformed_config_file_exits_65(self, tmp_path, capsys, field):
+        config = {"format_version": 1, "rounds": 2, "shots": 10, **field}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        code = main(["play", "--config", str(config_path), "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        assert "malformed experiment config" in capsys.readouterr().err
+
     def test_out_dir_env_fallback(self, tmp_path, capsys, monkeypatch):
         env_dir = tmp_path / "from-env"
         monkeypatch.setenv("DIQRNG_OUT_DIR", str(env_dir))
@@ -300,6 +315,28 @@ class TestExtract:
         assert code == EXIT_OK
         assert len((tmp_path / "hashed.txt").read_text().strip()) == 256
 
+    @pytest.mark.parametrize("field", [
+        {"verdict": "BOGUS"},
+        {"n": "abc"},
+        {"s": 0.5},  # inconsistent with p_win
+        {"n": float("inf")},
+    ], ids=["bad-verdict", "n-not-a-number", "s-inconsistent", "n-infinite"])
+    def test_malformed_certificate_fields_exit_65(self, tmp_path, capsys, field):
+        run_dir = tmp_path / "run"
+        assert main(["play", "--rounds", "5", "--shots", "200", "--seed", "3",
+                     "--out-dir", str(run_dir)]) == EXIT_OK
+        cert_path = run_dir / "certificate.json"
+        cert = json.loads(cert_path.read_text())
+        cert.update(field)
+        cert_path.write_text(json.dumps(cert))
+        code = main(["extract", "--in", str(run_dir / "alice_bits.txt"),
+                     "--method", "toeplitz", "--out-len", "256",
+                     "--extractor-seed", "6", "--certificate", str(cert_path),
+                     "--out", str(tmp_path / "hashed")])
+        assert code == EXIT_DATA
+        assert "bad certificate" in capsys.readouterr().err
+        assert not (tmp_path / "hashed.txt").exists()
+
     def test_rate_and_certificate_conflict(self, tmp_path, capsys):
         path = self._bits_file(tmp_path, "10" * 100)
         code = main(["extract", "--in", str(path), "--method", "toeplitz",
@@ -397,6 +434,14 @@ class TestCertifyCommand:
         lines[2] = head + ",0.999999"
         csv_path.write_text("\n".join(lines) + "\n")
         assert main(["certify", "--rounds-csv", str(csv_path)]) == EXIT_DATA
+
+    def test_negative_tally_exits_65(self, tmp_path, capsys):
+        csv_path = tmp_path / "rounds.csv"
+        csv_path.write_text("# format_version=1\n"
+                            "round_index,x,y,same_count,diff_count,win_fraction\n"
+                            "0,0,0,-10,20,-1.0\n")
+        assert main(["certify", "--rounds-csv", str(csv_path)]) == EXIT_DATA
+        assert "malformed row" in capsys.readouterr().err
 
 
 class TestMiscCommands:

@@ -22,7 +22,6 @@ from diqrng.game import (
     ExperimentResult,
     GameSetting,
     QuantumStrategy,
-    RoundResult,
     all_classical_strategies,
     analytic_win_probability,
     best_classical_win_probability,
@@ -190,41 +189,41 @@ class TestRoundResults:
     def test_result_from_indices_counts_same_and_diff(self):
         # outcomes 0 ("00") and 3 ("11") are same-bit; 1 and 2 differ
         idx = np.array([0, 3, 1, 2, 3, 0, 0], dtype=np.int64)
-        result = result_from_indices(GameSetting(0, 0), idx)
-        assert result.shots == 7
-        assert result.same_count == 5
-        assert result.diff_count == 2
+        same, diff = result_from_indices(idx)
+        result = ExperimentResult.from_rounds([0], [0], [same], [diff])
+        assert result.shots[0] == 7
+        assert result.same[0] == 5
+        assert result.diff[0] == 2
         # at x*y = 0 a win is a same-bit outcome
-        assert result.wins == 5
-        assert result.win_fraction == pytest.approx(5 / 7)
+        assert result.wins[0] == 5
+        assert result.win_fractions[0] == pytest.approx(5 / 7)
 
     def test_win_flips_at_setting_one_one(self):
         idx = np.array([0, 3, 1, 2], dtype=np.int64)
-        result = result_from_indices(GameSetting(1, 1), idx)
-        assert result.wins == 2  # the two different-bit outcomes
+        same, diff = result_from_indices(idx)
+        result = ExperimentResult.from_rounds([1], [1], [same], [diff])
+        assert result.wins[0] == 2  # the two different-bit outcomes
 
-    def test_round_result_invariants(self):
-        with pytest.raises(ValueError, match="must equal shots"):
-            RoundResult(setting=GameSetting(0, 0), shots=4, same_count=1,
-                        diff_count=1, win_fraction=0.25, counts=None)
-        with pytest.raises(ValueError, match="win_fraction"):
-            RoundResult(setting=GameSetting(0, 0), shots=4, same_count=3,
-                        diff_count=1, win_fraction=0.5, counts=None)
+    def test_columns_must_be_equal_length_and_non_empty(self):
+        with pytest.raises(ValueError, match="equal-length"):
+            ExperimentResult.from_rounds([0, 1], [0], [1, 1], [0, 0])
+        with pytest.raises(ValueError, match="non-empty"):
+            ExperimentResult.from_rounds([], [], [], [])
 
     def test_play_round_deterministic(self):
         config = ExperimentConfig(rounds=1, shots=300, master_seed=9)
-        a = run_certified_experiment(config).experiment.rounds[0]
-        b = run_certified_experiment(config).experiment.rounds[0]
-        assert a.win_fraction == b.win_fraction
-        assert a.counts.counts == b.counts.counts
+        a = run_certified_experiment(config).experiment
+        b = run_certified_experiment(config).experiment
+        assert a.win_fractions[0] == b.win_fractions[0]
+        assert (a.same[0], a.diff[0]) == (b.same[0], b.diff[0])
 
     def test_play_round_statistics(self):
         shots = 20_000
         # every setting of the ideal strategy wins with probability cos^2(pi/8)
         config = ExperimentConfig(rounds=1, shots=shots, master_seed=21)
-        result = run_certified_experiment(config).experiment.rounds[0]
+        result = run_certified_experiment(config).experiment
         sigma = math.sqrt(COS2_PI_8 * (1 - COS2_PI_8) / shots)
-        assert abs(result.win_fraction - COS2_PI_8) < 4 * sigma
+        assert abs(result.win_fractions[0] - COS2_PI_8) < 4 * sigma
 
 
 # ---------------------------------------------------------------------------
@@ -253,15 +252,11 @@ class TestRefereeInputs:
 class TestExperiment:
     def test_stats_match_hand_computation(self):
         fractions = [0.8, 0.9, 0.85, 0.75]
-        rounds = []
-        for f in fractions:
-            shots = 20
-            wins = int(round(f * shots))
-            same = wins  # x*y = 0: wins are same-bit outcomes
-            rounds.append(RoundResult(setting=GameSetting(0, 0), shots=shots,
-                                      same_count=same, diff_count=shots - same,
-                                      win_fraction=wins / shots, counts=None))
-        result = ExperimentResult.from_rounds(rounds)
+        shots = 20
+        wins = [int(round(f * shots)) for f in fractions]
+        # x*y = 0: wins are same-bit outcomes
+        result = ExperimentResult.from_rounds([0] * 4, [0] * 4, wins,
+                                              [shots - w for w in wins])
         mean = sum(fractions) / 4
         var = sum((f - mean) ** 2 for f in fractions) / 4  # population variance
         assert result.p_min == pytest.approx(min(fractions))
@@ -270,21 +265,20 @@ class TestExperiment:
         assert result.sigma == pytest.approx(math.sqrt(var))
         assert result.total_shots() == 80
         assert result.pooled_win_fraction() == pytest.approx(
-            sum(r.wins for r in rounds) / 80)
+            sum(wins) / 80)
 
     def test_run_experiment_reproducible(self):
         config = ExperimentConfig(rounds=10, shots=200, master_seed=5)
         a = run_certified_experiment(config).experiment
         b = run_certified_experiment(config).experiment
-        assert [r.win_fraction for r in a.rounds] == [r.win_fraction for r in b.rounds]
-        assert [(r.setting.x, r.setting.y) for r in a.rounds] == \
-               [(r.setting.x, r.setting.y) for r in b.rounds]
+        assert a.win_fractions.tolist() == b.win_fractions.tolist()
+        assert list(zip(a.x.tolist(), a.y.tolist())) == list(zip(b.x.tolist(), b.y.tolist()))
 
     def test_run_experiment_seed_sensitivity(self):
         a = run_certified_experiment(ExperimentConfig(rounds=10, shots=200, master_seed=5))
         b = run_certified_experiment(ExperimentConfig(rounds=10, shots=200, master_seed=6))
         a, b = a.experiment, b.experiment
-        assert [r.win_fraction for r in a.rounds] != [r.win_fraction for r in b.rounds]
+        assert a.win_fractions.tolist() != b.win_fractions.tolist()
 
     def test_noisy_experiment_depresses_value(self):
         noisy = run_certified_experiment(

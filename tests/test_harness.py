@@ -42,7 +42,6 @@ from diqrng.simulator import (
     DataFormatError,
     DataIntegrityError,
     OutcomeDistribution,
-    record_from_indices,
     sample,
     sample_indices,
 )
@@ -189,34 +188,35 @@ class TestCertifiedRuns:
         the memory loophole is closed by construction, and provably so."""
         config = ExperimentConfig(rounds=5, shots=400, lam=0.1, master_seed=77)
         run = run_certified_experiment(config)
-        for i, round_result in enumerate(run.experiment.rounds):
+        e = run.experiment
+        for i in range(config.rounds):
             seed = derive_seed(config.master_seed, "round", i)
-            dist = round_distribution(round_result.setting, config.strategy, config.lam)
+            setting = GameSetting(int(e.x[i]), int(e.y[i]))
+            dist = round_distribution(setting, config.strategy, config.lam)
             idx = sample_indices(dist, config.shots, seed)
-            solo = result_from_indices(round_result.setting, idx,
-                                       counts=record_from_indices(idx, 2))
-            assert solo.win_fraction == round_result.win_fraction
-            assert solo.counts.counts == round_result.counts.counts
+            assert result_from_indices(idx) == (e.same[i], e.diff[i])
+            alice = run.alice_bits.bits[i * config.shots:(i + 1) * config.shots]
+            np.testing.assert_array_equal(alice, (idx >> 1) & 1)
 
     def test_stale_state_stream_changes_outcomes(self):
         config = ExperimentConfig(rounds=5, shots=400, master_seed=77)
         fresh = run_certified_experiment(config)
         stale = run_certified_experiment(
             config, LoopholeConfig(fresh_state_per_round=False))
-        fresh_fracs = [r.win_fraction for r in fresh.experiment.rounds]
-        stale_fracs = [r.win_fraction for r in stale.experiment.rounds]
+        fresh_fracs = fresh.experiment.win_fractions.tolist()
+        stale_fracs = stale.experiment.win_fractions.tolist()
         assert fresh_fracs != stale_fracs
         # but the stale stream is itself reproducible
         again = run_certified_experiment(
             config, LoopholeConfig(fresh_state_per_round=False))
-        assert [r.win_fraction for r in again.experiment.rounds] == stale_fracs
+        assert again.experiment.win_fractions.tolist() == stale_fracs
 
     def test_dependent_inputs_change_settings(self):
         config = ExperimentConfig(rounds=40, shots=10, master_seed=3)
         indep = run_certified_experiment(config)
         dep = run_certified_experiment(config, LoopholeConfig(independent_inputs=False))
-        indep_settings = [(r.setting.x, r.setting.y) for r in indep.experiment.rounds]
-        dep_settings = [(r.setting.x, r.setting.y) for r in dep.experiment.rounds]
+        indep_settings = list(zip(indep.experiment.x.tolist(), indep.experiment.y.tolist()))
+        dep_settings = list(zip(dep.experiment.x.tolist(), dep.experiment.y.tolist()))
         assert indep_settings != dep_settings
 
     def test_detection_efficiency_bookkeeping(self):
@@ -224,17 +224,18 @@ class TestCertifiedRuns:
         config = ExperimentConfig(rounds=8, shots=2000, master_seed=5)
         run = run_certified_experiment(
             config, LoopholeConfig(detection_efficiency=eta, report_all_events=True))
-        total_kept = 0
-        for round_result in run.experiment.rounds:
-            meta = round_result.counts.metadata
-            assert meta["total_shots"] == 2000
-            assert meta["detection_efficiency"] == eta
-            assert round_result.shots == meta["detected_shots"]
-            total_kept += round_result.shots
-            # with outcome-independent losses the all-event fraction sits at
-            # the ideal value, same as the post-selected fraction
-            assert abs(meta["all_event_win_fraction"] - IDEAL_WIN_PROBABILITY) < 0.05
-            assert abs(round_result.win_fraction - IDEAL_WIN_PROBABILITY) < 0.05
+        e = run.experiment
+        assert e.x.size == 8
+        assert (e.shots <= 2000).all()
+        # one all-event fraction per round that kept a shot
+        assert run.all_event_win_fractions.size == np.count_nonzero(e.shots)
+        total_kept = e.total_shots()
+        # with outcome-independent losses the all-event fraction sits at
+        # the ideal value, same as the post-selected fraction
+        for fraction in run.all_event_win_fractions:
+            assert abs(fraction - IDEAL_WIN_PROBABILITY) < 0.05
+        for fraction in e.win_fractions:
+            assert abs(fraction - IDEAL_WIN_PROBABILITY) < 0.05
         expect = eta * eta * 8 * 2000
         sigma = math.sqrt(8 * 2000 * eta * eta * (1 - eta * eta))
         assert abs(total_kept - expect) < 4 * sigma
@@ -244,12 +245,13 @@ class TestCertifiedRuns:
         config = ExperimentConfig(rounds=12, shots=2, master_seed=0)
         run = run_certified_experiment(
             config, LoopholeConfig(detection_efficiency=0.05))
-        empty = [r for r in run.experiment.rounds if r.shots == 0]
-        assert empty, "expected at least one fully-lost round at eta=0.05, shots=2"
-        for r in empty:
-            assert r.counts is None
-            assert r.win_fraction == 0.0
-        assert run.experiment.total_shots() == sum(r.shots for r in run.experiment.rounds)
+        e = run.experiment
+        assert e.x.size == 12
+        empty = e.shots == 0
+        assert empty.any(), "expected at least one fully-lost round at eta=0.05, shots=2"
+        assert (e.same[empty] == 0).all() and (e.diff[empty] == 0).all()
+        assert (e.win_fractions[empty] == 0.0).all()
+        assert e.total_shots() == sum(e.shots.tolist())
 
     def test_distribution_built_once_per_setting(self, monkeypatch):
         calls = []
@@ -260,7 +262,7 @@ class TestCertifiedRuns:
 
         monkeypatch.setattr(harness, "round_distribution", counting)
         run = run_certified_experiment(ExperimentConfig(rounds=200, shots=10, master_seed=4))
-        assert len(run.experiment.rounds) == 200
+        assert run.experiment.x.size == 200
         assert len(calls) <= 4
 
 
@@ -336,11 +338,11 @@ class TestRoundsCsv:
         path = tmp_path / "rounds.csv"
         write_rounds_csv(path, run.experiment)
         back = read_rounds_csv(path)
-        assert len(back.rounds) == 9
-        for a, b in zip(back.rounds, run.experiment.rounds):
-            assert a.setting == b.setting
-            assert a.shots == b.shots
-            assert a.win_fraction == b.win_fraction  # exact, via repr round-trip
+        assert back.x.size == 9
+        for column in ("x", "y", "same", "diff"):
+            np.testing.assert_array_equal(getattr(back, column), getattr(run.experiment, column))
+        # exact, via repr round-trip
+        assert back.win_fractions.tolist() == run.experiment.win_fractions.tolist()
         assert back.p_avg == run.experiment.p_avg
         assert back.sigma == run.experiment.sigma
 
@@ -373,6 +375,17 @@ class TestRoundsCsv:
         path.write_text(f"# format_version={FORMAT_VERSION}\n"
                         "round_index,x,y,same_count,diff_count,win_fraction\n")
         with pytest.raises(DataFormatError, match="no data"):
+            read_rounds_csv(path)
+        for row in ("0,0,0,-10,20,-1.0", "0,1,1,20,-10,-1.0", "0,2,0,3,1,0.75"):
+            path.write_text(f"# format_version={FORMAT_VERSION}\n"
+                            "round_index,x,y,same_count,diff_count,win_fraction\n"
+                            f"{row}\n")
+            with pytest.raises(DataFormatError, match="malformed row"):
+                read_rounds_csv(path)
+        path.write_text(f"# format_version={FORMAT_VERSION}\n"
+                        "round_index,x,y,same_count,diff_count,win_fraction\n"
+                        f"0,0,0,{2 ** 62},0,1.0\n1,0,0,{2 ** 62},0,1.0\n")
+        with pytest.raises(DataFormatError, match="int64"):
             read_rounds_csv(path)
 
 
