@@ -68,7 +68,7 @@ from .randomness import (
     toeplitz_seed_bits,
     von_neumann,
 )
-from .rng import SeededBitSource, SourceDepleted, derive_seed, make_rng
+from .rng import SourceDepleted, derive_seed, make_rng, uniform_bits
 from .simulator import (
     CapacityError,
     CountsRecord,

@@ -232,11 +232,8 @@ def cmd_play(args) -> int:
         profile = get_device_profile(args.profile)
         updates["lam"] = profile.fitted_lambda
     if args.replay_x or args.replay_y:
-        if not (args.replay_x and args.replay_y):
-            raise ConfigError("replay needs both --replay-x and --replay-y")
-        updates["input_mode"] = "replay"
-        updates["replay_x"] = tuple(args.replay_x)
-        updates["replay_y"] = tuple(args.replay_y)
+        updates["replay_x"] = tuple(args.replay_x or ())
+        updates["replay_y"] = tuple(args.replay_y or ())
     if updates:
         config = dataclasses.replace(config, **updates)
     loopholes = LoopholeConfig(

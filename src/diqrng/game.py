@@ -18,7 +18,7 @@ from itertools import product
 
 import numpy as np
 
-from .rng import BitSource
+from .rng import SourceDepleted
 from .simulator import (
     Gate,
     OutcomeDistribution,
@@ -123,6 +123,8 @@ class QuantumStrategy:
     def __post_init__(self):
         a0, a1 = self.alice_angles
         b0, b1 = self.bob_angles
+        if not math.isfinite(self.global_offset):
+            raise ValueError(f"global offset must be finite, got {self.global_offset!r}")
         checks = (
             (abs(a0 - b0), _REL_NEAR),
             (abs(a1 - b0), _REL_NEAR),
@@ -130,7 +132,8 @@ class QuantumStrategy:
             (abs(a1 - b1), _REL_FAR),
         )
         for got, want in checks:
-            if abs(got - want) > _ANGLE_TOL:
+            # written so that a NaN (or infinite) angle fails it
+            if not abs(got - want) <= _ANGLE_TOL:
                 raise ValueError(
                     f"angle layout broken: relative angle {got!r}, expected {want!r}")
 
@@ -195,19 +198,19 @@ def result_from_indices(idx: np.ndarray) -> tuple[int, int]:
     return same, int(idx.size) - same
 
 
-def referee_inputs(rounds: int, source_a: BitSource, source_b: BitSource) -> list[GameSetting]:
-    """Draw x from source_a and y from source_b, one pair per round.
+def referee_inputs(rounds: int, bits_a: np.ndarray,
+                   bits_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The referee's x and y columns: the first `rounds` bits of each stream.
 
-    The two sources must be distinct and independently seeded; reusing
-    one source (or one seed) for both sides is a ConfigError.
+    Raises SourceDepleted when a stream holds fewer than `rounds` bits.
     """
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
-    if source_a is source_b or source_a.identity == source_b.identity:
-        raise ConfigError("input sources must be independent (identical source given)")
-    xs = source_a.take(rounds)
-    ys = source_b.take(rounds)
-    return [GameSetting(int(x), int(y)) for x, y in zip(xs, ys)]
+    for side, bits in (("x", bits_a), ("y", bits_b)):
+        if bits.size < rounds:
+            raise SourceDepleted(
+                f"{side} input stream exhausted: {bits.size} bits, {rounds} requested")
+    return bits_a[:rounds], bits_b[:rounds]
 
 
 @dataclass(frozen=True, eq=False)

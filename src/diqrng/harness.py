@@ -46,7 +46,7 @@ from .game import (
 )
 from .io import atomic_write_text, canonical_json, round_sig
 from .randomness import BitStream
-from .rng import RecordedBitSource, SeededBitSource, derive_seed, make_rng
+from .rng import derive_seed, make_rng, uniform_bits
 from .simulator import (
     CountsRecord,
     DataFormatError,
@@ -152,6 +152,13 @@ class LoopholeConfig:
             raise ConfigError(f"detection_efficiency must be in (0, 1], got {eta!r}")
 
 
+def _json_int(value: Any, name: str) -> int:
+    """A JSON integer; bools and floats such as 2.7 are refused, not truncated."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything needed to reproduce a run, serializable as JSON."""
@@ -161,7 +168,7 @@ class ExperimentConfig:
     lam: float = 0.0
     master_seed: int = 0
     strategy: QuantumStrategy = field(default_factory=QuantumStrategy)
-    input_mode: str = "seeded"
+    # a run replays recorded inputs exactly when both file lists are given
     replay_x: tuple[str, ...] = ()
     replay_y: tuple[str, ...] = ()
     threshold_z: float = DEFAULT_THRESHOLD_Z
@@ -173,10 +180,8 @@ class ExperimentConfig:
             raise ConfigError(f"shots must be >= 1, got {self.shots}")
         if not (0.0 <= self.lam <= 1.0):
             raise ConfigError(f"lambda must be in [0, 1], got {self.lam!r}")
-        if self.input_mode not in ("seeded", "replay"):
-            raise ConfigError(f"input_mode must be 'seeded' or 'replay', got {self.input_mode!r}")
-        if self.input_mode == "replay" and not (self.replay_x and self.replay_y):
-            raise ConfigError("replay mode needs replay_x and replay_y file lists")
+        if bool(self.replay_x) != bool(self.replay_y):
+            raise ConfigError("replay needs both replay_x and replay_y file lists")
 
     def to_json_obj(self) -> dict[str, Any]:
         return {
@@ -191,9 +196,9 @@ class ExperimentConfig:
                 "global_offset": self.strategy.global_offset,
             },
             "input_source": (
-                {"mode": "seeded"} if self.input_mode == "seeded" else
                 {"mode": "replay", "x_files": list(self.replay_x),
-                 "y_files": list(self.replay_y)}
+                 "y_files": list(self.replay_y)} if self.replay_x else
+                {"mode": "seeded"}
             ),
             "threshold_z": self.threshold_z,
         }
@@ -212,15 +217,19 @@ class ExperimentConfig:
                 global_offset=float(strat.get("global_offset", 0.0)),
             )
             source = obj.get("input_source") or {"mode": "seeded"}
+            replay_x = tuple(source.get("x_files", ()))
+            replay_y = tuple(source.get("y_files", ()))
+            mode = source.get("mode", "seeded")
+            if mode not in ("seeded", "replay") or (mode == "replay") != bool(replay_x or replay_y):
+                raise ValueError(f"input_source mode {mode!r} does not match the files given")
             return cls(
-                rounds=int(obj["rounds"]),
-                shots=int(obj["shots"]),
+                rounds=_json_int(obj["rounds"], "rounds"),
+                shots=_json_int(obj["shots"], "shots"),
                 lam=float(obj.get("lambda", 0.0)),
-                master_seed=int(obj.get("master_seed", 0)),
+                master_seed=_json_int(obj.get("master_seed", 0), "master_seed"),
                 strategy=strategy,
-                input_mode=source.get("mode", "seeded"),
-                replay_x=tuple(source.get("x_files", ())),
-                replay_y=tuple(source.get("y_files", ())),
+                replay_x=replay_x,
+                replay_y=replay_y,
                 threshold_z=float(obj.get("threshold_z", DEFAULT_THRESHOLD_Z)),
             )
         except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
@@ -253,13 +262,12 @@ def save_counts_record(path: str | os.PathLike, record: CountsRecord) -> None:
     atomic_write_text(path, canonical_json(record.to_json_obj(), precise=True) + "\n")
 
 
-def replay_backend(paths: Sequence[str | os.PathLike]) -> RecordedBitSource:
-    """Bit source replaying recorded per-shot outcomes in file order.
+def replay_backend(paths: Sequence[str | os.PathLike]) -> np.ndarray:
+    """The bits of recorded per-shot outcomes, in file order.
 
     Each file must be a CountsRecord with its memory list present (the
     counts alone cannot restore shot order).  Every outcome contributes
-    its bits most-significant-qubit first; exhaustion raises
-    SourceDepleted rather than wrapping around.
+    its bits most-significant-qubit first.
     """
     if not paths:
         raise ConfigError("replay needs at least one record file")
@@ -271,9 +279,7 @@ def replay_backend(paths: Sequence[str | os.PathLike]) -> RecordedBitSource:
                 f"{path}: record has no memory list; shot order is required for replay")
         joined = "".join(rec.memory)
         chunks.append(np.frombuffer(joined.encode("ascii"), dtype=np.uint8) - ord("0"))
-    bits = np.concatenate(chunks)
-    identity = ("replay", tuple(str(os.fspath(p)) for p in paths))
-    return RecordedBitSource(bits, identity)
+    return np.concatenate(chunks)
 
 
 # ============================================================
@@ -289,40 +295,45 @@ class CertifiedRun(NamedTuple):
     all_event_win_fractions: np.ndarray
 
 
-def _draw_settings(config: ExperimentConfig, loopholes: LoopholeConfig) -> list[GameSetting]:
-    if config.input_mode == "replay":
-        src_x = replay_backend(config.replay_x)
-        src_y = replay_backend(config.replay_y)
+def _referee_columns(config: ExperimentConfig,
+                     loopholes: LoopholeConfig) -> tuple[np.ndarray, np.ndarray]:
+    n = config.rounds
+    if config.replay_x:
+        bits_x = replay_backend(config.replay_x)
+        bits_y = replay_backend(config.replay_y)
+        if (loopholes.independent_inputs
+                and list(map(os.fspath, config.replay_x)) == list(map(os.fspath, config.replay_y))):
+            raise ConfigError("input sources must be independent (identical source given)")
     else:
-        src_x = SeededBitSource(derive_seed(config.master_seed, "alice-inputs"))
-        src_y = SeededBitSource(derive_seed(config.master_seed, "bob-inputs"))
-    if loopholes.independent_inputs:
-        return referee_inputs(config.rounds, src_x, src_y)
-    # loophole left open on purpose: one stream feeds both sides
-    shared = src_x
-    xs = shared.take(config.rounds)
-    ys = shared.take(config.rounds)
-    return [GameSetting(int(x), int(y)) for x, y in zip(xs, ys)]
+        # 2n Alice bits: the second n are y when the inputs are dependent
+        bits_x = uniform_bits(derive_seed(config.master_seed, "alice-inputs"), 2 * n)
+        bits_y = uniform_bits(derive_seed(config.master_seed, "bob-inputs"), n)
+    if not loopholes.independent_inputs:
+        # loophole left open on purpose: one stream feeds both sides
+        bits_y = bits_x[n:]
+    return referee_inputs(n, bits_x, bits_y)
 
 
 def run_certified_experiment(config: ExperimentConfig,
                              loopholes: LoopholeConfig | None = None) -> CertifiedRun:
     """Play, certify, and collect Alice's outcome bits for one config."""
     loopholes = loopholes or LoopholeConfig()
-    settings = _draw_settings(config, loopholes)
+    x, y = _referee_columns(config, loopholes)
     eta = loopholes.detection_efficiency
     shared_rng = (None if loopholes.fresh_state_per_round
                   else make_rng(derive_seed(config.master_seed, "shared-stream")))
-    # at most four distinct settings: build each distribution once
-    dists = {s: round_distribution(s, config.strategy, config.lam) for s in set(settings)}
-    same = np.zeros(len(settings), dtype=np.int64)
-    diff = np.zeros(len(settings), dtype=np.int64)
+    pairs = list(zip(x.tolist(), y.tolist()))
+    # at most four distinct input pairs: build each distribution once
+    dists = {(a, b): round_distribution(GameSetting(a, b), config.strategy, config.lam)
+             for a, b in set(pairs)}
+    same = np.zeros(config.rounds, dtype=np.int64)
+    diff = np.zeros(config.rounds, dtype=np.int64)
     all_event: list[float] = []
     alice_chunks: list[np.ndarray] = []
-    for i, setting in enumerate(settings):
+    for i, (a, b) in enumerate(pairs):
         rng = (make_rng(derive_seed(config.master_seed, "round", i))
                if shared_rng is None else shared_rng)
-        idx = sample_indices(dists[setting], config.shots, rng=rng)
+        idx = sample_indices(dists[a, b], config.shots, rng=rng)
         kept = idx
         if eta < 1.0:
             detected_a = rng.random(config.shots) < eta
@@ -336,10 +347,9 @@ def run_certified_experiment(config: ExperimentConfig,
             # ground truth over every emitted pair, detected or not --
             # the quantity a real experiment cannot observe
             same_all, diff_all = result_from_indices(idx)
-            all_event.append((diff_all if setting.x & setting.y else same_all) / config.shots)
+            all_event.append((diff_all if a & b else same_all) / config.shots)
         alice_chunks.append(((kept >> 1) & 1).astype(np.uint8))
-    experiment = ExperimentResult.from_rounds(
-        [s.x for s in settings], [s.y for s in settings], same, diff)
+    experiment = ExperimentResult.from_rounds(x, y, same, diff)
     certificate = certify(experiment, config.threshold_z)
     alice = (np.concatenate(alice_chunks) if alice_chunks
              else np.zeros(0, dtype=np.uint8))
@@ -396,7 +406,8 @@ def read_rounds_csv(path: str | os.PathLike) -> ExperimentResult:
     if sum(same + diff for _, _, same, diff in table) >= 2 ** 63:
         raise DataFormatError(f"{path}: total shots exceed the int64 range")
     experiment = ExperimentResult.from_rounds(*np.array(table, dtype=np.int64).T)
-    bad = np.flatnonzero(np.abs(experiment.win_fractions - stored) > 1e-9)
+    # written so that a NaN or infinite stored fraction fails it
+    bad = np.flatnonzero(~(np.abs(experiment.win_fractions - stored) <= 1e-9))
     if bad.size:
         raise DataIntegrityError(
             f"{path}: stored win_fraction {stored[bad[0]]!r} disagrees with tallies")

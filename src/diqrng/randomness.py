@@ -20,7 +20,7 @@ from scipy.special import gammaincc
 
 from . import _kernels
 from .io import atomic_write_bytes, atomic_write_text
-from .rng import make_rng
+from .rng import uniform_bits
 from .simulator import DataFormatError, Gate, apply_circuit, new_state, probabilities, sample_indices
 
 PASS_P = 0.01
@@ -124,7 +124,7 @@ def toeplitz_seed_bits(in_len: int, out_len: int, rng_seed: int) -> np.ndarray:
     n = in_len + out_len - 1
     if n < 1:
         raise ValueError("seed length must be positive")
-    return (make_rng(rng_seed).random(n) < 0.5).astype(np.uint8)
+    return uniform_bits(rng_seed, n)
 
 
 def toeplitz_matrix(seed_bits: np.ndarray, in_len: int, out_len: int) -> np.ndarray:

@@ -114,7 +114,7 @@ class StateVector:
         if amps.shape != (2 ** self.n_qubits,):
             raise ValueError(f"amplitudes must have shape (2**{self.n_qubits},)")
         norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        if not abs(norm_sq - 1.0) <= NORM_TOL:  # NaN fails too
             raise ValueError(f"state norm**2 = {norm_sq!r}, not 1 within {NORM_TOL}")
         amps = amps.copy()
         amps.flags.writeable = False
@@ -179,10 +179,10 @@ class OutcomeDistribution:
         p = np.asarray(self.probs, dtype=np.float64)
         if p.shape != (2 ** self.n_qubits,):
             raise ValueError(f"probs must have shape (2**{self.n_qubits},)")
-        if np.any(p < -DIST_TOL):
+        if not np.all(p >= -DIST_TOL):  # NaN fails too
             raise ValueError("probabilities must be non-negative")
         total = float(p.sum())
-        if abs(total - 1.0) > DIST_TOL:
+        if not abs(total - 1.0) <= DIST_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1 within {DIST_TOL}")
         p = np.clip(p, 0.0, None)
         p.flags.writeable = False

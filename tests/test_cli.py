@@ -8,6 +8,7 @@ byte for byte across reruns.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -110,8 +111,16 @@ class TestPlay:
         {"strategy": [1]},
         {"input_source": "x"},
         {"rounds": float("inf")},
+        {"strategy": {"alice_angles": [math.nan, math.nan], "bob_angles": [math.nan, math.nan]}},
+        {"strategy": {"global_offset": math.nan}},
+        {"rounds": 2.7},
+        {"shots": True},
+        {"master_seed": 1.5},
+        {"rounds": 2.0},
+        {"master_seed": "3"},
     ], ids=["angles-not-a-list", "strategy-not-an-object", "source-not-an-object",
-            "rounds-infinite"])
+            "rounds-infinite", "angles-nan", "offset-nan", "rounds-fraction", "shots-bool",
+            "seed-fraction", "rounds-float", "seed-string"])
     def test_malformed_config_file_exits_65(self, tmp_path, capsys, field):
         config = {"format_version": 1, "rounds": 2, "shots": 10, **field}
         config_path = tmp_path / "config.json"
@@ -442,6 +451,14 @@ class TestCertifyCommand:
                             "0,0,0,-10,20,-1.0\n")
         assert main(["certify", "--rounds-csv", str(csv_path)]) == EXIT_DATA
         assert "malformed row" in capsys.readouterr().err
+
+    def test_nan_win_fraction_exits_65(self, tmp_path, capsys):
+        csv_path = tmp_path / "rounds.csv"
+        csv_path.write_text("# format_version=1\n"
+                            "round_index,x,y,same_count,diff_count,win_fraction\n"
+                            "0,0,0,90,10,nan\n")
+        assert main(["certify", "--rounds-csv", str(csv_path)]) == EXIT_DATA
+        assert "win_fraction" in capsys.readouterr().err
 
 
 class TestMiscCommands:

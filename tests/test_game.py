@@ -18,7 +18,6 @@ import pytest
 from diqrng.game import (
     ALL_SETTINGS,
     ClassicalStrategy,
-    ConfigError,
     ExperimentResult,
     GameSetting,
     QuantumStrategy,
@@ -35,7 +34,7 @@ from diqrng.game import (
     win_probability_from_dist,
 )
 from diqrng.harness import ExperimentConfig, run_certified_experiment
-from diqrng.rng import SeededBitSource
+from diqrng.rng import uniform_bits
 from diqrng.simulator import Gate
 
 COS2_PI_8 = 0.8535533905932737  # cos^2(pi/8), ideal win probability
@@ -119,6 +118,11 @@ class TestQuantumStrategy:
     def test_rejects_broken_angle_layout(self):
         with pytest.raises(ValueError, match="angle layout"):
             QuantumStrategy(alice_angles=(0.0, 0.5), bob_angles=(math.pi / 8, -math.pi / 8))
+        with pytest.raises(ValueError, match="angle layout"):
+            QuantumStrategy(alice_angles=(math.nan, math.nan), bob_angles=(math.nan, math.nan))
+        for offset in (math.nan, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                QuantumStrategy(global_offset=offset)
 
     def test_offset_shifts_both_parties(self):
         strategy = QuantumStrategy(global_offset=0.3)
@@ -231,22 +235,20 @@ class TestRoundResults:
 # ---------------------------------------------------------------------------
 
 class TestRefereeInputs:
-    def test_rejects_shared_source(self):
-        source = SeededBitSource(1)
-        with pytest.raises(ConfigError, match="independent"):
-            referee_inputs(4, source, source)
-
-    def test_rejects_equal_identity(self):
-        with pytest.raises(ConfigError, match="independent"):
-            referee_inputs(4, SeededBitSource(7), SeededBitSource(7))
-
     def test_settings_are_reproducible(self):
-        settings_a = referee_inputs(64, SeededBitSource(1), SeededBitSource(2))
-        settings_b = referee_inputs(64, SeededBitSource(1), SeededBitSource(2))
-        assert settings_a == settings_b
+        x_a, y_a = referee_inputs(64, uniform_bits(1, 64), uniform_bits(2, 64))
+        x_b, y_b = referee_inputs(64, uniform_bits(1, 64), uniform_bits(2, 64))
+        np.testing.assert_array_equal(x_a, x_b)
+        np.testing.assert_array_equal(y_a, y_b)
         # and both input values actually vary
-        assert {s.x for s in settings_a} == {0, 1}
-        assert {s.y for s in settings_a} == {0, 1}
+        assert set(x_a.tolist()) == {0, 1}
+        assert set(y_a.tolist()) == {0, 1}
+
+    def test_takes_the_first_bits_of_each_stream(self):
+        x, y = referee_inputs(3, np.array([1, 0, 1, 1], dtype=np.uint8),
+                              np.array([0, 1, 1], dtype=np.uint8))
+        assert x.tolist() == [1, 0, 1]
+        assert y.tolist() == [0, 1, 1]
 
 
 class TestExperiment:

@@ -14,7 +14,13 @@ import pytest
 
 from diqrng import harness
 from diqrng.certify import Verdict
-from diqrng.game import ConfigError, GameSetting, QuantumStrategy, result_from_indices
+from diqrng.game import (
+    ConfigError,
+    GameSetting,
+    QuantumStrategy,
+    referee_inputs,
+    result_from_indices,
+)
 from diqrng.harness import (
     DEFAULT_SHOTS,
     FORMAT_VERSION,
@@ -37,7 +43,7 @@ from diqrng.harness import (
 )
 from diqrng.game import analytic_win_probability, round_distribution, win_probability_from_dist
 from diqrng.io import atomic_write_text, canonical_json, round_sig
-from diqrng.rng import SourceDepleted, derive_seed
+from diqrng.rng import SourceDepleted, derive_seed, uniform_bits
 from diqrng.simulator import (
     DataFormatError,
     DataIntegrityError,
@@ -136,11 +142,11 @@ class TestExperimentConfig:
         assert back == config  # exact: the default strategy angles round-trip
 
     def test_replay_round_trip(self):
-        config = ExperimentConfig(input_mode="replay", replay_x=("a.json",),
-                                  replay_y=("b.json",))
-        back = ExperimentConfig.from_json_obj(config.to_json_obj())
+        config = ExperimentConfig(replay_x=("a.json",), replay_y=("b.json",))
+        obj = config.to_json_obj()
+        back = ExperimentConfig.from_json_obj(obj)
         assert back.replay_x == ("a.json",)
-        assert back.input_mode == "replay"
+        assert obj["input_source"]["mode"] == "replay"
 
     def test_validation(self):
         with pytest.raises(ConfigError, match="rounds"):
@@ -148,9 +154,15 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="lambda"):
             ExperimentConfig(lam=1.5)
         with pytest.raises(ConfigError, match="replay"):
-            ExperimentConfig(input_mode="replay")
-        with pytest.raises(ConfigError, match="input_mode"):
-            ExperimentConfig(input_mode="live")
+            ExperimentConfig(replay_x=("a.json",))
+        # the mode is worked out from the files; a JSON mode must agree with them
+        for source in ({"mode": "live"}, {"mode": "replay"},
+                       {"mode": "seeded", "x_files": ["a.json"], "y_files": ["b.json"]},
+                       {"x_files": ["a.json"], "y_files": ["b.json"]},
+                       {"mode": "replay", "x_files": ["a.json"]}):
+            obj = {"format_version": 1, "rounds": 5, "shots": 10, "input_source": source}
+            with pytest.raises(DataFormatError, match="malformed experiment config"):
+                ExperimentConfig.from_json_obj(obj)
 
     def test_malformed_json_objects(self):
         with pytest.raises(DataFormatError):
@@ -219,6 +231,13 @@ class TestCertifiedRuns:
         dep_settings = list(zip(dep.experiment.x.tolist(), dep.experiment.y.tolist()))
         assert indep_settings != dep_settings
 
+    def test_dependent_inputs_split_the_alice_stream(self):
+        config = ExperimentConfig(rounds=40, shots=10, master_seed=3)
+        dep = run_certified_experiment(config, LoopholeConfig(independent_inputs=False))
+        alice = uniform_bits(derive_seed(3, "alice-inputs"), 80)
+        np.testing.assert_array_equal(dep.experiment.x, alice[:40])
+        np.testing.assert_array_equal(dep.experiment.y, alice[40:])
+
     def test_detection_efficiency_bookkeeping(self):
         eta = 0.8
         config = ExperimentConfig(rounds=8, shots=2000, master_seed=5)
@@ -280,26 +299,39 @@ class TestReplayBackend:
     def test_bits_come_from_memory_in_order(self, tmp_path):
         path = tmp_path / "rec.json"
         rec = self._write_record(path, seed=1, shots=16)
-        source = replay_backend([path])
+        bits = replay_backend([path])
         want = np.array([int(m[0]) for m in rec.memory], dtype=np.uint8)
-        np.testing.assert_array_equal(source.take(16), want)
+        np.testing.assert_array_equal(bits[:16], want)
 
     def test_multiple_files_concatenate(self, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         r1 = self._write_record(p1, seed=1, shots=8)
         r2 = self._write_record(p2, seed=2, shots=8)
-        source = replay_backend([p1, p2])
-        got = source.take(16)
+        got = replay_backend([p1, p2])[:16]
         want = [int(m[0]) for m in r1.memory] + [int(m[0]) for m in r2.memory]
         np.testing.assert_array_equal(got, want)
 
     def test_depletion_raises(self, tmp_path):
         path = tmp_path / "rec.json"
         self._write_record(path, seed=3, shots=10)
-        source = replay_backend([path])
-        source.take(10)
+        bits = replay_backend([path])
+        assert bits.size == 10
+        referee_inputs(10, bits, bits)
         with pytest.raises(SourceDepleted, match="exhausted"):
-            source.take(1)
+            referee_inputs(11, bits, bits)
+
+    def test_rejects_shared_source(self, tmp_path):
+        path = tmp_path / "rec.json"
+        self._write_record(path, seed=8, shots=40)
+        config = ExperimentConfig(rounds=10, shots=10,
+                                  replay_x=(str(path),), replay_y=(str(path),))
+        with pytest.raises(ConfigError, match="independent"):
+            run_certified_experiment(config)
+        # leaving the loophole open on purpose reads x and y from one stream
+        run = run_certified_experiment(config, LoopholeConfig(independent_inputs=False))
+        bits = replay_backend([path])
+        np.testing.assert_array_equal(run.experiment.x, bits[:10])
+        np.testing.assert_array_equal(run.experiment.y, bits[10:20])
 
     def test_record_without_memory_is_rejected(self, tmp_path):
         dist = OutcomeDistribution(1, np.array([0.5, 0.5]))
@@ -320,7 +352,7 @@ class TestReplayBackend:
         px, py = tmp_path / "x.json", tmp_path / "y.json"
         self._write_record(px, seed=6, shots=30)
         self._write_record(py, seed=7, shots=30)
-        config = ExperimentConfig(rounds=30, shots=50, input_mode="replay",
+        config = ExperimentConfig(rounds=30, shots=50,
                                   replay_x=(str(px),), replay_y=(str(py),))
         a = run_certified_experiment(config)
         b = run_certified_experiment(config)
@@ -359,10 +391,12 @@ class TestRoundsCsv:
         write_rounds_csv(path, run.experiment)
         lines = path.read_text().splitlines()
         head, first = lines[2].rsplit(",", 1)
-        lines[2] = head + "," + repr(float(first) + 0.25)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataIntegrityError, match="win_fraction"):
-            read_rounds_csv(path)
+        # NaN and inf must fail the consistency check too
+        for stored in (repr(float(first) + 0.25), "nan", "inf"):
+            lines[2] = head + "," + stored
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(DataIntegrityError, match="win_fraction"):
+                read_rounds_csv(path)
 
     def test_malformed_files(self, tmp_path):
         path = tmp_path / "rounds.csv"

@@ -128,6 +128,8 @@ class TestStateConstruction:
     def test_statevector_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="norm"):
             StateVector(1, np.array([0.5, 0.5], dtype=complex))
+        with pytest.raises(ValueError, match="norm"):
+            StateVector(1, np.array([np.nan, 0.0], dtype=complex))
 
     def test_statevector_amplitudes_are_frozen(self):
         state = new_state(1)
@@ -228,6 +230,8 @@ class TestDistributions:
             OutcomeDistribution(1, np.array([1.5, -0.5]))
         with pytest.raises(ValueError, match="sum"):
             OutcomeDistribution(1, np.array([0.6, 0.6]))
+        with pytest.raises(ValueError, match="non-negative"):
+            OutcomeDistribution(1, np.array([np.nan, np.nan]))
         with pytest.raises(ValueError, match="shape"):
             OutcomeDistribution(2, np.array([0.5, 0.5]))
 
