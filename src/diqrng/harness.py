@@ -46,7 +46,7 @@ from .game import (
 )
 from .io import atomic_write_text, canonical_json, round_sig
 from .randomness import BitStream
-from .rng import derive_seed, make_rng, uniform_bits
+from .rng import derive_seed, make_rng, rekey, uniform_bits
 from .simulator import (
     CountsRecord,
     DataFormatError,
@@ -182,6 +182,8 @@ class ExperimentConfig:
             raise ConfigError(f"lambda must be in [0, 1], got {self.lam!r}")
         if bool(self.replay_x) != bool(self.replay_y):
             raise ConfigError("replay needs both replay_x and replay_y file lists")
+        if not math.isfinite(self.threshold_z):
+            raise ConfigError(f"threshold_z must be finite, got {self.threshold_z!r}")
 
     def to_json_obj(self) -> dict[str, Any]:
         return {
@@ -320,8 +322,9 @@ def run_certified_experiment(config: ExperimentConfig,
     loopholes = loopholes or LoopholeConfig()
     x, y = _referee_columns(config, loopholes)
     eta = loopholes.detection_efficiency
-    shared_rng = (None if loopholes.fresh_state_per_round
-                  else make_rng(derive_seed(config.master_seed, "shared-stream")))
+    # one generator per run; with fresh state each round re-keys it to the
+    # round's own seed, otherwise one stream runs through every round
+    rng = make_rng(derive_seed(config.master_seed, "shared-stream"))
     pairs = list(zip(x.tolist(), y.tolist()))
     # at most four distinct input pairs: build each distribution once
     dists = {(a, b): round_distribution(GameSetting(a, b), config.strategy, config.lam)
@@ -331,8 +334,8 @@ def run_certified_experiment(config: ExperimentConfig,
     all_event: list[float] = []
     alice_chunks: list[np.ndarray] = []
     for i, (a, b) in enumerate(pairs):
-        rng = (make_rng(derive_seed(config.master_seed, "round", i))
-               if shared_rng is None else shared_rng)
+        if loopholes.fresh_state_per_round:
+            rekey(rng, derive_seed(config.master_seed, "round", i))
         idx = sample_indices(dists[a, b], config.shots, rng=rng)
         kept = idx
         if eta < 1.0:

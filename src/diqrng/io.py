@@ -24,13 +24,16 @@ def round_sig(x: float, digits: int = 6) -> float:
     return float(f"{x:.{digits}g}")
 
 
-def _canonicalize(obj: Any) -> Any:
+def _canonicalize(obj: Any, precise: bool) -> Any:
+    """Floats rounded unless precise, infinities as strings, in one walk."""
     if isinstance(obj, float):
-        return round_sig(obj)
+        if math.isinf(obj):
+            return "inf" if obj > 0 else "-inf"
+        return obj if precise else round_sig(obj)
     if isinstance(obj, dict):
-        return {k: _canonicalize(v) for k, v in obj.items()}
+        return {k: _canonicalize(v, precise) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_canonicalize(v) for v in obj]
+        return [_canonicalize(v, precise) for v in obj]
     return obj
 
 
@@ -46,45 +49,30 @@ def canonical_json(obj: Any, *, precise: bool = False) -> str:
     def _default(o: Any) -> Any:
         raise TypeError(f"not JSON-serializable: {type(o).__name__}")
 
-    def _encode_inf(o: Any) -> Any:
-        if isinstance(o, float) and math.isinf(o):
-            return "inf" if o > 0 else "-inf"
-        if isinstance(o, dict):
-            return {k: _encode_inf(v) for k, v in o.items()}
-        if isinstance(o, (list, tuple)):
-            return [_encode_inf(v) for v in o]
-        return o
-
-    canon = _encode_inf(obj if precise else _canonicalize(obj))
-    return json.dumps(canon, sort_keys=True, separators=(",", ": "), indent=1,
-                      allow_nan=False, default=_default)
+    return json.dumps(_canonicalize(obj, precise), sort_keys=True, separators=(",", ": "),
+                      indent=1, allow_nan=False, default=_default)
 
 
-def atomic_write_text(path: str | os.PathLike, text: str) -> None:
-    """Write text to path via temp file + rename in the same directory."""
+def _atomic_write(path: str | os.PathLike, data: str | bytes, mode: str,
+                  **open_kwargs: Any) -> None:
     path = os.fspath(path)
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
-    """Write bytes to path via temp file + rename in the same directory."""
-    path = os.fspath(path)
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
-    try:
-        with os.fdopen(fd, "wb") as fh:
+        with os.fdopen(fd, mode, **open_kwargs) as fh:
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path: str | os.PathLike, text: str) -> None:
+    """Write text to path via temp file + rename in the same directory."""
+    _atomic_write(path, text, "w", encoding="utf-8", newline="\n")
+
+
+def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
+    """Write bytes to path via temp file + rename in the same directory."""
+    _atomic_write(path, data, "wb")

@@ -9,6 +9,7 @@ the only randomized step and is fully determined by its seed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
@@ -188,6 +189,14 @@ class OutcomeDistribution:
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
 
+    @functools.cached_property
+    def cdf(self) -> np.ndarray:
+        """Cumulative table for inverse-CDF sampling, pinned to 1 at the end."""
+        cdf = np.cumsum(self.probs)
+        cdf[-1] = 1.0
+        cdf.flags.writeable = False
+        return cdf
+
 
 def probabilities(state: StateVector) -> OutcomeDistribution:
     """Born-rule outcome distribution of a state."""
@@ -222,9 +231,7 @@ def sample_indices(dist: OutcomeDistribution, shots: int, rng_seed: int | None =
     if (rng is None) == (rng_seed is None):
         raise ValueError("provide exactly one of rng_seed or rng")
     gen = rng if rng is not None else make_rng(rng_seed)
-    cdf = np.cumsum(dist.probs)
-    cdf[-1] = 1.0
-    return _kernels.sample_outcomes(cdf, gen.random(shots))
+    return _kernels.sample_outcomes(dist.cdf, gen.random(shots))
 
 
 @dataclass

@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -92,6 +94,11 @@ class TestPlay:
         assert main(["play", "--lambda", "2", "--out-dir", str(tmp_path)]) == EXIT_USAGE
         assert main(["play", "--efficiency", "0", "--rounds", "2", "--shots", "10",
                      "--out-dir", str(tmp_path)]) == EXIT_USAGE
+        for value in ("nan", "inf", "-inf"):
+            assert main(["play", "--rounds", "2", "--shots", "10", f"--threshold-z={value}",
+                         "--out-dir", str(tmp_path)]) == EXIT_USAGE
+        # every value is refused before a round is played
+        assert not (tmp_path / "rounds.csv").exists()
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         config = ExperimentConfig(rounds=3, shots=150, master_seed=21)
@@ -118,9 +125,11 @@ class TestPlay:
         {"master_seed": 1.5},
         {"rounds": 2.0},
         {"master_seed": "3"},
+        {"threshold_z": math.nan},
+        {"threshold_z": math.inf},
     ], ids=["angles-not-a-list", "strategy-not-an-object", "source-not-an-object",
             "rounds-infinite", "angles-nan", "offset-nan", "rounds-fraction", "shots-bool",
-            "seed-fraction", "rounds-float", "seed-string"])
+            "seed-fraction", "rounds-float", "seed-string", "threshold-nan", "threshold-inf"])
     def test_malformed_config_file_exits_65(self, tmp_path, capsys, field):
         config = {"format_version": 1, "rounds": 2, "shots": 10, **field}
         config_path = tmp_path / "config.json"
@@ -128,6 +137,7 @@ class TestPlay:
         code = main(["play", "--config", str(config_path), "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_DATA
         assert "malformed experiment config" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "rounds.csv").exists()
 
     def test_out_dir_env_fallback(self, tmp_path, capsys, monkeypatch):
         env_dir = tmp_path / "from-env"
@@ -479,6 +489,19 @@ class TestMiscCommands:
         for name in ("running_avg.csv", "hist.csv", "density.csv", "summary.json"):
             assert (out_dir / name).exists()
         assert json.loads((out_dir / "summary.json").read_text())["label"] == "demo"
+
+    def test_cli_import_loads_no_scipy(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys, diqrng, diqrng.cli\n"
+                "print(diqrng.__file__)\n"
+                "print([m for m in sys.modules if m.partition('.')[0] == 'scipy'])\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        loaded_from, scipy_modules = proc.stdout.splitlines()
+        assert loaded_from.startswith(src)
+        assert scipy_modules == "[]"
 
     def test_version_and_usage(self, capsys):
         assert main(["--version"]) == EXIT_OK

@@ -43,7 +43,7 @@ from diqrng.harness import (
 )
 from diqrng.game import analytic_win_probability, round_distribution, win_probability_from_dist
 from diqrng.io import atomic_write_text, canonical_json, round_sig
-from diqrng.rng import SourceDepleted, derive_seed, uniform_bits
+from diqrng.rng import SourceDepleted, derive_seed, make_rng, rekey, uniform_bits
 from diqrng.simulator import (
     DataFormatError,
     DataIntegrityError,
@@ -195,20 +195,43 @@ class TestCertifiedRuns:
         np.testing.assert_array_equal(a.alice_bits.bits, b.alice_bits.bits)
         assert a.certificate == b.certificate
 
-    def test_fresh_state_rounds_match_isolated_replay(self):
+    @pytest.mark.parametrize("eta", [1.0, 0.8])
+    def test_fresh_state_rounds_match_isolated_replay(self, eta):
         """Each round is reproducible in isolation from its derived seed --
-        the memory loophole is closed by construction, and provably so."""
+        the memory loophole is closed by construction, and provably so.
+        Under lossy detection the round's detector draws follow its
+        sampling draws on the same stream."""
         config = ExperimentConfig(rounds=5, shots=400, lam=0.1, master_seed=77)
-        run = run_certified_experiment(config)
+        run = run_certified_experiment(config, LoopholeConfig(detection_efficiency=eta))
         e = run.experiment
+        start = 0
         for i in range(config.rounds):
-            seed = derive_seed(config.master_seed, "round", i)
+            rng = make_rng(derive_seed(config.master_seed, "round", i))
             setting = GameSetting(int(e.x[i]), int(e.y[i]))
             dist = round_distribution(setting, config.strategy, config.lam)
-            idx = sample_indices(dist, config.shots, seed)
+            idx = sample_indices(dist, config.shots, rng=rng)
+            if eta < 1.0:
+                detected_a = rng.random(config.shots) < eta
+                detected_b = rng.random(config.shots) < eta
+                idx = idx[detected_a & detected_b]
             assert result_from_indices(idx) == (e.same[i], e.diff[i])
-            alice = run.alice_bits.bits[i * config.shots:(i + 1) * config.shots]
+            alice = run.alice_bits.bits[start:start + idx.size]
             np.testing.assert_array_equal(alice, (idx >> 1) & 1)
+            start += idx.size
+        assert start == len(run.alice_bits)
+
+    def test_rekey_gives_a_fresh_generators_draws(self):
+        rng = make_rng(5)
+        rng.random(3)
+        # an odd number of 32-bit draws leaves half a word cached
+        rng.integers(0, 2 ** 32, size=3, dtype=np.uint32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        seed = derive_seed(1, "round", 2)
+        rekey(rng, seed)
+        fresh = make_rng(seed)
+        np.testing.assert_array_equal(rng.integers(0, 2 ** 32, size=5, dtype=np.uint32),
+                                      fresh.integers(0, 2 ** 32, size=5, dtype=np.uint32))
+        np.testing.assert_array_equal(rng.random(7), fresh.random(7))
 
     def test_stale_state_stream_changes_outcomes(self):
         config = ExperimentConfig(rounds=5, shots=400, master_seed=77)

@@ -19,6 +19,7 @@ import pytest
 
 from diqrng.randomness import (
     BATTERY_TESTS,
+    _gammaincc,
     DEFAULT_SECURITY_MARGIN,
     BitStream,
     ExtractionBudgetError,
@@ -332,6 +333,34 @@ class TestBlockFrequency:
         a = block_frequency_test(_stream("011001101"), block_len=3)
         b = block_frequency_test(_stream("0110011010"), block_len=3)
         assert a.statistic == pytest.approx(b.statistic, abs=1e-12)
+
+
+def _oracle_gammaincc(a: float, x: float) -> float:
+    """Q(a, x) for integer or half-integer a > 0 and x > 0, exactly summed.
+
+    Starts from Q(1, x) = exp(-x) or Q(1/2, x) = erfc(sqrt(x)) and climbs
+    with Q(k+1, x) = Q(k, x) + x**k exp(-x) / Gamma(k+1); every term is
+    positive, so the fsum of terms computed in log space loses nothing to
+    cancellation.
+    """
+    k0 = 0.5 if a % 1 else 1.0
+    base = math.erfc(math.sqrt(x)) if k0 == 0.5 else math.exp(-x)
+    log_x = math.log(x)
+    terms = [math.exp(k * log_x - x - math.lgamma(k + 1.0))
+             for k in np.arange(k0, a, 1.0).tolist()]
+    return math.fsum([base, *terms])
+
+
+class TestIncompleteGamma:
+    """The stdlib Q(a, x) behind block_frequency_test, against the oracle."""
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 1.5, 50.0, 6806.0, 39062.5])
+    def test_matches_the_half_integer_recursion(self, a):
+        spread = math.sqrt(a)
+        # below the series/continued-fraction switch at x = a + 1, and above it
+        for x in (0.5 * (a + 1.0), a + 0.5, a + 1.5, a + 1.0 + 2.0 * spread):
+            assert _gammaincc(a, x) == pytest.approx(_oracle_gammaincc(a, x), rel=1e-9), x
+        assert _gammaincc(a, 0.0) == 1.0
 
 
 class TestRuns:

@@ -235,6 +235,13 @@ class TestDistributions:
         with pytest.raises(ValueError, match="shape"):
             OutcomeDistribution(2, np.array([0.5, 0.5]))
 
+    def test_cdf_is_built_once_and_pinned_to_one(self):
+        dist = OutcomeDistribution(2, np.array([0.1, 0.2, 0.3, 0.4]))
+        assert dist.cdf is dist.cdf
+        np.testing.assert_allclose(dist.cdf, [0.1, 0.3, 0.6, 1.0], atol=1e-15)
+        assert dist.cdf[-1] == 1.0
+        assert not dist.cdf.flags.writeable
+
     def test_depolarize_endpoints_and_affinity(self):
         dist = OutcomeDistribution(1, np.array([0.9, 0.1]))
         same = depolarize(dist, 0.0)
