@@ -5,11 +5,13 @@ Usage:
 
 Each kernel is first checked against a reference on the benchmark
 inputs (a benchmark of wrong answers is worthless), then runs
-`--repeats` times; the table reports the best wall time.  The Toeplitz
+`--repeats` times; the table reports the best wall time.  The
+`uniform_bits` row draws the 1.17e7 Toeplitz seed bits of a 1e7 -> 1 742 455
+hash in chunks and is checked against one whole-length draw.  The Toeplitz
 rows are checked against one FFT convolution over the whole stream.
 The two large rows hash a 1e7-bit stream to 1 742 455 bits (the
-budget-sized output of a 1e3 x 1e4-shot run, one output block) and to
-9e6 bits (five output blocks); their reference needs about 1.1 GB.
+budget-sized output of a 1e3 x 1e4-shot run) and to 9e6 bits; their
+reference needs about 1.1 GB.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import time
 import numpy as np
 
 from diqrng import _kernels
+from diqrng.rng import make_rng, uniform_bits
 
 
 def _best_time(fn, args, repeats: int) -> float:
@@ -74,6 +77,11 @@ def main() -> int:
     print(_row("von_neumann_pairs 2e7", _kernels.von_neumann_pairs, (vn_bits,),
                want_vn, args.repeats))
     del u, want_idx, vn_bits, pairs, want_vn
+
+    n_seed = 10_000_000 + 1_742_455 - 1
+    want_seed = (make_rng(7).random(n_seed) < 0.5).astype(np.uint8)
+    print(_row("uniform_bits 1.17e7", uniform_bits, (7, n_seed), want_seed, args.repeats))
+    del want_seed
 
     for label, in_len, out_len in (("1e6->4096", 1_000_000, 4096),
                                    ("1e7->1742455", 10_000_000, 1_742_455),

@@ -92,6 +92,13 @@ def _unit_float(text: str) -> float:
     return value
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="diqrng", description=__doc__.splitlines()[0] if __doc__ else None)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -107,7 +114,7 @@ def build_parser() -> _Parser:
     p.add_argument("--profile", default=None,
                    help="device profile name; sets lambda from its fitted value")
     p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-    p.add_argument("--threshold-z", type=float, default=None,
+    p.add_argument("--threshold-z", type=_finite_float, default=None,
                    help=f"certification z threshold (default {DEFAULT_THRESHOLD_Z:g})")
     p.add_argument("--config", default=None, help="experiment config JSON to start from")
     p.add_argument("--replay-x", nargs="+", default=None, metavar="FILE",
@@ -128,7 +135,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("certify",
                        help="recompute a certificate from a rounds table")
     p.add_argument("--rounds-csv", required=True, help="rounds.csv from a previous play")
-    p.add_argument("--threshold-z", type=float, default=DEFAULT_THRESHOLD_Z)
+    p.add_argument("--threshold-z", type=_finite_float, default=DEFAULT_THRESHOLD_Z)
     p.add_argument("--out", default=None, help="certificate JSON path (default: print)")
     p.set_defaults(func=cmd_certify)
 

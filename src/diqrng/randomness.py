@@ -350,10 +350,7 @@ def load_bits_packed(path, n_bits: int | None = None) -> np.ndarray:
         data = fh.read()
     if not data:
         raise DataFormatError("packed bit file is empty")
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-    if n_bits is not None:
-        if not (0 < n_bits <= bits.size):
-            raise DataFormatError(
-                f"requested {n_bits} bits from a file holding {bits.size}")
-        bits = bits[:n_bits]
-    return bits
+    if n_bits is not None and not (0 < n_bits <= 8 * len(data)):
+        raise DataFormatError(
+            f"requested {n_bits} bits from a file holding {8 * len(data)}")
+    return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=n_bits)

@@ -454,6 +454,23 @@ class TestCertifyCommand:
         csv_path.write_text("\n".join(lines) + "\n")
         assert main(["certify", "--rounds-csv", str(csv_path)]) == EXIT_DATA
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_exits_64(self, tmp_path, capsys, value):
+        run_dir = tmp_path / "run"
+        main(["play", "--rounds", "3", "--shots", "64", "--out-dir", str(run_dir)])
+        capsys.readouterr()
+        cert_path = tmp_path / "cert.json"
+        code = main(["certify", "--rounds-csv", str(run_dir / "rounds.csv"),
+                     f"--threshold-z={value}", "--out", str(cert_path)])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "--threshold-z" in captured.err and "finite" in captured.err
+        assert "verdict" not in captured.out
+        assert not cert_path.exists()
+        # refused before the table is read: a missing table would exit 74
+        assert main(["certify", "--rounds-csv", str(tmp_path / "absent.csv"),
+                     f"--threshold-z={value}"]) == EXIT_USAGE
+
     def test_negative_tally_exits_65(self, tmp_path, capsys):
         csv_path = tmp_path / "rounds.csv"
         csv_path.write_text("# format_version=1\n"

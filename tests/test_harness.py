@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from diqrng import harness
+from diqrng import rng as rng_module
 from diqrng.certify import Verdict
 from diqrng.game import (
     ConfigError,
@@ -232,6 +233,14 @@ class TestCertifiedRuns:
         np.testing.assert_array_equal(rng.integers(0, 2 ** 32, size=5, dtype=np.uint32),
                                       fresh.integers(0, 2 ** 32, size=5, dtype=np.uint32))
         np.testing.assert_array_equal(rng.random(7), fresh.random(7))
+
+    def test_chunked_uniform_bits_equal_one_whole_draw(self):
+        chunk = rng_module._BITS_CHUNK
+        for n in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+            seed = derive_seed(4, "bits", n)
+            got = uniform_bits(seed, n)
+            assert got.dtype == np.uint8
+            np.testing.assert_array_equal(got, (make_rng(seed).random(n) < 0.5).astype(np.uint8))
 
     def test_stale_state_stream_changes_outcomes(self):
         config = ExperimentConfig(rounds=5, shots=400, master_seed=77)

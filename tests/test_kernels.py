@@ -8,6 +8,7 @@ blocks, short last blocks and the bounded-memory schedule.
 
 from __future__ import annotations
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -166,7 +167,56 @@ def test_peak_memory_is_bounded_by_the_block(monkeypatch):
         tracemalloc.stop()
     # One 2p-point float64 array; a block spectrum is as large.  Four
     # output blocks keep up to four input spectra and four open sums
-    # alive, plus the segment and product in flight.  A whole-stream
+    # alive, plus the segment and product in flight and the next seed
+    # segment and its spectrum on the helper thread.  A whole-stream
     # transform needs 2**20-point arrays, each 128 times this.
     block_array = 2 * block * 8
     assert peak <= 16 * block_array
+
+
+class TestHelperThread:
+    """The seed-segment transforms run on one helper thread that never outlives the call."""
+
+    BLOCK = 8
+
+    @pytest.fixture(autouse=True)
+    def _small_blocks(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "_MAX_BLOCK", self.BLOCK)
+
+    def _args(self):
+        rng = np.random.default_rng(706)
+        in_len, out_len = 37, 21
+        seed = (rng.random(in_len + out_len - 1) < 0.5).astype(np.uint8)
+        x = (rng.random(in_len) < 0.5).astype(np.uint8)
+        return seed, x, out_len
+
+    def test_helper_exception_propagates(self, monkeypatch):
+        rfft = np.fft.rfft
+        helper_calls = []
+
+        def failing_off_main(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                helper_calls.append(1)
+                raise RuntimeError("helper transform failed")
+            return rfft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", failing_off_main)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="helper transform failed"):
+            _kernels.toeplitz_gf2(*self._args())
+        assert helper_calls == [1]
+        assert threading.active_count() == before
+
+    def test_main_thread_exception_joins_helper(self, monkeypatch):
+        monkeypatch.setattr(np.fft, "irfft", lambda a, n: np.full(n, 0.5))
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="integer lattice"):
+            _kernels.toeplitz_gf2(*self._args())
+        assert threading.active_count() == before
+
+    def test_success_leaves_no_thread(self):
+        before = threading.active_count()
+        seed, x, out_len = self._args()
+        np.testing.assert_array_equal(_kernels.toeplitz_gf2(seed, x, out_len),
+                                      _reference_toeplitz(seed, x, out_len))
+        assert threading.active_count() == before

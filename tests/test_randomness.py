@@ -440,15 +440,19 @@ class TestPersistence:
         path = tmp_path / "bits.bin"
         save_bits_packed(path, bits)
         assert path.stat().st_size == math.ceil(203 / 8)
-        np.testing.assert_array_equal(load_bits_packed(path, n_bits=203), bits)
         # without an explicit count, zero padding comes back too
         full = load_bits_packed(path)
         assert len(full) == math.ceil(203 / 8) * 8
         np.testing.assert_array_equal(full[:203], bits)
         assert not full[203:].any()
+        # a count returns exactly that prefix, padding included
+        for n_bits in (1, 7, 8, 9, 100, 202, 203, 208):
+            np.testing.assert_array_equal(load_bits_packed(path, n_bits=n_bits), full[:n_bits])
 
     def test_packed_rejects_oversized_count(self, tmp_path):
         path = tmp_path / "bits.bin"
         save_bits_packed(path, np.ones(8, dtype=np.uint8))
         with pytest.raises(DataFormatError):
             load_bits_packed(path, n_bits=9)
+        with pytest.raises(DataFormatError):
+            load_bits_packed(path, n_bits=0)
