@@ -53,7 +53,6 @@ from .harness import (
     write_rounds_csv,
 )
 from .randomness import (
-    BitStream,
     ExtractionBudgetError,
     TestReport,
     block_frequency_test,

@@ -18,6 +18,8 @@ import os
 import sys
 from typing import Any, Sequence
 
+import numpy as np
+
 from . import __version__
 from .certify import DEFAULT_THRESHOLD_Z, Certificate, Verdict, certify
 from .game import ConfigError
@@ -36,7 +38,6 @@ from .harness import (
 from .io import atomic_write_text, canonical_json, round_sig
 from .randomness import (
     BATTERY_TESTS,
-    BitStream,
     DEFAULT_BLOCK_LEN,
     DEFAULT_SECURITY_MARGIN,
     hadamard_circuit,
@@ -202,18 +203,12 @@ def build_parser() -> _Parser:
 # command bodies
 # ============================================================
 
-def _load_stream(path: str, n_bits: int | None) -> BitStream:
+def _load_stream(path: str, n_bits: int | None) -> np.ndarray:
     if path.endswith(".txt"):
-        bits = load_bits_text(path)
-        if n_bits is not None:
-            if n_bits > bits.size:
-                raise DataFormatError(f"requested {n_bits} bits, file holds {bits.size}")
-            bits = bits[:n_bits]
-    elif path.endswith(".bin"):
-        bits = load_bits_packed(path, n_bits)
-    else:
-        raise DataFormatError(f"{path}: expected a .txt or .bin bit stream")
-    return BitStream(bits, "external")
+        return load_bits_text(path, n_bits)
+    if path.endswith(".bin"):
+        return load_bits_packed(path, n_bits)
+    raise DataFormatError(f"{path}: expected a .txt or .bin bit stream")
 
 
 def cmd_play(args) -> int:
@@ -281,8 +276,8 @@ def cmd_play(args) -> int:
                                         / (config.rounds * config.shots))
     atomic_write_text(os.path.join(out_dir, "summary.json"),
                       canonical_json(summary) + "\n")
-    save_bits_text(os.path.join(out_dir, "alice_bits.txt"), run.alice_bits.bits)
-    save_bits_packed(os.path.join(out_dir, "alice_bits.bin"), run.alice_bits.bits)
+    save_bits_text(os.path.join(out_dir, "alice_bits.txt"), run.alice_bits)
+    save_bits_packed(os.path.join(out_dir, "alice_bits.bin"), run.alice_bits)
 
     cert = run.certificate
     print(f"verdict={cert.verdict.value} p_win={_fmt(cert.p_win)} s={_fmt(cert.s)} "
@@ -351,8 +346,10 @@ def cmd_extract(args) -> int:
                     cert = Certificate.from_json_obj(json.load(fh))
                 except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     raise DataFormatError(f"{args.certificate}: bad certificate: {exc}") from exc
-            if cert.min_entropy_rate is None:
-                raise DataFormatError(f"{args.certificate}: certificate has no rate")
+            if cert.verdict is not Verdict.CERTIFIED or cert.min_entropy_rate is None:
+                raise DataFormatError(
+                    f"{args.certificate}: only a CERTIFIED certificate with a rate "
+                    f"authorises extraction, got {cert.verdict.value}")
             rate = cert.min_entropy_rate
         if seed_bits.size != need:
             raise DataFormatError(
@@ -363,8 +360,8 @@ def cmd_extract(args) -> int:
     if len(out) == 0:
         print("extraction produced no bits (all input pairs were equal)")
         return EXIT_OK
-    save_bits_text(args.out + ".txt", out.bits)
-    save_bits_packed(args.out + ".bin", out.bits)
+    save_bits_text(args.out + ".txt", out)
+    save_bits_packed(args.out + ".bin", out)
     print(f"wrote {len(out)} bits to {args.out}.txt and {args.out}.bin")
     return EXIT_OK
 
@@ -408,7 +405,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (DataFormatError, DataIntegrityError) as exc:
+    except (DataFormatError, DataIntegrityError, UnicodeDecodeError) as exc:
         print(f"diqrng: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except SourceDepleted as exc:

@@ -45,7 +45,6 @@ from .game import (
     round_distribution,
 )
 from .io import atomic_write_text, canonical_json, round_sig
-from .randomness import BitStream
 from .rng import derive_seed, make_rng, rekey, uniform_bits
 from .simulator import (
     CountsRecord,
@@ -291,7 +290,7 @@ def replay_backend(paths: Sequence[str | os.PathLike]) -> np.ndarray:
 class CertifiedRun(NamedTuple):
     experiment: ExperimentResult
     certificate: Certificate
-    alice_bits: BitStream
+    alice_bits: np.ndarray
     # with report_all_events under lossy detection: per round that kept a
     # shot, the win fraction over every emitted pair; empty otherwise
     all_event_win_fractions: np.ndarray
@@ -356,7 +355,7 @@ def run_certified_experiment(config: ExperimentConfig,
     certificate = certify(experiment, config.threshold_z)
     alice = (np.concatenate(alice_chunks) if alice_chunks
              else np.zeros(0, dtype=np.uint8))
-    return CertifiedRun(experiment, certificate, BitStream(alice, "chsh"),
+    return CertifiedRun(experiment, certificate, alice,
                         np.array(all_event, dtype=np.float64))
 
 

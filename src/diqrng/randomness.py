@@ -6,7 +6,7 @@ per-shot bits always XOR to zero.  Downstream, von Neumann debiasing
 removes bias from independent bits, and Toeplitz hashing over GF(2)
 compresses a stream to its certified entropy budget.  The test battery
 is the monobit, block-frequency, and runs subset with the usual
-pass mark p >= 0.01.
+pass mark p >= 0.01.  Every bit stream is a 1-d uint8 array of 0s and 1s.
 """
 
 from __future__ import annotations
@@ -31,27 +31,6 @@ DEFAULT_SECURITY_MARGIN = 64
 
 class ExtractionBudgetError(ValueError):
     """Requested more output bits than the certified budget allows."""
-
-
-@dataclass(frozen=True)
-class BitStream:
-    """A bit array plus a provenance tag."""
-
-    bits: np.ndarray
-    source_tag: str = "external"
-
-    def __post_init__(self):
-        arr = np.asarray(self.bits, dtype=np.uint8)
-        if arr.ndim != 1:
-            raise ValueError("bits must be one-dimensional")
-        if arr.size and arr.max() > 1:
-            raise ValueError("bits must be 0 or 1")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "bits", arr)
-
-    def __len__(self) -> int:
-        return int(self.bits.size)
 
 
 # ============================================================
@@ -88,35 +67,39 @@ def indices_to_bits(idx: np.ndarray, n_qubits: int) -> np.ndarray:
     return ((idx[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
 
 
-def streams_from_indices(idx: np.ndarray, n_qubits: int, source_tag: str) -> list[BitStream]:
-    """Split outcome indices into per-qubit streams in shot order."""
-    bits = indices_to_bits(idx, n_qubits)
-    return [BitStream(bits[:, q], source_tag) for q in range(n_qubits)]
-
-
-def hadamard_qrng(n_qubits: int, shots: int, rng_seed: int) -> list[BitStream]:
-    """n_qubits independent unbiased streams of `shots` bits each."""
+def hadamard_qrng(n_qubits: int, shots: int, rng_seed: int) -> np.ndarray:
+    """(n_qubits, shots) array of independent unbiased bits, one row per qubit."""
     idx = qrng_indices(hadamard_circuit(n_qubits), n_qubits, shots, rng_seed)
-    return streams_from_indices(idx, n_qubits, "hadamard")
+    return indices_to_bits(idx, n_qubits).T
 
 
-def parity_qrng(n_qubits: int, shots: int, rng_seed: int) -> list[BitStream]:
-    """Per-qubit streams whose bits XOR to zero within every shot."""
+def parity_qrng(n_qubits: int, shots: int, rng_seed: int) -> np.ndarray:
+    """(n_qubits, shots) array, one row per qubit; each column XORs to zero."""
     idx = qrng_indices(parity_state(n_qubits), n_qubits, shots, rng_seed)
-    return streams_from_indices(idx, n_qubits, "parity")
+    return indices_to_bits(idx, n_qubits).T
 
 
 # ============================================================
 # debiasing and extraction
 # ============================================================
 
-def von_neumann(stream: BitStream) -> BitStream:
+def _as_bits(bits: np.ndarray | Sequence[int]) -> np.ndarray:
+    """`bits` as a 1-d uint8 array, refused unless every value is 0 or 1."""
+    arr = np.asarray(bits, dtype=np.uint8)
+    if arr.ndim != 1:
+        raise ValueError("bits must be one-dimensional")
+    if arr.size and arr.max() > 1:
+        raise ValueError("bits must be 0 or 1")
+    return arr
+
+
+def von_neumann(stream: np.ndarray) -> np.ndarray:
     """Debias via non-overlapping pairs: 01 -> 0, 10 -> 1, others dropped.
 
     Output bits are unbiased whenever input bits are independent and
     identically biased; the expected yield is 2*p*(1-p) per pair.
     """
-    return BitStream(_kernels.von_neumann_pairs(stream.bits), stream.source_tag)
+    return _kernels.von_neumann_pairs(_as_bits(stream))
 
 
 def toeplitz_seed_bits(in_len: int, out_len: int, rng_seed: int) -> np.ndarray:
@@ -140,9 +123,9 @@ def toeplitz_matrix(seed_bits: np.ndarray, in_len: int, out_len: int) -> np.ndar
     return seed_bits[(in_len - 1) + i - j]
 
 
-def toeplitz_extract(stream: BitStream, seed_bits: np.ndarray, out_len: int, *,
+def toeplitz_extract(stream: np.ndarray, seed_bits: np.ndarray, out_len: int, *,
                      min_entropy_rate: float | None = None,
-                     security_margin: int = DEFAULT_SECURITY_MARGIN) -> BitStream:
+                     security_margin: int = DEFAULT_SECURITY_MARGIN) -> np.ndarray:
     """Hash the stream down to out_len bits with the seeded Toeplitz family.
 
     When a certified min-entropy rate is supplied, the output length is
@@ -150,19 +133,19 @@ def toeplitz_extract(stream: BitStream, seed_bits: np.ndarray, out_len: int, *,
     ExtractionBudgetError.  Without a rate the caller takes responsibility
     for the budget (the identity-pattern seed then reproduces the input).
     """
-    bits = stream.bits
+    bits = _as_bits(stream)
     if bits.size < 1:
         raise ValueError("cannot extract from an empty stream")
     if out_len < 1:
         raise ValueError(f"out_len must be >= 1, got {out_len}")
-    seed_bits = np.asarray(seed_bits, dtype=np.uint8)
+    if security_margin < 0:
+        raise ValueError(f"security_margin must be >= 0, got {security_margin}")
+    seed_bits = _as_bits(seed_bits)
     want = bits.size + out_len - 1
-    if seed_bits.ndim != 1 or seed_bits.size != want:
+    if seed_bits.size != want:
         raise ValueError(
             f"seed_bits must have length in_len + out_len - 1 = {want}, "
             f"got {seed_bits.size}")
-    if np.any(seed_bits > 1):
-        raise ValueError("seed_bits must be 0 or 1")
     if min_entropy_rate is not None:
         if not (0.0 <= min_entropy_rate <= 1.0):
             raise ValueError(f"rate must be in [0, 1], got {min_entropy_rate!r}")
@@ -171,7 +154,7 @@ def toeplitz_extract(stream: BitStream, seed_bits: np.ndarray, out_len: int, *,
             raise ExtractionBudgetError(
                 f"out_len {out_len} exceeds certified budget {budget} "
                 f"(= floor({bits.size} * {min_entropy_rate:g} - {security_margin}))")
-    return BitStream(_kernels.toeplitz_gf2(seed_bits, bits, out_len), stream.source_tag)
+    return _kernels.toeplitz_gf2(seed_bits, bits, out_len)
 
 
 # ============================================================
@@ -194,15 +177,6 @@ class TestReport:
             "p_value": self.p_value,
             "passed": self.passed,
         }
-
-
-def _as_bits(bits: BitStream | np.ndarray | Sequence[int]) -> np.ndarray:
-    if isinstance(bits, BitStream):
-        return bits.bits
-    arr = np.asarray(bits, dtype=np.uint8)
-    if arr.size and arr.max() > 1:
-        raise ValueError("bits must be 0 or 1")
-    return arr
 
 
 def monobit_test(bits, *, enforce_length: bool = True) -> TestReport:
@@ -329,7 +303,12 @@ def save_bits_text(path, bits, line_width: int | None = None) -> None:
     atomic_write_text(path, bits_to_text(_as_bits(bits), line_width))
 
 
-def load_bits_text(path) -> np.ndarray:
+def _check_count(n_bits: int | None, available: int) -> None:
+    if n_bits is not None and not (0 < n_bits <= available):
+        raise DataFormatError(f"requested {n_bits} bits from a file holding {available}")
+
+
+def load_bits_text(path, n_bits: int | None = None) -> np.ndarray:
     with open(path, "r", encoding="ascii") as fh:
         raw = fh.read()
     cleaned = raw.replace("\n", "").replace("\r", "")
@@ -338,7 +317,8 @@ def load_bits_text(path) -> np.ndarray:
         raise DataFormatError(f"bit text contains non-bit characters {sorted(bad)}")
     if not cleaned:
         raise DataFormatError("bit text file is empty")
-    return np.frombuffer(cleaned.encode("ascii"), dtype=np.uint8) - ord("0")
+    _check_count(n_bits, len(cleaned))
+    return np.frombuffer(cleaned[:n_bits].encode("ascii"), dtype=np.uint8) - ord("0")
 
 
 def save_bits_packed(path, bits) -> None:
@@ -350,7 +330,5 @@ def load_bits_packed(path, n_bits: int | None = None) -> np.ndarray:
         data = fh.read()
     if not data:
         raise DataFormatError("packed bit file is empty")
-    if n_bits is not None and not (0 < n_bits <= 8 * len(data)):
-        raise DataFormatError(
-            f"requested {n_bits} bits from a file holding {8 * len(data)}")
+    _check_count(n_bits, 8 * len(data))
     return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=n_bits)

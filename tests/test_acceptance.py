@@ -34,6 +34,7 @@ import os
 import time
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,7 +51,6 @@ from diqrng.game import (
 )
 from diqrng.harness import ExperimentConfig, load_device_profiles, run_certified_experiment
 from diqrng.randomness import (
-    BitStream,
     hadamard_qrng,
     monobit_test,
     parity_qrng,
@@ -193,8 +193,8 @@ def test_criterion_6_qrng_pipelines():
                     f"stream {k}: {report.test_name} p={report.p_value:.4f} < 0.01")
         shots = 100_000
         streams = parity_qrng(3, shots, rng_seed=1)
-        parity = streams[0].bits ^ streams[1].bits
-        good = int(np.count_nonzero(parity == streams[2].bits))
+        parity = streams[0] ^ streams[1]
+        good = int(np.count_nonzero(parity == streams[2]))
         assert good == shots, f"parity invariant held on {good}/{shots} shots only"
         return (f"hadamard 5x20000 = 100000 bits, all streams pass monobit+runs; "
                 f"parity XOR invariant on {shots}/{shots} shots")
@@ -209,7 +209,7 @@ def test_criterion_7_extractor_correctness():
         n_raw = 1_000_000
         rng = np.random.default_rng(2024)
         raw = (rng.random(n_raw) < bias).astype(np.uint8)
-        out = von_neumann(BitStream(raw, source_tag="bernoulli"))
+        out = von_neumann(raw)
         pairs = n_raw // 2
         yield_per_pair = 2 * bias * (1 - bias)           # 0.42
         expected = pairs * yield_per_pair                # 210000
@@ -226,9 +226,9 @@ def test_criterion_7_extractor_correctness():
         for _ in range(100):
             x1 = (rng.random(in_len) < 0.5).astype(np.uint8)
             x2 = (rng.random(in_len) < 0.5).astype(np.uint8)
-            t1 = toeplitz_extract(BitStream(x1, source_tag="a"), seed, out_len).bits
-            t2 = toeplitz_extract(BitStream(x2, source_tag="b"), seed, out_len).bits
-            t12 = toeplitz_extract(BitStream(x1 ^ x2, source_tag="c"), seed, out_len).bits
+            t1 = toeplitz_extract(x1, seed, out_len)
+            t2 = toeplitz_extract(x2, seed, out_len)
+            t12 = toeplitz_extract(x1 ^ x2, seed, out_len)
             assert np.array_equal(t12, t1 ^ t2), "linearity broken on a random pair"
 
         # --- Toeplitz equals the dense GF(2) matrix product ---
@@ -243,7 +243,7 @@ def test_criterion_7_extractor_correctness():
                 for j in range(k):
                     acc += int(seed_small[(k - 1) + i - j]) * int(x[j])
                 want[i] = acc % 2
-            got = toeplitz_extract(BitStream(x, source_tag="o"), seed_small, m).bits
+            got = toeplitz_extract(x, seed_small, m)
             assert np.array_equal(got, want), "dense matrix-product oracle disagrees"
         return (f"von Neumann yield {len(out)} within 3 sigma of {expected:.0f} "
                 f"and monobit-clean; Toeplitz linear on 100 pairs and equal to "
@@ -261,7 +261,7 @@ def test_criterion_8_reference_spreads_are_metadata():
         # reproduces the average, so those spreads are NOT reproduced here.
         data_path = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                                  "src", "diqrng", "data", "device_profiles.json")
-        comment = json.load(open(data_path))["comment"]
+        comment = json.loads(Path(data_path).read_text())["comment"]
         assert "not quantities the simulation reproduces" in comment, \
             "data file no longer states the reference-metadata caveat"
         reference_sigmas = [p.metadata["reference_sigma"] for p in profiles]
@@ -285,7 +285,7 @@ def test_criterion_8_reference_spreads_are_metadata():
 def test_criterion_9_determinism(tmp_path):
     def body():
         def read_all(directory):
-            return {name: open(os.path.join(directory, name), "rb").read()
+            return {name: Path(directory, name).read_bytes()
                     for name in sorted(os.listdir(directory))}
 
         seeded = ["play", "--rounds", "5", "--shots", "200", "--seed", "3"]

@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ PLAY_FILES = ("rounds.csv", "certificate.json", "summary.json",
 
 
 def _read_all(directory) -> dict[str, bytes]:
-    return {name: open(os.path.join(directory, name), "rb").read()
+    return {name: Path(directory, name).read_bytes()
             for name in sorted(os.listdir(directory))}
 
 
@@ -139,6 +140,14 @@ class TestPlay:
         assert "malformed experiment config" in capsys.readouterr().err
         assert not (tmp_path / "out" / "rounds.csv").exists()
 
+    def test_undecodable_config_file_exits_65(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_bytes(b'{"rounds": 2, "shots": 10\xff}')
+        code = main(["play", "--config", str(config_path), "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "rounds.csv").exists()
+
     def test_out_dir_env_fallback(self, tmp_path, capsys, monkeypatch):
         env_dir = tmp_path / "from-env"
         monkeypatch.setenv("DIQRNG_OUT_DIR", str(env_dir))
@@ -189,6 +198,17 @@ class TestReplayFlow:
                      "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_DATA
         assert "exhausted" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_undecodable_replay_record_exits_65(self, tmp_path, capsys, side):
+        records = dict(zip("xy", self._make_inputs(tmp_path)))
+        records[side].write_bytes(records[side].read_bytes() + b"\xff")
+        code = main(["play", "--rounds", "10", "--shots", "10",
+                     "--replay-x", str(records["x"]), "--replay-y", str(records["y"]),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "rounds.csv").exists()
 
     def test_same_file_both_sides_is_rejected(self, tmp_path, capsys):
         xa, _ = self._make_inputs(tmp_path)
@@ -321,6 +341,9 @@ class TestExtract:
         assert main(base + ["--out-len", "36"]) == EXIT_OK
         assert main(base + ["--out-len", "37"]) == EXIT_USAGE
         assert "budget" in capsys.readouterr().err
+        # a negative margin would lift the budget to 200 * 0.5 + 100 = 200 bits
+        assert main(base + ["--out-len", "200", "--security-margin", "-100"]) == EXIT_USAGE
+        assert "security_margin" in capsys.readouterr().err
 
     def test_budget_from_certificate(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
@@ -333,6 +356,25 @@ class TestExtract:
                      "--out", str(tmp_path / "hashed")])
         assert code == EXIT_OK
         assert len((tmp_path / "hashed.txt").read_text().strip()) == 256
+
+    @pytest.mark.parametrize("play", [
+        ["--rounds", "1", "--shots", "12", "--seed", "2"],
+        ["--rounds", "1", "--shots", "1", "--seed", "2", "--efficiency", "0.01"],
+    ], ids=["not-violated", "insufficient-data"])
+    def test_uncertified_certificate_exits_65(self, tmp_path, capsys, play):
+        run_dir = tmp_path / "run"
+        assert main(["play", *play, "--out-dir", str(run_dir)]) == EXIT_NOT_VIOLATED
+        cert_path = run_dir / "certificate.json"
+        verdict = json.loads(cert_path.read_text())["verdict"]
+        assert verdict != "CERTIFIED"
+        path = self._bits_file(tmp_path, "10" * 1000)
+        code = main(["extract", "--in", str(path), "--method", "toeplitz",
+                     "--out-len", "1900", "--extractor-seed", "6",
+                     "--certificate", str(cert_path), "--out", str(tmp_path / "hashed")])
+        assert code == EXIT_DATA
+        assert verdict in capsys.readouterr().err
+        assert not (tmp_path / "hashed.txt").exists()
+        assert not (tmp_path / "hashed.bin").exists()
 
     @pytest.mark.parametrize("field", [
         {"verdict": "BOGUS"},
@@ -374,8 +416,7 @@ class TestExtract:
                      "--out", str(out_txt)]) == EXIT_OK
         assert main(["extract", "--in", str(base) + ".bin", "--bits", "300",
                      "--method", "von-neumann", "--out", str(out_bin)]) == EXIT_OK
-        assert (str(out_txt) + ".txt" and
-                open(str(out_txt) + ".txt").read() == open(str(out_bin) + ".txt").read())
+        assert Path(str(out_txt) + ".txt").read_text() == Path(str(out_bin) + ".txt").read_text()
 
     def test_unrecognized_extension(self, tmp_path, capsys):
         path = tmp_path / "bits.csv"
@@ -418,6 +459,15 @@ class TestBatteryCommand:
         path = tmp_path / "bits.txt"
         path.write_text("10" * 100 + "\n")
         assert main(["test", "--in", str(path), "--tests", "entropy"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["test", "extract"])
+    def test_undecodable_text_input_exits_65(self, tmp_path, capsys, command):
+        path = tmp_path / "bits.txt"
+        path.write_bytes(b"0101\xe9\n")
+        extra = (["--method", "von-neumann", "--out", str(tmp_path / "x")]
+                 if command == "extract" else [])
+        assert main([command, "--in", str(path), *extra]) == EXIT_DATA
+        assert "data error" in capsys.readouterr().err
 
     def test_missing_input_file_exits_74(self, tmp_path, capsys):
         code = main(["test", "--in", str(tmp_path / "absent.txt")])
@@ -470,6 +520,14 @@ class TestCertifyCommand:
         # refused before the table is read: a missing table would exit 74
         assert main(["certify", "--rounds-csv", str(tmp_path / "absent.csv"),
                      f"--threshold-z={value}"]) == EXIT_USAGE
+
+    def test_undecodable_table_exits_65(self, tmp_path, capsys):
+        csv_path = tmp_path / "rounds.csv"
+        csv_path.write_bytes(b"# format_version=1\n"
+                             b"round_index,x,y,same_count,diff_count,win_fraction\n"
+                             b"0,0,0,90,10,0.9\xff\n")
+        assert main(["certify", "--rounds-csv", str(csv_path)]) == EXIT_DATA
+        assert "data error" in capsys.readouterr().err
 
     def test_negative_tally_exits_65(self, tmp_path, capsys):
         csv_path = tmp_path / "rounds.csv"

@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,13 +188,13 @@ class TestCertifiedRuns:
         run = run_certified_experiment(ExperimentConfig(rounds=10, shots=500))
         assert run.certificate.verdict is Verdict.CERTIFIED
         assert len(run.alice_bits) == 10 * 500
-        assert run.alice_bits.source_tag == "chsh"
+        assert run.alice_bits.dtype == np.uint8 and run.alice_bits.ndim == 1
 
     def test_reproducible_end_to_end(self):
         config = ExperimentConfig(rounds=6, shots=200, master_seed=9)
         a = run_certified_experiment(config)
         b = run_certified_experiment(config)
-        np.testing.assert_array_equal(a.alice_bits.bits, b.alice_bits.bits)
+        np.testing.assert_array_equal(a.alice_bits, b.alice_bits)
         assert a.certificate == b.certificate
 
     @pytest.mark.parametrize("eta", [1.0, 0.8])
@@ -216,7 +217,7 @@ class TestCertifiedRuns:
                 detected_b = rng.random(config.shots) < eta
                 idx = idx[detected_a & detected_b]
             assert result_from_indices(idx) == (e.same[i], e.diff[i])
-            alice = run.alice_bits.bits[start:start + idx.size]
+            alice = run.alice_bits[start:start + idx.size]
             np.testing.assert_array_equal(alice, (idx >> 1) & 1)
             start += idx.size
         assert start == len(run.alice_bits)
@@ -388,7 +389,7 @@ class TestReplayBackend:
                                   replay_x=(str(px),), replay_y=(str(py),))
         a = run_certified_experiment(config)
         b = run_certified_experiment(config)
-        np.testing.assert_array_equal(a.alice_bits.bits, b.alice_bits.bits)
+        np.testing.assert_array_equal(a.alice_bits, b.alice_bits)
         assert a.certificate == b.certificate
 
 
@@ -463,16 +464,16 @@ class TestReports:
         for p in paths.values():
             assert os.path.exists(p)
 
-        running = open(paths["running_avg"]).read().splitlines()
+        running = Path(paths["running_avg"]).read_text().splitlines()
         assert running[0] == f"# format_version={FORMAT_VERSION}"
         assert len(running) == 2 + 25  # header + columns + one row per round
         last_avg = float(running[-1].split(",")[-1])
         assert last_avg == pytest.approx(run.experiment.p_avg, abs=1e-5)
 
-        hist_rows = open(paths["hist"]).read().splitlines()[2:]
+        hist_rows = Path(paths["hist"]).read_text().splitlines()[2:]
         assert sum(int(r.split(",")[-1]) for r in hist_rows) == 25
 
-        summary = json.load(open(paths["summary"]))
+        summary = json.loads(Path(paths["summary"]).read_text())
         assert summary["format_version"] == FORMAT_VERSION
         assert summary["label"] == "unit"
         assert summary["rounds"] == 25
@@ -484,7 +485,7 @@ class TestReports:
         p1 = emit_reports(run.experiment, d1, label="same")
         p2 = emit_reports(run.experiment, d2, label="same")
         for key in p1:
-            assert open(p1[key], "rb").read() == open(p2[key], "rb").read()
+            assert Path(p1[key]).read_bytes() == Path(p2[key]).read_bytes()
 
 
 # ---------------------------------------------------------------------------

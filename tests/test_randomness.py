@@ -21,12 +21,12 @@ from diqrng.randomness import (
     BATTERY_TESTS,
     _gammaincc,
     DEFAULT_SECURITY_MARGIN,
-    BitStream,
     ExtractionBudgetError,
     block_frequency_test,
     bits_to_text,
     hadamard_circuit,
     hadamard_qrng,
+    indices_to_bits,
     load_bits_packed,
     load_bits_text,
     monobit_test,
@@ -36,7 +36,6 @@ from diqrng.randomness import (
     runs_test,
     save_bits_packed,
     save_bits_text,
-    streams_from_indices,
     toeplitz_extract,
     toeplitz_matrix,
     toeplitz_seed_bits,
@@ -45,9 +44,15 @@ from diqrng.randomness import (
 from diqrng.simulator import DataFormatError
 
 
-def _stream(text: str, tag: str = "unit") -> BitStream:
-    return BitStream(np.frombuffer(text.encode(), dtype=np.uint8) - ord("0"),
-                     source_tag=tag)
+def _stream(text: str) -> np.ndarray:
+    return np.frombuffer(text.encode(), dtype=np.uint8) - ord("0")
+
+
+# inputs every stream-taking function refuses: a value above 1, and 2-d
+NOT_A_STREAM = pytest.mark.parametrize("bad,match", [
+    (np.array([0, 2], dtype=np.uint8), "0 or 1"),
+    (np.zeros((2, 2), dtype=np.uint8), "one-dimensional"),
+], ids=["above-one", "two-d"])
 
 
 # ---------------------------------------------------------------------------
@@ -75,31 +80,6 @@ def _oracle_toeplitz(seed: np.ndarray, x: np.ndarray, out_len: int) -> np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# bit streams
-# ---------------------------------------------------------------------------
-
-class TestBitStream:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="0 or 1"):
-            BitStream(np.array([0, 2], dtype=np.uint8))
-        with pytest.raises(ValueError, match="one-dimensional"):
-            BitStream(np.zeros((2, 2), dtype=np.uint8))
-
-    def test_bits_are_read_only_copies(self):
-        raw = np.array([1, 0, 1], dtype=np.uint8)
-        stream = BitStream(raw, source_tag="x")
-        raw[0] = 0
-        assert stream.bits[0] == 1
-        with pytest.raises(ValueError):
-            stream.bits[0] = 0
-
-    def test_length_and_tag(self):
-        stream = _stream("10110", tag="demo")
-        assert len(stream) == 5
-        assert stream.source_tag == "demo"
-
-
-# ---------------------------------------------------------------------------
 # source circuits
 # ---------------------------------------------------------------------------
 
@@ -117,27 +97,26 @@ class TestSources:
         with pytest.raises(ValueError, match=">= 3"):
             parity_state(2)
 
-    def test_streams_from_indices_bit_order(self):
+    def test_indices_to_bits_bit_order(self):
         # qubit 0 is the most significant bit of each outcome index
         idx = np.array([0b10, 0b01, 0b11], dtype=np.int64)
-        streams = streams_from_indices(idx, 2, "demo")
-        np.testing.assert_array_equal(streams[0].bits, [1, 0, 1])
-        np.testing.assert_array_equal(streams[1].bits, [0, 1, 1])
-        assert all(s.source_tag == "demo" for s in streams)
+        bits = indices_to_bits(idx, 2)
+        np.testing.assert_array_equal(bits[:, 0], [1, 0, 1])
+        np.testing.assert_array_equal(bits[:, 1], [0, 1, 1])
 
     def test_hadamard_qrng_shape_and_determinism(self):
         streams = hadamard_qrng(3, 250, rng_seed=5)
+        assert streams.shape == (3, 250) and streams.dtype == np.uint8
         assert len(streams) == 3
         assert all(len(s) == 250 for s in streams)
-        assert all(s.source_tag == "hadamard" for s in streams)
         again = hadamard_qrng(3, 250, rng_seed=5)
         for a, b in zip(streams, again):
-            np.testing.assert_array_equal(a.bits, b.bits)
+            np.testing.assert_array_equal(a, b)
 
     def test_hadamard_bits_are_roughly_balanced(self):
         streams = hadamard_qrng(2, 20_000, rng_seed=8)
         for s in streams:
-            assert abs(s.bits.mean() - 0.5) < 4 * math.sqrt(0.25 / 20_000)
+            assert abs(s.mean() - 0.5) < 4 * math.sqrt(0.25 / 20_000)
 
     @pytest.mark.parametrize("n_qubits", [3, 4, 5, 6])
     def test_parity_xor_invariant(self, n_qubits):
@@ -146,8 +125,8 @@ class TestSources:
         assert len(streams) == n_qubits
         acc = np.zeros(2000, dtype=np.uint8)
         for s in streams[:-1]:
-            acc ^= s.bits
-        np.testing.assert_array_equal(acc, streams[-1].bits)
+            acc ^= s
+        np.testing.assert_array_equal(acc, streams[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -157,17 +136,17 @@ class TestSources:
 class TestVonNeumann:
     def test_worked_example(self):
         out = von_neumann(_stream("0110"))
-        np.testing.assert_array_equal(out.bits, [0, 1])
+        np.testing.assert_array_equal(out, [0, 1])
 
     def test_pair_table(self):
         # pairs 00,11,01,10: the first two drop, 01 -> 0, 10 -> 1
         out = von_neumann(_stream("00110110"))
-        np.testing.assert_array_equal(out.bits, [0, 1])
+        np.testing.assert_array_equal(out, [0, 1])
         out = von_neumann(_stream("10"))
-        np.testing.assert_array_equal(out.bits, [1])
+        np.testing.assert_array_equal(out, [1])
 
     def test_odd_trailing_bit_is_ignored(self):
-        np.testing.assert_array_equal(von_neumann(_stream("011")).bits, [0])
+        np.testing.assert_array_equal(von_neumann(_stream("011")), [0])
 
     def test_empty_output(self):
         assert len(von_neumann(_stream("0011"))) == 0
@@ -177,14 +156,14 @@ class TestVonNeumann:
         for _ in range(50):
             n = int(rng.integers(0, 400))
             bits = (rng.random(n) < rng.uniform(0.1, 0.9)).astype(np.uint8)
-            got = von_neumann(BitStream(bits, source_tag="r")).bits
+            got = von_neumann(bits)
             np.testing.assert_array_equal(got, _oracle_von_neumann(bits))
 
     def test_debiases_bernoulli_stream(self):
         rng = np.random.default_rng(41)
         bias = 0.7
         raw = (rng.random(200_000) < bias).astype(np.uint8)
-        out = von_neumann(BitStream(raw, source_tag="bernoulli"))
+        out = von_neumann(raw)
         # expected yield 2*p*(1-p) per pair
         pairs = 100_000
         yield_p = 2 * bias * (1 - bias)
@@ -192,10 +171,12 @@ class TestVonNeumann:
         assert abs(len(out) - pairs * yield_p) < 4 * sigma_len
         # output is balanced
         sigma_bit = math.sqrt(0.25 / len(out))
-        assert abs(out.bits.mean() - 0.5) < 4 * sigma_bit
+        assert abs(out.mean() - 0.5) < 4 * sigma_bit
 
-    def test_tag_preserved(self):
-        assert von_neumann(_stream("01", tag="keepme")).source_tag == "keepme"
+    @NOT_A_STREAM
+    def test_rejects_non_streams(self, bad, match):
+        with pytest.raises(ValueError, match=match):
+            von_neumann(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +193,14 @@ class TestToeplitz:
         matrix = toeplitz_matrix(seed, 3, 3)
         np.testing.assert_array_equal(matrix, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
         out = toeplitz_extract(_stream("101"), seed, 3)
-        np.testing.assert_array_equal(out.bits, [1, 1, 1])
+        np.testing.assert_array_equal(out, [1, 1, 1])
 
     def test_identity_pattern_reproduces_input(self):
         in_len, out_len = 9, 9
         seed = np.zeros(in_len + out_len - 1, dtype=np.uint8)
         seed[in_len - 1] = 1  # T[i][j] = 1 iff i == j
         x = _stream("101100111")
-        np.testing.assert_array_equal(toeplitz_extract(x, seed, out_len).bits, x.bits)
+        np.testing.assert_array_equal(toeplitz_extract(x, seed, out_len), x)
 
     def test_matches_dense_oracle_on_random_instances(self):
         rng = np.random.default_rng(500)
@@ -228,7 +209,7 @@ class TestToeplitz:
             out_len = int(rng.integers(1, 17))
             seed = (rng.random(in_len + out_len - 1) < 0.5).astype(np.uint8)
             x = (rng.random(in_len) < 0.5).astype(np.uint8)
-            got = toeplitz_extract(BitStream(x, source_tag="r"), seed, out_len).bits
+            got = toeplitz_extract(x, seed, out_len)
             want = _oracle_toeplitz(seed, x, out_len)
             np.testing.assert_array_equal(got, want)
 
@@ -240,9 +221,9 @@ class TestToeplitz:
         for _ in range(100):
             x1 = (rng.random(in_len) < 0.5).astype(np.uint8)
             x2 = (rng.random(in_len) < 0.5).astype(np.uint8)
-            t1 = toeplitz_extract(BitStream(x1, source_tag="a"), seed, out_len).bits
-            t2 = toeplitz_extract(BitStream(x2, source_tag="b"), seed, out_len).bits
-            t12 = toeplitz_extract(BitStream(x1 ^ x2, source_tag="c"), seed, out_len).bits
+            t1 = toeplitz_extract(x1, seed, out_len)
+            t2 = toeplitz_extract(x2, seed, out_len)
+            t12 = toeplitz_extract(x1 ^ x2, seed, out_len)
             np.testing.assert_array_equal(t12, t1 ^ t2)
 
     def test_seed_bits_length_and_determinism(self):
@@ -259,7 +240,7 @@ class TestToeplitz:
         n, rate = 1000, 0.2
         budget = math.floor(n * rate - DEFAULT_SECURITY_MARGIN)  # 136
         assert budget == 136
-        bits = BitStream(np.ones(n, dtype=np.uint8) * 0, source_tag="z")
+        bits = np.ones(n, dtype=np.uint8) * 0
         seed_ok = toeplitz_seed_bits(n, budget, rng_seed=1)
         out = toeplitz_extract(bits, seed_ok, budget, min_entropy_rate=rate)
         assert len(out) == budget
@@ -272,9 +253,21 @@ class TestToeplitz:
         seed = np.ones(4 + 2 - 1, dtype=np.uint8)
         with pytest.raises(ValueError, match="rate"):
             toeplitz_extract(bits, seed, 2, min_entropy_rate=1.5)
+        # a negative margin would lift the budget past n * rate
+        with pytest.raises(ValueError, match="security_margin"):
+            toeplitz_extract(bits, seed, 2, min_entropy_rate=0.5, security_margin=-64)
+
+    @NOT_A_STREAM
+    def test_rejects_non_streams(self, bad, match):
+        seed = np.ones(bad.size + 2 - 1, dtype=np.uint8)
+        with pytest.raises(ValueError, match=match):
+            toeplitz_extract(bad, seed, 2)
+        # the same check guards the seed
+        with pytest.raises(ValueError, match=match):
+            toeplitz_extract(_stream("1" * bad.size), bad, 1)
 
     def test_zero_rate_allows_nothing(self):
-        bits = BitStream(np.zeros(500, dtype=np.uint8), source_tag="z")
+        bits = np.zeros(500, dtype=np.uint8)
         seed = toeplitz_seed_bits(500, 1, rng_seed=0)
         with pytest.raises(ExtractionBudgetError):
             toeplitz_extract(bits, seed, 1, min_entropy_rate=0.0)
@@ -298,8 +291,13 @@ class TestMonobit:
         # the gate can be lifted explicitly
         assert monobit_test(_stream("10" * 40), enforce_length=False).passed
 
+    @NOT_A_STREAM
+    def test_rejects_non_streams(self, bad, match):
+        with pytest.raises(ValueError, match=match):
+            monobit_test(bad, enforce_length=False)
+
     def test_constant_stream_fails(self):
-        report = monobit_test(BitStream(np.ones(1000, dtype=np.uint8), source_tag="c"))
+        report = monobit_test(np.ones(1000, dtype=np.uint8))
         assert not report.passed
         assert report.p_value < 1e-100
 
@@ -326,7 +324,7 @@ class TestBlockFrequency:
     def test_blocky_stream_fails(self):
         bits = np.concatenate([np.ones(512, dtype=np.uint8),
                                np.zeros(512, dtype=np.uint8)])
-        report = block_frequency_test(BitStream(bits, source_tag="b"), block_len=128)
+        report = block_frequency_test(bits, block_len=128)
         assert not report.passed
 
     def test_trailing_partial_block_is_discarded(self):
@@ -373,7 +371,7 @@ class TestRuns:
 
     def test_prerequisite_gate_on_biased_stream(self):
         # |pi - 1/2| >= 2/sqrt(n) short-circuits to a hard fail
-        report = runs_test(BitStream(np.ones(1000, dtype=np.uint8), source_tag="c"))
+        report = runs_test(np.ones(1000, dtype=np.uint8))
         assert report.p_value == 0.0
         assert not report.passed
 
@@ -434,6 +432,16 @@ class TestPersistence:
         path.write_text("")
         with pytest.raises(DataFormatError, match="empty"):
             load_bits_text(path)
+
+    def test_text_prefix_count(self, tmp_path):
+        bits = (np.random.default_rng(11).random(203) < 0.5).astype(np.uint8)
+        path = tmp_path / "bits.txt"
+        save_bits_text(path, bits, line_width=64)
+        for n_bits in (1, 63, 64, 65, 203):
+            np.testing.assert_array_equal(load_bits_text(path, n_bits=n_bits), bits[:n_bits])
+        for n_bits in (0, 204):
+            with pytest.raises(DataFormatError, match="requested"):
+                load_bits_text(path, n_bits=n_bits)
 
     def test_packed_round_trip_with_padding(self, tmp_path):
         bits = (np.random.default_rng(10).random(203) < 0.5).astype(np.uint8)
