@@ -5,7 +5,10 @@ Usage:
 
 Each kernel is first checked against a reference on the benchmark
 inputs (a benchmark of wrong answers is worthless), then runs
-`--repeats` times; the table reports the best wall time.  The
+`--repeats` times; the table reports the best wall time.  The two
+per-row sampling rows draw 1e5 rounds x 100 shots, each round from one of
+four tables, once by a binary search per table and once by the (rows, K)
+form of `sample_outcomes` that the round engine uses.  The
 `uniform_bits` row draws the 1.17e7 Toeplitz seed bits of a 1e7 -> 1 742 455
 hash in chunks and is checked against one whole-length draw.  The Toeplitz
 rows are checked against one FFT convolution over the whole stream.
@@ -44,6 +47,15 @@ def _whole_stream_toeplitz(seed_bits, x_bits, out_len):
     return (np.rint(conv).astype(np.int64) & 1).astype(np.uint8)
 
 
+def _searchsorted_by_table(tables, table_of_row, u):
+    """Per-row sampling as one 1-d binary search per table."""
+    out = np.empty(u.shape, dtype=np.int64)
+    for t, cdf in enumerate(tables):
+        rows = table_of_row == t
+        out[rows] = _kernels.sample_outcomes(cdf, u[rows])
+    return out
+
+
 def _row(name: str, fn, args, want, repeats: int) -> str:
     if not np.array_equal(fn(*args), want):
         raise AssertionError(f"{name}: kernel disagrees with its reference")
@@ -77,6 +89,19 @@ def main() -> int:
     print(_row("von_neumann_pairs 2e7", _kernels.von_neumann_pairs, (vn_bits,),
                want_vn, args.repeats))
     del u, want_idx, vn_bits, pairs, want_vn
+
+    # per-row sampling: 1e5 rounds x 100 shots over four 4-outcome tables
+    tables = np.cumsum(rng.dirichlet(np.ones(4), size=4), axis=1)
+    tables[:, -1] = 1.0
+    table_of_row = rng.integers(0, 4, 100_000)
+    row_cdfs = tables[table_of_row]
+    u_rows = rng.random((100_000, 100))
+    want_rows = np.minimum((u_rows[..., None] >= row_cdfs[:, None, :]).sum(axis=-1), 3)
+    print(_row("searchsorted by table 1e7", _searchsorted_by_table,
+               (tables, table_of_row, u_rows), want_rows, args.repeats))
+    print(_row("sample_outcomes rows 1e7", _kernels.sample_outcomes, (row_cdfs, u_rows),
+               want_rows, args.repeats))
+    del u_rows, want_rows
 
     n_seed = 10_000_000 + 1_742_455 - 1
     want_seed = (make_rng(7).random(n_seed) < 0.5).astype(np.uint8)

@@ -21,9 +21,22 @@ import numpy as np
 # ============================================================
 
 def sample_outcomes(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Map uniforms in [0,1) to outcome indices via the cumulative table."""
-    idx = np.searchsorted(cdf, u, side="right")
-    return np.minimum(idx, cdf.size - 1).astype(np.int64)
+    """Map uniforms in [0,1) to outcome indices via the cumulative table.
+
+    A 1-d table of K entries serves every uniform by binary search and
+    gives int64 indices.  A (rows, K) table, K <= 256, gives row r of a
+    (rows, shots) block of uniforms its own table and uint8 indices
+    idx = sum over k < K-1 of [u >= cdf[r, k]].  For a table that does not
+    decrease before its last entry and ends at 1 > u, that count is the
+    binary search clipped to K-1; over four entries it is also faster.
+    """
+    if cdf.ndim == 1:
+        idx = np.searchsorted(cdf, u, side="right")
+        return np.minimum(idx, cdf.size - 1).astype(np.int64)
+    idx = np.zeros(u.shape, dtype=np.uint8)
+    for k in range(cdf.shape[1] - 1):
+        idx += u >= cdf[:, k, None]
+    return idx
 
 
 # ============================================================

@@ -35,7 +35,7 @@ from .harness import (
     save_counts_record,
     write_rounds_csv,
 )
-from .io import atomic_write_text, canonical_json, round_sig
+from .io import atomic_write_text, canonical_json, read_text, round_sig
 from .randomness import (
     BATTERY_TESTS,
     DEFAULT_BLOCK_LEN,
@@ -341,11 +341,11 @@ def cmd_extract(args) -> int:
         if args.certificate:
             if rate is not None:
                 raise ConfigError("--rate and --certificate are mutually exclusive")
-            with open(args.certificate, "r", encoding="utf-8") as fh:
-                try:
-                    cert = Certificate.from_json_obj(json.load(fh))
-                except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                    raise DataFormatError(f"{args.certificate}: bad certificate: {exc}") from exc
+            text = read_text(args.certificate)
+            try:
+                cert = Certificate.from_json_obj(json.loads(text))
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise DataFormatError(f"{args.certificate}: bad certificate: {exc}") from exc
             if cert.verdict is not Verdict.CERTIFIED or cert.min_entropy_rate is None:
                 raise DataFormatError(
                     f"{args.certificate}: only a CERTIFIED certificate with a rate "
@@ -405,7 +405,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (DataFormatError, DataIntegrityError, UnicodeDecodeError) as exc:
+    except (DataFormatError, DataIntegrityError) as exc:
         print(f"diqrng: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except SourceDepleted as exc:

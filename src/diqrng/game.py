@@ -192,10 +192,23 @@ def analytic_win_probability(setting: GameSetting,
 # rounds and experiments
 # ============================================================
 
-def result_from_indices(idx: np.ndarray) -> tuple[int, int]:
-    """Tally one round's 2-qubit outcome indices: (same-bit, different-bit) shots."""
-    same = int(np.count_nonzero((idx == 0) | (idx == 3)))
-    return same, int(idx.size) - same
+def result_from_indices(idx: np.ndarray, kept: np.ndarray | None = None) -> tuple:
+    """Tally 2-qubit outcome indices along the last axis: (same-bit, different-bit) shots.
+
+    `kept`, a boolean mask of idx's shape, limits the tally to the shots it
+    marks.  A 1-d idx (one round) gives two ints; a (rounds, shots) block
+    gives two per-round int arrays.
+    """
+    is_same = (idx == 0) | (idx == 3)
+    if kept is None:
+        total = idx.shape[-1]
+    else:
+        is_same &= kept
+        total = np.count_nonzero(kept, axis=-1)
+    same = np.count_nonzero(is_same, axis=-1)
+    if idx.ndim == 1:
+        return int(same), int(total) - int(same)
+    return same, total - same
 
 
 def referee_inputs(rounds: int, bits_a: np.ndarray,

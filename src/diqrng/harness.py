@@ -34,6 +34,7 @@ from typing import Any, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from . import _kernels
 from .certify import DEFAULT_THRESHOLD_Z, Certificate, certify
 from .game import (
     ConfigError,
@@ -44,19 +45,17 @@ from .game import (
     result_from_indices,
     round_distribution,
 )
-from .io import atomic_write_text, canonical_json, round_sig
+from .io import atomic_write_text, canonical_json, read_text, round_sig
 from .rng import derive_seed, make_rng, rekey, uniform_bits
-from .simulator import (
-    CountsRecord,
-    DataFormatError,
-    DataIntegrityError,
-    sample_indices,
-)
+from .simulator import CountsRecord, DataFormatError, DataIntegrityError
 
 IDEAL_WIN_PROBABILITY = math.cos(math.pi / 8) ** 2
 DEFAULT_ROUNDS = 100
 DEFAULT_SHOTS = 1000
 FORMAT_VERSION = 1
+
+# uniforms per chunk of rounds (about 0.5 MB), never less than one round
+_CHUNK_DRAWS = 1 << 16
 
 ROUNDS_CSV_FIELDS = ("round_index", "x", "y", "same_count", "diff_count", "win_fraction")
 
@@ -97,8 +96,7 @@ def load_device_profiles(path: str | os.PathLike | None = None) -> list[DevicePr
     if path is None:
         text = resources.files("diqrng.data").joinpath("device_profiles.json").read_text("utf-8")
     else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = read_text(path)
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -238,11 +236,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str | os.PathLike) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"config file is not valid JSON: {exc}") from exc
+        try:
+            obj = json.loads(read_text(path))
+        except json.JSONDecodeError as exc:
+            raise DataFormatError(f"config file is not valid JSON: {exc}") from exc
         return cls.from_json_obj(obj)
 
 
@@ -251,11 +248,10 @@ class ExperimentConfig:
 # ============================================================
 
 def load_counts_record(path: str | os.PathLike) -> CountsRecord:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: not valid JSON: {exc}") from exc
+    try:
+        obj = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"{path}: not valid JSON: {exc}") from exc
     return CountsRecord.from_json_obj(obj)
 
 
@@ -317,46 +313,61 @@ def _referee_columns(config: ExperimentConfig,
 
 def run_certified_experiment(config: ExperimentConfig,
                              loopholes: LoopholeConfig | None = None) -> CertifiedRun:
-    """Play, certify, and collect Alice's outcome bits for one config."""
+    """Play, certify, and collect Alice's outcome bits for one config.
+
+    Round i draws one row of uniforms: its shots' outcome uniforms and,
+    under lossy detection, Alice's and then Bob's detector uniforms.  The
+    round loop only re-keys the generator and draws the row; sampling,
+    detection and tallying run once per chunk of rows.
+    """
     loopholes = loopholes or LoopholeConfig()
     x, y = _referee_columns(config, loopholes)
+    n, shots = config.rounds, config.shots
     eta = loopholes.detection_efficiency
+    lossy = eta < 1.0
     # one generator per run; with fresh state each round re-keys it to the
     # round's own seed, otherwise one stream runs through every round
     rng = make_rng(derive_seed(config.master_seed, "shared-stream"))
-    pairs = list(zip(x.tolist(), y.tolist()))
-    # at most four distinct input pairs: build each distribution once
-    dists = {(a, b): round_distribution(GameSetting(a, b), config.strategy, config.lam)
-             for a, b in set(pairs)}
-    same = np.zeros(config.rounds, dtype=np.int64)
-    diff = np.zeros(config.rounds, dtype=np.int64)
-    all_event: list[float] = []
+    # setting code 2x + y; each distribution present is built once
+    settings = 2 * x + y
+    cdfs = np.zeros((4, 4))
+    for s in np.unique(settings).tolist():
+        cdfs[s] = round_distribution(GameSetting(s >> 1, s & 1), config.strategy,
+                                     config.lam).cdf
+    width = 3 * shots if lossy else shots
+    chunk_rows = max(1, _CHUNK_DRAWS // width)
+    u = np.empty((min(chunk_rows, n), width))
+    same = np.empty(n, dtype=np.int64)
+    diff = np.empty(n, dtype=np.int64)
+    all_event: list[np.ndarray] = []
     alice_chunks: list[np.ndarray] = []
-    for i, (a, b) in enumerate(pairs):
-        if loopholes.fresh_state_per_round:
-            rekey(rng, derive_seed(config.master_seed, "round", i))
-        idx = sample_indices(dists[a, b], config.shots, rng=rng)
-        kept = idx
-        if eta < 1.0:
-            detected_a = rng.random(config.shots) < eta
-            detected_b = rng.random(config.shots) < eta
-            kept = idx[detected_a & detected_b]
-        if kept.size == 0:
-            # every shot lost to the detectors; the round keeps zero tallies
+    for lo in range(0, n, chunk_rows):
+        block = u[:min(chunk_rows, n - lo)]
+        hi = lo + block.shape[0]
+        for i, row in enumerate(block, lo):
+            if loopholes.fresh_state_per_round:
+                rekey(rng, derive_seed(config.master_seed, "round", i))
+            rng.random(out=row)
+        idx = _kernels.sample_outcomes(cdfs[settings[lo:hi]], block[:, :shots])
+        if not lossy:
+            same[lo:hi], diff[lo:hi] = result_from_indices(idx)
+            alice_chunks.append((idx >> 1).ravel())
             continue
-        same[i], diff[i] = result_from_indices(kept)
-        if eta < 1.0 and loopholes.report_all_events:
-            # ground truth over every emitted pair, detected or not --
-            # the quantity a real experiment cannot observe
+        kept = (block[:, shots:2 * shots] < eta) & (block[:, 2 * shots:] < eta)
+        same[lo:hi], diff[lo:hi] = result_from_indices(idx, kept)
+        if loopholes.report_all_events:
+            # ground truth over every emitted pair, detected or not -- the
+            # quantity a real experiment cannot observe; rounds that lost
+            # every shot to the detectors are left out
             same_all, diff_all = result_from_indices(idx)
-            all_event.append((diff_all if a & b else same_all) / config.shots)
-        alice_chunks.append(((kept >> 1) & 1).astype(np.uint8))
+            wins_all = np.where(x[lo:hi] & y[lo:hi], diff_all, same_all)
+            all_event.append(wins_all[(same[lo:hi] + diff[lo:hi]) > 0] / shots)
+        # a boolean mask flattens in row order, which is round order
+        alice_chunks.append(idx[kept] >> 1)
     experiment = ExperimentResult.from_rounds(x, y, same, diff)
     certificate = certify(experiment, config.threshold_z)
-    alice = (np.concatenate(alice_chunks) if alice_chunks
-             else np.zeros(0, dtype=np.uint8))
-    return CertifiedRun(experiment, certificate, alice,
-                        np.array(all_event, dtype=np.float64))
+    return CertifiedRun(experiment, certificate, np.concatenate(alice_chunks),
+                        np.concatenate(all_event) if all_event else np.zeros(0))
 
 
 # ============================================================
@@ -381,8 +392,7 @@ def write_rounds_csv(path: str | os.PathLike, experiment: ExperimentResult) -> N
 
 def read_rounds_csv(path: str | os.PathLike) -> ExperimentResult:
     """Rebuild an ExperimentResult from a rounds table."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+    lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
     if not lines or not lines[0].startswith(f"# format_version={FORMAT_VERSION}"):
         raise DataFormatError(f"{path}: missing format_version header")
     reader = csv.reader(lines[1:])

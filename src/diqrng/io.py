@@ -1,11 +1,12 @@
-"""Canonical serialization and atomic file writes.
+"""Canonical serialization, atomic file writes and text reads.
 
 Every file the package emits goes through these helpers so that two runs
 with the same inputs produce byte-identical output: JSON keys are sorted
 and writes land via a temp file plus rename.  Presentation files round
 floats to 6 significant digits; files the package reads back (certificates,
 configs, counts records) are written with ``precise=True`` so every float
-survives the round trip exactly.
+survives the round trip exactly.  Every text file the package reads goes
+through ``read_text``, so a file that does not decode is named in the error.
 """
 
 from __future__ import annotations
@@ -15,6 +16,19 @@ import math
 import os
 import tempfile
 from typing import Any
+
+
+class DataFormatError(ValueError):
+    """A record or file violates the documented schema."""
+
+
+def read_text(path: str | os.PathLike, encoding: str = "utf-8") -> str:
+    """The text of a file; one that does not decode raises DataFormatError naming it."""
+    try:
+        with open(path, "r", encoding=encoding) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{os.fspath(path)}: {exc}") from exc
 
 
 def round_sig(x: float, digits: int = 6) -> float:

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _kernels
-from .io import atomic_write_bytes, atomic_write_text
+from .io import atomic_write_bytes, atomic_write_text, read_text
 from .rng import uniform_bits
 from .simulator import DataFormatError, Gate, apply_circuit, new_state, probabilities, sample_indices
 
@@ -309,16 +309,17 @@ def _check_count(n_bits: int | None, available: int) -> None:
 
 
 def load_bits_text(path, n_bits: int | None = None) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
-        raw = fh.read()
-    cleaned = raw.replace("\n", "").replace("\r", "")
-    bad = set(cleaned) - {"0", "1"}
-    if bad:
+    with open(path, "rb") as fh:
+        raw = np.frombuffer(fh.read(), dtype=np.uint8)
+    bits = raw[(raw != ord("\n")) & (raw != ord("\r"))] - np.uint8(ord("0"))
+    # a byte below "0" wraps above 1
+    if bits.size and bits.max() > 1:
+        bad = set(read_text(path, "ascii")) - set("01\n\r")
         raise DataFormatError(f"bit text contains non-bit characters {sorted(bad)}")
-    if not cleaned:
+    if not bits.size:
         raise DataFormatError("bit text file is empty")
-    _check_count(n_bits, len(cleaned))
-    return np.frombuffer(cleaned[:n_bits].encode("ascii"), dtype=np.uint8) - ord("0")
+    _check_count(n_bits, bits.size)
+    return bits[:n_bits]
 
 
 def save_bits_packed(path, bits) -> None:

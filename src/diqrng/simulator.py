@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from . import _kernels
+from .io import DataFormatError
 from .rng import make_rng
 
 MAX_QUBITS = 12
@@ -30,10 +32,6 @@ GATE_KINDS = ("H", "X", "CNOT", "RY")
 
 class CapacityError(ValueError):
     """Qubit count outside the supported 1..MAX_QUBITS range."""
-
-
-class DataFormatError(ValueError):
-    """A record or file violates the documented schema."""
 
 
 class DataIntegrityError(ValueError):
@@ -283,9 +281,19 @@ class CountsRecord:
         if memory is not None:
             if not isinstance(memory, list):
                 raise DataFormatError("memory must be a list or null")
-            for entry in memory:
-                if not isinstance(entry, str) or len(entry) != width or set(entry) - {"0", "1"}:
-                    raise DataFormatError(f"memory entry {entry!r} is not a width-{width} bitstring")
+
+            def bad(entry: Any) -> bool:
+                return (not isinstance(entry, str) or len(entry) != width
+                        or bool(set(entry) - {"0", "1"}))
+
+            # each distinct entry is checked once; an unhashable one is bad
+            try:
+                ok = not any(map(bad, set(memory)))
+            except TypeError:
+                ok = False
+            if not ok:
+                entry = next(filter(bad, memory))
+                raise DataFormatError(f"memory entry {entry!r} is not a width-{width} bitstring")
         if not isinstance(metadata, Mapping):
             raise DataFormatError("metadata must be an object")
         rec = cls(shots=shots, counts=dict(counts),
@@ -303,19 +311,17 @@ class CountsRecord:
             if len(self.memory) != self.shots:
                 raise DataIntegrityError(
                     f"memory holds {len(self.memory)} entries for {self.shots} shots")
-            tallies: dict[str, int] = {}
-            for entry in self.memory:
-                tallies[entry] = tallies.get(entry, 0) + 1
-            if tallies != {k: v for k, v in self.counts.items() if v > 0}:
+            if Counter(self.memory) != {k: v for k, v in self.counts.items() if v > 0}:
                 raise DataIntegrityError("memory tallies disagree with counts")
 
 
 def record_from_indices(idx: np.ndarray, n_qubits: int, *, memory: bool = False,
                         metadata: dict[str, Any] | None = None) -> CountsRecord:
     """Build a CountsRecord from sampled outcome indices."""
-    raw = np.bincount(idx, minlength=2 ** n_qubits)
-    counts = {bitstring(i, n_qubits): int(c) for i, c in enumerate(raw) if c > 0}
-    mem = [bitstring(int(i), n_qubits) for i in idx] if memory else None
+    names = [bitstring(i, n_qubits) for i in range(2 ** n_qubits)]
+    raw = np.bincount(idx, minlength=len(names))
+    counts = {names[i]: int(c) for i, c in enumerate(raw.tolist()) if c > 0}
+    mem = [names[i] for i in idx.tolist()] if memory else None
     return CountsRecord(shots=int(idx.size), counts=counts, memory=mem,
                         metadata=dict(metadata or {}))
 

@@ -145,7 +145,7 @@ class TestPlay:
         config_path.write_bytes(b'{"rounds": 2, "shots": 10\xff}')
         code = main(["play", "--config", str(config_path), "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_DATA
-        assert "data error" in capsys.readouterr().err
+        assert f"data error: {config_path}: 'utf-8' codec" in capsys.readouterr().err
         assert not (tmp_path / "out" / "rounds.csv").exists()
 
     def test_out_dir_env_fallback(self, tmp_path, capsys, monkeypatch):
@@ -207,8 +207,20 @@ class TestReplayFlow:
                      "--replay-x", str(records["x"]), "--replay-y", str(records["y"]),
                      "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_DATA
-        assert "data error" in capsys.readouterr().err
+        assert f"data error: {records[side]}: " in capsys.readouterr().err
         assert not (tmp_path / "out" / "rounds.csv").exists()
+
+    def test_undecodable_second_replay_file_is_named(self, tmp_path, capsys):
+        xa, ya = self._make_inputs(tmp_path)
+        xb = tmp_path / "xb.json"
+        xb.write_bytes(xa.read_bytes() + b"\xff")
+        code = main(["play", "--rounds", "10", "--shots", "10",
+                     "--replay-x", str(xa), str(xb), "--replay-y", str(ya),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"data error: {xb}: 'utf-8' codec can't decode byte 0xff" in err
+        assert str(xa) not in err
 
     def test_same_file_both_sides_is_rejected(self, tmp_path, capsys):
         xa, _ = self._make_inputs(tmp_path)
@@ -398,6 +410,16 @@ class TestExtract:
         assert "bad certificate" in capsys.readouterr().err
         assert not (tmp_path / "hashed.txt").exists()
 
+    def test_undecodable_certificate_is_named(self, tmp_path, capsys):
+        path = self._bits_file(tmp_path, "10" * 100)
+        cert_path = tmp_path / "certificate.json"
+        cert_path.write_bytes(b'{"verdict": "CERTIFIED\xff"}')
+        code = main(["extract", "--in", str(path), "--method", "toeplitz",
+                     "--out-len", "10", "--extractor-seed", "6",
+                     "--certificate", str(cert_path), "--out", str(tmp_path / "hashed")])
+        assert code == EXIT_DATA
+        assert f"data error: {cert_path}: 'utf-8' codec" in capsys.readouterr().err
+
     def test_rate_and_certificate_conflict(self, tmp_path, capsys):
         path = self._bits_file(tmp_path, "10" * 100)
         code = main(["extract", "--in", str(path), "--method", "toeplitz",
@@ -467,7 +489,14 @@ class TestBatteryCommand:
         extra = (["--method", "von-neumann", "--out", str(tmp_path / "x")]
                  if command == "extract" else [])
         assert main([command, "--in", str(path), *extra]) == EXIT_DATA
-        assert "data error" in capsys.readouterr().err
+        assert f"data error: {path}: 'ascii' codec" in capsys.readouterr().err
+
+    def test_non_bit_characters_are_listed(self, tmp_path, capsys):
+        path = tmp_path / "bits.txt"
+        path.write_bytes(b"01x1\r\n0 2\n")
+        assert main(["test", "--in", str(path)]) == EXIT_DATA
+        assert ("data error: bit text contains non-bit characters [' ', '2', 'x']"
+                in capsys.readouterr().err)
 
     def test_missing_input_file_exits_74(self, tmp_path, capsys):
         code = main(["test", "--in", str(tmp_path / "absent.txt")])
@@ -527,7 +556,7 @@ class TestCertifyCommand:
                              b"round_index,x,y,same_count,diff_count,win_fraction\n"
                              b"0,0,0,90,10,0.9\xff\n")
         assert main(["certify", "--rounds-csv", str(csv_path)]) == EXIT_DATA
-        assert "data error" in capsys.readouterr().err
+        assert f"data error: {csv_path}: 'utf-8' codec" in capsys.readouterr().err
 
     def test_negative_tally_exits_65(self, tmp_path, capsys):
         csv_path = tmp_path / "rounds.csv"

@@ -121,6 +121,13 @@ class TestDeviceProfiles:
         with pytest.raises(DataFormatError, match="JSON"):
             load_device_profiles(bad)
 
+    def test_undecodable_profile_file_is_named(self, tmp_path):
+        bad = tmp_path / "profiles.json"
+        bad.write_bytes(b'{"format_version": 1\xff}')
+        with pytest.raises(DataFormatError) as info:
+            load_device_profiles(bad)
+        assert str(info.value).startswith(f"{bad}: 'utf-8' codec")
+
     def test_run_device_profile_smoke(self):
         profile = get_device_profile("ibmq_belem")
         config = ExperimentConfig(rounds=5, shots=300, lam=profile.fitted_lambda,
@@ -197,30 +204,72 @@ class TestCertifiedRuns:
         np.testing.assert_array_equal(a.alice_bits, b.alice_bits)
         assert a.certificate == b.certificate
 
-    @pytest.mark.parametrize("eta", [1.0, 0.8])
-    def test_fresh_state_rounds_match_isolated_replay(self, eta):
-        """Each round is reproducible in isolation from its derived seed --
-        the memory loophole is closed by construction, and provably so.
-        Under lossy detection the round's detector draws follow its
-        sampling draws on the same stream."""
-        config = ExperimentConfig(rounds=5, shots=400, lam=0.1, master_seed=77)
-        run = run_certified_experiment(config, LoopholeConfig(detection_efficiency=eta))
+    # (rounds, shots, eta, report_all_events, fresh_state, independent, replay)
+    _CHUNK = harness._CHUNK_DRAWS
+    _PER_ROUND_CASES = {
+        "1.0": (5, 400, 1.0, False, True, True, False),
+        "0.8": (5, 400, 0.8, False, True, True, False),
+        "0.8-all-events": (5, 400, 0.8, True, True, True, False),
+        # most rounds keep no shot: they tally zeros and add no all-event fraction
+        "rounds-losing-every-shot": (40, 2, 0.3, True, True, True, False),
+        "stale-state": (5, 400, 1.0, False, False, True, False),
+        "stale-state-0.8": (5, 400, 0.8, True, False, True, False),
+        "dependent-inputs": (40, 10, 0.8, False, True, False, False),
+        "replay": (30, 50, 0.8, True, True, True, True),
+        # 163 rounds of 400 shots fill a chunk; the second chunk is short
+        "ragged-last-chunk": (_CHUNK // 400 + 7, 400, 1.0, False, True, True, False),
+        "shots-above-one-chunk": (2, _CHUNK + 1, 0.8, True, True, True, False),
+    }
+
+    @pytest.mark.parametrize("case", list(_PER_ROUND_CASES))
+    def test_fresh_state_rounds_match_isolated_replay(self, case, tmp_path):
+        """Each round is the per-round recipe: with fresh state, a generator
+        built from the round's derived seed; otherwise the next draws of one
+        stream run through every round.  The round samples its shots, then
+        under lossy detection draws Alice's and then Bob's detector
+        uniforms.  The chunked engine must give exactly these tallies,
+        Alice bits and all-event fractions, whatever the chunk boundaries."""
+        rounds, shots, eta, all_events, fresh, independent, replay = \
+            self._PER_ROUND_CASES[case]
+        replay_x = replay_y = ()
+        if replay:
+            dist = OutcomeDistribution(1, np.array([0.5, 0.5]))
+            for side, seed in (("x", 6), ("y", 7)):
+                path = tmp_path / f"{side}.json"
+                save_counts_record(path, sample(dist, rounds, rng_seed=seed, memory=True))
+            replay_x, replay_y = (str(tmp_path / "x.json"),), (str(tmp_path / "y.json"),)
+        config = ExperimentConfig(rounds=rounds, shots=shots, lam=0.1, master_seed=77,
+                                  replay_x=replay_x, replay_y=replay_y)
+        run = run_certified_experiment(config, LoopholeConfig(
+            independent_inputs=independent, fresh_state_per_round=fresh,
+            detection_efficiency=eta, report_all_events=all_events))
         e = run.experiment
+        if replay:
+            np.testing.assert_array_equal(e.x, replay_backend(replay_x)[:rounds])
+            np.testing.assert_array_equal(e.y, replay_backend(replay_y)[:rounds])
+        rng = make_rng(derive_seed(config.master_seed, "shared-stream"))
         start = 0
+        all_event = []
         for i in range(config.rounds):
-            rng = make_rng(derive_seed(config.master_seed, "round", i))
+            if fresh:
+                rng = make_rng(derive_seed(config.master_seed, "round", i))
             setting = GameSetting(int(e.x[i]), int(e.y[i]))
             dist = round_distribution(setting, config.strategy, config.lam)
-            idx = sample_indices(dist, config.shots, rng=rng)
+            emitted = sample_indices(dist, config.shots, rng=rng)
+            idx = emitted
             if eta < 1.0:
                 detected_a = rng.random(config.shots) < eta
                 detected_b = rng.random(config.shots) < eta
                 idx = idx[detected_a & detected_b]
             assert result_from_indices(idx) == (e.same[i], e.diff[i])
+            if idx.size and all_events and eta < 1.0:
+                same_all, diff_all = result_from_indices(emitted)
+                all_event.append((diff_all if setting.x & setting.y else same_all) / shots)
             alice = run.alice_bits[start:start + idx.size]
             np.testing.assert_array_equal(alice, (idx >> 1) & 1)
             start += idx.size
         assert start == len(run.alice_bits)
+        assert run.all_event_win_fractions.tolist() == all_event
 
     def test_rekey_gives_a_fresh_generators_draws(self):
         rng = make_rng(5)

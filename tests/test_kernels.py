@@ -13,6 +13,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diqrng import _kernels
 from diqrng.randomness import toeplitz_matrix
@@ -39,6 +41,34 @@ def _reference_toeplitz(seed: np.ndarray, x: np.ndarray, out_len: int) -> np.nda
     return out
 
 
+@st.composite
+def _row_tables(draw):
+    """(rows, K) cumulative tables and a (rows, shots) block of uniforms.
+
+    Weights may be zero, so tables hold tied entries; the last-but-one
+    entry may sit one ulp above 1.0, as a rounded cumulative sum can; and
+    uniforms may equal a table entry exactly.
+    """
+    rows = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 6))
+    shots = draw(st.integers(1, 12))
+    weight = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    cdf = np.empty((rows, k))
+    u = np.empty((rows, shots))
+    for r in range(rows):
+        w = np.array(draw(st.lists(weight, min_size=k, max_size=k)))
+        if w.sum() == 0.0:
+            w[:] = 1.0
+        cdf[r] = np.cumsum(w / w.sum())
+        cdf[r, -1] = 1.0
+        if k > 1 and draw(st.booleans()):
+            cdf[r, -2] = np.nextafter(1.0, 2.0)
+        entry = st.sampled_from(sorted(set(cdf[r][cdf[r] < 1.0].tolist())) or [0.0])
+        u[r] = draw(st.lists(st.one_of(entry, st.floats(0.0, 1.0, exclude_max=True)),
+                             min_size=shots, max_size=shots))
+    return cdf, u
+
+
 class TestSampleOutcomes:
     def _cases(self):
         rng = np.random.default_rng(700)
@@ -59,6 +89,17 @@ class TestSampleOutcomes:
         for cdf, u in self._cases():
             got = _kernels.sample_outcomes(cdf, u)
             np.testing.assert_array_equal(got, _reference_sample(cdf, u))
+
+    @settings(deadline=None)
+    @given(_row_tables())
+    def test_row_tables_match_the_search_row_by_row(self, case):
+        cdf, u = case
+        got = _kernels.sample_outcomes(cdf, u)
+        assert got.dtype == np.uint8 and got.shape == u.shape
+        for r in range(cdf.shape[0]):
+            want = _kernels.sample_outcomes(cdf[r], u[r])
+            np.testing.assert_array_equal(got[r], want)
+            np.testing.assert_array_equal(got[r], _reference_sample(cdf[r], u[r]))
 
     def test_zero_width_bin_is_never_selected(self):
         cdf = np.array([0.5, 0.5, 1.0])  # outcome 1 has zero probability

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -356,6 +357,24 @@ class TestCountsRecord:
         for obj in cases:
             with pytest.raises(DataFormatError):
                 CountsRecord.from_json_obj(obj)
+
+    @pytest.mark.parametrize("memory, named", [
+        (["0", "xx", "1", 7, "xx"], "'xx'"),
+        (["1", 7, "xx", "0"], "7"),
+        (["0", ["1"], "xx"], "['1']"),  # unhashable
+        (["0", "1", {"0": 1}], "{'0': 1}"),
+    ], ids=["repeated", "non-string", "list", "dict"])
+    def test_bad_memory_names_the_first_bad_entry(self, memory, named):
+        obj = {"shots": len(memory), "counts": {"0": len(memory)}, "memory": memory}
+        with pytest.raises(DataFormatError, match=rf"memory entry {re.escape(named)} is not"):
+            CountsRecord.from_json_obj(obj)
+
+    def test_record_from_indices_names_every_outcome(self):
+        idx = np.arange(16).repeat(3)
+        rec = record_from_indices(idx, 4, memory=True)
+        assert rec.memory == [format(i, "04b") for i in idx.tolist()]
+        assert rec.counts == {format(i, "04b"): 3 for i in range(16)}
+        rec.validate()
 
     def test_validate_detects_inconsistency(self):
         rec = CountsRecord(shots=3, counts={"0": 1, "1": 1}, memory=None, metadata={})
