@@ -8,10 +8,14 @@ inputs (a benchmark of wrong answers is worthless), then runs
 `--repeats` times; the table reports the best wall time.  The two
 per-row sampling rows draw 1e5 rounds x 100 shots, each round from one of
 four tables, once by a binary search per table and once by the (rows, K)
-form of `sample_outcomes` that the round engine uses.  The
-`uniform_bits` row draws the 1.17e7 Toeplitz seed bits of a 1e7 -> 1 742 455
-hash in chunks and is checked against one whole-length draw.  The Toeplitz
-rows are checked against one FFT convolution over the whole stream.
+form of `sample_outcomes` that the round engine uses.  The round-loop row
+is the engine's per-round fixed cost: 1e4 rounds each take the next round
+seed from `derive_seeds`, `rekey` one generator and draw a 100-shot row;
+it is checked against rows from a fresh
+`make_rng(derive_seed(seed, "round", i))` per round.  The `uniform_bits`
+row draws the 1.17e7 Toeplitz seed bits of a 1e7 -> 1 742 455 hash in
+chunks and is checked against one whole-length draw.  The Toeplitz rows
+are checked against one FFT convolution over the whole stream.
 The two large rows hash a 1e7-bit stream to 1 742 455 bits (the
 budget-sized output of a 1e3 x 1e4-shot run) and to 9e6 bits; their
 reference needs about 1.1 GB.
@@ -25,7 +29,7 @@ import time
 import numpy as np
 
 from diqrng import _kernels
-from diqrng.rng import make_rng, uniform_bits
+from diqrng.rng import derive_seed, derive_seeds, make_rng, rekey, uniform_bits
 
 
 def _best_time(fn, args, repeats: int) -> float:
@@ -54,6 +58,16 @@ def _searchsorted_by_table(tables, table_of_row, u):
         rows = table_of_row == t
         out[rows] = _kernels.sample_outcomes(cdf, u[rows])
     return out
+
+
+def _round_loop(master_seed, rounds, shots):
+    """The round engine's per-round steps: next seed, re-key, draw a row."""
+    rng = make_rng(0)
+    u = np.empty((rounds, shots))
+    for row, seed in zip(u, derive_seeds(master_seed, "round")):
+        rekey(rng, seed)
+        rng.random(out=row)
+    return u
 
 
 def _row(name: str, fn, args, want, repeats: int) -> str:
@@ -102,6 +116,12 @@ def main() -> int:
     print(_row("sample_outcomes rows 1e7", _kernels.sample_outcomes, (row_cdfs, u_rows),
                want_rows, args.repeats))
     del u_rows, want_rows
+
+    want_loop = np.stack([make_rng(derive_seed(1, "round", i)).random(100)
+                          for i in range(10_000)])
+    print(_row("round loop 1e4 x 100", _round_loop, (1, 10_000, 100), want_loop,
+               args.repeats))
+    del want_loop
 
     n_seed = 10_000_000 + 1_742_455 - 1
     want_seed = (make_rng(7).random(n_seed) < 0.5).astype(np.uint8)

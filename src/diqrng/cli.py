@@ -93,6 +93,14 @@ def _unit_float(text: str) -> float:
     return value
 
 
+def _seed64(text: str) -> int:
+    """A seed used directly as a Philox key, so it must fit 64 bits."""
+    value = int(text)
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2**64), got {value}")
+    return value
+
+
 def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -145,7 +153,7 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=("hadamard", "parity"), required=True)
     p.add_argument("--qubits", type=_positive_int, required=True)
     p.add_argument("--shots", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed64, default=0)
     p.add_argument("--out", required=True, metavar="BASE",
                    help="output basename; writes BASE.txt (one line per shot) and BASE.bin")
     p.add_argument("--counts-out", default=None, metavar="FILE",
@@ -162,7 +170,7 @@ def build_parser() -> _Parser:
                    help="output basename; writes BASE.txt and BASE.bin")
     p.add_argument("--out-len", type=_positive_int, default=None,
                    help="toeplitz output length")
-    p.add_argument("--extractor-seed", type=int, default=None,
+    p.add_argument("--extractor-seed", type=_seed64, default=None,
                    help="seed for generating the toeplitz seed bits")
     p.add_argument("--seed-file", default=None,
                    help="text file holding the toeplitz seed bits")

@@ -46,7 +46,7 @@ from .game import (
     round_distribution,
 )
 from .io import atomic_write_text, canonical_json, read_text, round_sig
-from .rng import derive_seed, make_rng, rekey, uniform_bits
+from .rng import derive_seed, derive_seeds, make_rng, rekey, uniform_bits
 from .simulator import CountsRecord, DataFormatError, DataIntegrityError
 
 IDEAL_WIN_PROBABILITY = math.cos(math.pi / 8) ** 2
@@ -316,9 +316,10 @@ def run_certified_experiment(config: ExperimentConfig,
     """Play, certify, and collect Alice's outcome bits for one config.
 
     Round i draws one row of uniforms: its shots' outcome uniforms and,
-    under lossy detection, Alice's and then Bob's detector uniforms.  The
-    round loop only re-keys the generator and draws the row; sampling,
-    detection and tallying run once per chunk of rows.
+    under lossy detection, Alice's and then Bob's detector uniforms.  A
+    fresh-state round re-keys the generator to its own seed and draws its
+    row; a stale-state run draws each chunk of rows in one call.  Sampling,
+    detection and tallying run once per chunk.
     """
     loopholes = loopholes or LoopholeConfig()
     x, y = _referee_columns(config, loopholes)
@@ -328,6 +329,8 @@ def run_certified_experiment(config: ExperimentConfig,
     # one generator per run; with fresh state each round re-keys it to the
     # round's own seed, otherwise one stream runs through every round
     rng = make_rng(derive_seed(config.master_seed, "shared-stream"))
+    round_seeds = (derive_seeds(config.master_seed, "round")
+                   if loopholes.fresh_state_per_round else None)
     # setting code 2x + y; each distribution present is built once
     settings = 2 * x + y
     cdfs = np.zeros((4, 4))
@@ -344,10 +347,14 @@ def run_certified_experiment(config: ExperimentConfig,
     for lo in range(0, n, chunk_rows):
         block = u[:min(chunk_rows, n - lo)]
         hi = lo + block.shape[0]
-        for i, row in enumerate(block, lo):
-            if loopholes.fresh_state_per_round:
-                rekey(rng, derive_seed(config.master_seed, "round", i))
-            rng.random(out=row)
+        if round_seeds is None:
+            # one stream: the block's rows in order are one sequential draw
+            rng.random(out=block)
+        else:
+            # rows first: zip stops on them without pulling one seed too many
+            for row, seed in zip(block, round_seeds):
+                rekey(rng, seed)
+                rng.random(out=row)
         idx = _kernels.sample_outcomes(cdfs[settings[lo:hi]], block[:, :shots])
         if not lossy:
             same[lo:hi], diff[lo:hi] = result_from_indices(idx)

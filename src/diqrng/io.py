@@ -38,6 +38,11 @@ def round_sig(x: float, digits: int = 6) -> float:
     return float(f"{x:.{digits}g}")
 
 
+# exact types the walk hands back unchanged, checked before the call so a
+# long list of strings or ints costs no call per element
+_LEAVES = frozenset({str, int, bool, type(None)})
+
+
 def _canonicalize(obj: Any, precise: bool) -> Any:
     """Floats rounded unless precise, infinities as strings, in one walk."""
     if isinstance(obj, float):
@@ -45,9 +50,10 @@ def _canonicalize(obj: Any, precise: bool) -> Any:
             return "inf" if obj > 0 else "-inf"
         return obj if precise else round_sig(obj)
     if isinstance(obj, dict):
-        return {k: _canonicalize(v, precise) for k, v in obj.items()}
+        return {k: v if type(v) in _LEAVES else _canonicalize(v, precise)
+                for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_canonicalize(v, precise) for v in obj]
+        return [v if type(v) in _LEAVES else _canonicalize(v, precise) for v in obj]
     return obj
 
 

@@ -267,6 +267,15 @@ class TestQrng:
                      "--out", str(tmp_path / "p")])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64], ids=["-1", "2**64"])
+    def test_out_of_range_seed_exits_64(self, tmp_path, capsys, seed):
+        code = main(["qrng", "--mode", "hadamard", "--qubits", "2", "--shots", "10",
+                     "--seed", str(seed), "--out", str(tmp_path / "q"),
+                     "--counts-out", str(tmp_path / "rec.json")])
+        assert code == EXIT_USAGE
+        assert "must be in [0, 2**64)" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     def test_deterministic_for_seed(self, tmp_path, capsys):
         for name in ("a", "b"):
             main(["qrng", "--mode", "hadamard", "--qubits", "2", "--shots", "100",
@@ -328,6 +337,16 @@ class TestExtract:
         assert main(base + ["--out-len", "2"]) == EXIT_USAGE  # no seed source
         assert main(base + ["--out-len", "2", "--extractor-seed", "1",
                             "--seed-file", str(path)]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64], ids=["-1", "2**64"])
+    def test_out_of_range_extractor_seed_exits_64(self, tmp_path, capsys, seed):
+        path = self._bits_file(tmp_path, "10110010" * 4)
+        code = main(["extract", "--in", str(path), "--method", "toeplitz",
+                     "--out-len", "8", "--extractor-seed", str(seed),
+                     "--out", str(tmp_path / "tp")])
+        assert code == EXIT_USAGE
+        assert "must be in [0, 2**64)" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["in.txt"]
 
     def test_kernel_drift_exits_65(self, tmp_path, capsys, monkeypatch):
         from diqrng import _kernels

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diqrng import harness
 from diqrng import rng as rng_module
@@ -45,7 +47,14 @@ from diqrng.harness import (
 )
 from diqrng.game import analytic_win_probability, round_distribution, win_probability_from_dist
 from diqrng.io import atomic_write_text, canonical_json, round_sig
-from diqrng.rng import SourceDepleted, derive_seed, make_rng, rekey, uniform_bits
+from diqrng.rng import (
+    SourceDepleted,
+    derive_seed,
+    derive_seeds,
+    make_rng,
+    rekey,
+    uniform_bits,
+)
 from diqrng.simulator import (
     DataFormatError,
     DataIntegrityError,
@@ -283,6 +292,33 @@ class TestCertifiedRuns:
         np.testing.assert_array_equal(rng.integers(0, 2 ** 32, size=5, dtype=np.uint32),
                                       fresh.integers(0, 2 ** 32, size=5, dtype=np.uint32))
         np.testing.assert_array_equal(rng.random(7), fresh.random(7))
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1],
+                             ids=["0", "2**63-1", "2**63", "2**64-1"])
+    def test_rekey_matches_make_rng_at_the_key_edges(self, seed):
+        rng = make_rng(5)
+        rng.random(3)
+        rng.integers(0, 2 ** 32, size=3, dtype=np.uint32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        rekey(rng, seed)
+        fresh = make_rng(seed)
+        np.testing.assert_array_equal(rng.integers(0, 2 ** 32, size=5, dtype=np.uint32),
+                                      fresh.integers(0, 2 ** 32, size=5, dtype=np.uint32))
+        np.testing.assert_array_equal(rng.random(7), fresh.random(7))
+
+    @settings(deadline=None, max_examples=40)
+    @given(master=st.one_of(st.sampled_from([0, -1, 2 ** 64, 2 ** 64 + 1]),
+                            st.integers(-2 ** 70, 2 ** 70)),
+           n=st.integers(0, 3000))
+    def test_derive_seeds_equal_one_derive_seed_per_index(self, master, n):
+        seeds = derive_seeds(master, "round")
+        assert [next(seeds) for _ in range(n)] == [derive_seed(master, "round", i)
+                                                   for i in range(n)]
+
+    def test_derive_seeds_with_a_longer_path(self):
+        seeds = derive_seeds(-3, "bits", 12)
+        assert [next(seeds) for _ in range(50)] == [derive_seed(-3, "bits", 12, i)
+                                                    for i in range(50)]
 
     def test_chunked_uniform_bits_equal_one_whole_draw(self):
         chunk = rng_module._BITS_CHUNK
@@ -566,6 +602,24 @@ class TestCanonicalIo:
         assert exact == value
         # infinities are still encoded as strings in precise mode
         assert json.loads(canonical_json({"v": math.inf}, precise=True))["v"] == "inf"
+
+    @pytest.mark.parametrize("precise", [False, True], ids=["rounded", "precise"])
+    def test_mixed_nested_object_text(self, precise):
+        obj = {"label": "run", "n": 3, "ok": True, "missing": None, "p": 0.123456789,
+               "big": 123456789.0, "hi": math.inf, "lo": -math.inf,
+               "third": np.float64(1 / 3),
+               "rows": [1, "a", False, None, 2.0000001,
+                        [math.inf, {"k": -math.inf, "v": [7, 0.5, "s"]}]],
+               "pair": (1, math.e)}
+        want = {"label": "run", "n": 3, "ok": True, "missing": None,
+                "p": 0.123456789 if precise else 0.123457,
+                "big": 123456789.0 if precise else 123457000.0, "hi": "inf", "lo": "-inf",
+                "third": 1 / 3 if precise else 0.333333,
+                "rows": [1, "a", False, None, 2.0000001 if precise else 2.0,
+                         ["inf", {"k": "-inf", "v": [7, 0.5, "s"]}]],
+                "pair": [1, math.e if precise else 2.71828]}
+        assert canonical_json(obj, precise=precise) == json.dumps(
+            want, sort_keys=True, separators=(",", ": "), indent=1)
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         path = tmp_path / "out.txt"
