@@ -7,16 +7,22 @@ max(0, 1 - log2(1 + sqrt(2 - s^2/4))).  The rate is 0 at or below the
 classical point s = 2 and reaches 1 at the maximal quantum value
 s = 2*sqrt(2).  A run is CERTIFIED only when z clears the threshold
 (default 5) and s exceeds 2.
+
+certificate.json is written, read and gated here only.  Loading re-issues
+the certificate from its stored p_win, n and threshold_z and refuses the
+file unless every stored field agrees with the re-issued one.
 """
 
 from __future__ import annotations
 
 import enum
+import json
 import math
-from dataclasses import dataclass
-from typing import Any, Mapping
+import os
+from dataclasses import asdict, dataclass
 
 from .game import ExperimentResult
+from .io import DataFormatError, canonical_json, read_text
 
 CLASSICAL_S = 2.0
 TSIRELSON_S = 2.0 * math.sqrt(2.0)
@@ -39,16 +45,17 @@ def s_value(p_win: float) -> float:
 def violation_significance(p_win: float, n: int) -> float:
     """Z-score of p_win above 3/4 under the binomial null with n shots.
 
-    Degenerate inputs p_win in {0, 1} have zero estimated variance; the
-    z-score is then a signed infinity (sign of p_win - 3/4).
+    Where the estimated variance is zero (p_win in {0, 1}, or so small against
+    n that it underflows) the z-score is a signed infinity, the sign of p_win - 3/4.
     """
     if not (0.0 <= p_win <= 1.0):
         raise ValueError(f"p_win must be in [0, 1], got {p_win!r}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if p_win == 0.0 or p_win == 1.0:
+    variance = p_win * (1.0 - p_win) / n
+    if variance == 0.0:
         return math.inf if p_win > 0.75 else -math.inf
-    return (p_win - 0.75) / math.sqrt(p_win * (1.0 - p_win) / n)
+    return (p_win - 0.75) / math.sqrt(variance)
 
 
 def min_entropy_rate(s: float) -> float:
@@ -76,44 +83,6 @@ class Certificate:
     verdict: Verdict
     threshold_z: float
 
-    def __post_init__(self):
-        if self.p_win is not None:
-            want = s_value(self.p_win)
-            if abs(self.s - want) > 1e-12:
-                raise ValueError(f"s = {self.s!r} inconsistent with p_win (want {want!r})")
-
-    def to_json_obj(self) -> dict[str, Any]:
-        return {
-            "p_win": self.p_win,
-            "n": self.n,
-            "s": self.s,
-            "z": self.z,
-            "min_entropy_rate": self.min_entropy_rate,
-            "verdict": self.verdict.value,
-            "threshold_z": self.threshold_z,
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: Mapping[str, Any]) -> "Certificate":
-        def _num(v: Any) -> float | None:
-            if v is None:
-                return None
-            if v == "inf":
-                return math.inf
-            if v == "-inf":
-                return -math.inf
-            return float(v)
-
-        return cls(
-            p_win=_num(obj["p_win"]),
-            n=int(obj["n"]),
-            s=_num(obj["s"]),
-            z=_num(obj["z"]),
-            min_entropy_rate=_num(obj["min_entropy_rate"]),
-            verdict=Verdict(obj["verdict"]),
-            threshold_z=float(obj["threshold_z"]),
-        )
-
 
 def certify_pooled(p_win: float, n: int,
                    threshold_z: float = DEFAULT_THRESHOLD_Z) -> Certificate:
@@ -136,7 +105,46 @@ def certify_pooled(p_win: float, n: int,
 def certify(experiment: ExperimentResult,
             threshold_z: float = DEFAULT_THRESHOLD_Z) -> Certificate:
     """Pool all shots of an experiment and certify the result."""
-    n = experiment.total_shots()
-    if n < 1:
-        return certify_pooled(0.0, 0, threshold_z)
-    return certify_pooled(experiment.pooled_win_fraction(), n, threshold_z)
+    return certify_pooled(experiment.pooled_win_fraction(), experiment.total_shots(),
+                          threshold_z)
+
+
+def certificate_text(cert: Certificate) -> str:
+    """The bytes of certificate.json: every field, canonical JSON at full float precision."""
+    obj = {**asdict(cert), "verdict": cert.verdict.value}
+    return canonical_json(obj, precise=True) + "\n"
+
+
+def load_certificate(path: str | os.PathLike) -> Certificate:
+    """Re-issue a stored certificate from its p_win, n and threshold_z.
+
+    The file is refused unless it holds exactly the re-issued certificate's
+    fields and values, so no field can be edited on its own.
+    """
+    text = read_text(path)  # outside the try: an undecodable file keeps its own message
+    try:
+        obj = json.loads(text)
+        p_win, n, threshold_z = obj["p_win"], obj["n"], obj["threshold_z"]
+        if type(p_win) not in (int, float, type(None)):
+            raise TypeError(f"p_win must be a number or null, got {p_win!r}")
+        if type(n) is not int:
+            raise TypeError(f"n must be an integer, got {n!r}")
+        if type(threshold_z) not in (int, float) or not math.isfinite(threshold_z):
+            raise ValueError(f"threshold_z must be a finite number, got {threshold_z!r}")
+        cert = certify_pooled(p_win, n, threshold_z)
+        if canonical_json(obj, precise=True) + "\n" != certificate_text(cert):
+            raise ValueError("stored fields differ from the certificate that "
+                             "p_win, n and threshold_z give")
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+        raise DataFormatError(f"{os.fspath(path)}: bad certificate: {exc}") from exc
+    return cert
+
+
+def certified_rate(path: str | os.PathLike) -> float:
+    """The min-entropy rate a certificate file authorises; only CERTIFIED has one."""
+    cert = load_certificate(path)
+    if cert.verdict is not Verdict.CERTIFIED:
+        raise DataFormatError(
+            f"{os.fspath(path)}: only a CERTIFIED certificate with a rate "
+            f"authorises extraction, got {cert.verdict.value}")
+    return cert.min_entropy_rate

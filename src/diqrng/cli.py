@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import sys
@@ -21,7 +20,8 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import __version__
-from .certify import DEFAULT_THRESHOLD_Z, Certificate, Verdict, certify
+from .certify import (DEFAULT_THRESHOLD_Z, Certificate, Verdict, certificate_text,
+                      certified_rate, certify)
 from .game import ConfigError
 from .harness import (
     ExperimentConfig,
@@ -35,7 +35,7 @@ from .harness import (
     save_counts_record,
     write_rounds_csv,
 )
-from .io import atomic_write_text, canonical_json, read_text, round_sig
+from .io import atomic_write_text, canonical_json, round_sig
 from .randomness import (
     BATTERY_TESTS,
     DEFAULT_BLOCK_LEN,
@@ -133,7 +133,8 @@ def build_parser() -> _Parser:
     p.add_argument("--efficiency", type=float, default=1.0,
                    help="per-party detection efficiency in (0,1] (default 1)")
     p.add_argument("--report-all-events", action="store_true",
-                   help="also record win fractions with missed shots as losses")
+                   help="also record win fractions over every emitted pair, "
+                        "undetected shots scored by their true outcome")
     p.add_argument("--dependent-inputs", action="store_true",
                    help="leave the input-independence loophole open (one stream for x and y)")
     p.add_argument("--stale-state", action="store_true",
@@ -257,10 +258,8 @@ def cmd_play(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
 
     write_rounds_csv(os.path.join(out_dir, "rounds.csv"), run.experiment)
-    # precise floats: this file feeds `extract --certificate` and must
-    # reload into an internally-consistent Certificate
     atomic_write_text(os.path.join(out_dir, "certificate.json"),
-                      canonical_json(run.certificate.to_json_obj(), precise=True) + "\n")
+                      certificate_text(run.certificate))
     summary = run_summary(run.experiment, args.profile or "experiment")
     summary.update({
         "shots_per_round": config.shots,
@@ -287,29 +286,28 @@ def cmd_play(args) -> int:
     save_bits_text(os.path.join(out_dir, "alice_bits.txt"), run.alice_bits)
     save_bits_packed(os.path.join(out_dir, "alice_bits.bin"), run.alice_bits)
 
-    cert = run.certificate
-    print(f"verdict={cert.verdict.value} p_win={_fmt(cert.p_win)} s={_fmt(cert.s)} "
-          f"z={_fmt(cert.z)} min_entropy_rate={_fmt(cert.min_entropy_rate)} "
-          f"bits={len(run.alice_bits)} out={out_dir}")
-    return EXIT_OK if cert.verdict is Verdict.CERTIFIED else EXIT_NOT_VIOLATED
+    print(f"{_verdict_line(run.certificate)} bits={len(run.alice_bits)} out={out_dir}")
+    return EXIT_OK if run.certificate.verdict is Verdict.CERTIFIED else EXIT_NOT_VIOLATED
 
 
 def _fmt(x: float | None) -> str:
     if x is None:
         return "n/a"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{round_sig(x):g}"
+    return f"{round_sig(x):g}"  # infinities pass round_sig and print as inf, -inf
+
+
+def _verdict_line(cert: Certificate) -> str:
+    return (f"verdict={cert.verdict.value} p_win={_fmt(cert.p_win)} s={_fmt(cert.s)} "
+            f"z={_fmt(cert.z)} min_entropy_rate={_fmt(cert.min_entropy_rate)}")
 
 
 def cmd_certify(args) -> int:
     experiment = read_rounds_csv(args.rounds_csv)
     cert = certify(experiment, args.threshold_z)
-    text = canonical_json(cert.to_json_obj(), precise=True) + "\n"
+    text = certificate_text(cert)
     if args.out:
         atomic_write_text(args.out, text)
-    print(f"verdict={cert.verdict.value} p_win={_fmt(cert.p_win)} s={_fmt(cert.s)} "
-          f"z={_fmt(cert.z)} min_entropy_rate={_fmt(cert.min_entropy_rate)}")
+    print(_verdict_line(cert))
     if not args.out:
         sys.stdout.write(text)
     return EXIT_OK if cert.verdict is Verdict.CERTIFIED else EXIT_NOT_VIOLATED
@@ -340,25 +338,16 @@ def cmd_extract(args) -> int:
             raise ConfigError("toeplitz extraction needs --out-len")
         if (args.extractor_seed is None) == (args.seed_file is None):
             raise ConfigError("provide exactly one of --extractor-seed or --seed-file")
+        rate = args.rate
+        if args.certificate:
+            if rate is not None:
+                raise ConfigError("--rate and --certificate are mutually exclusive")
+            rate = certified_rate(args.certificate)
         need = len(stream) + args.out_len - 1
         if args.seed_file:
             seed_bits = load_bits_text(args.seed_file)
         else:
             seed_bits = toeplitz_seed_bits(len(stream), args.out_len, args.extractor_seed)
-        rate = args.rate
-        if args.certificate:
-            if rate is not None:
-                raise ConfigError("--rate and --certificate are mutually exclusive")
-            text = read_text(args.certificate)
-            try:
-                cert = Certificate.from_json_obj(json.loads(text))
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise DataFormatError(f"{args.certificate}: bad certificate: {exc}") from exc
-            if cert.verdict is not Verdict.CERTIFIED or cert.min_entropy_rate is None:
-                raise DataFormatError(
-                    f"{args.certificate}: only a CERTIFIED certificate with a rate "
-                    f"authorises extraction, got {cert.verdict.value}")
-            rate = cert.min_entropy_rate
         if seed_bits.size != need:
             raise DataFormatError(
                 f"seed bits: need {need} (in_len + out_len - 1), got {seed_bits.size}")
@@ -413,10 +402,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (DataFormatError, DataIntegrityError) as exc:
-        print(f"diqrng: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except SourceDepleted as exc:
+    except (DataFormatError, DataIntegrityError, SourceDepleted) as exc:
         print(f"diqrng: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except FloatingPointError as exc:

@@ -281,9 +281,6 @@ class ExperimentResult:
     def total_shots(self) -> int:
         return int(self.shots.sum())
 
-    def total_wins(self) -> int:
-        return int(self.wins.sum())
-
     def pooled_win_fraction(self) -> float:
         total = self.total_shots()
-        return self.total_wins() / total if total else 0.0
+        return int(self.wins.sum()) / total if total else 0.0

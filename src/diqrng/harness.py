@@ -15,8 +15,8 @@ Loophole posture (documented, not silently assumed):
   turning this off threads one stream through all rounds.
 * detection_efficiency — each party's detector fires per shot with
   probability eta; only coincident shots enter the tallies, and
-  report_all_events additionally records win fractions with missed
-  shots counted as losses.
+  report_all_events additionally records each round's win fraction over
+  every emitted pair, undetected shots scored by their true outcome.
 * Spacelike separation cannot hold between two software-simulated
   parties; that loophole stays open here by construction.
 """
@@ -156,6 +156,13 @@ def _json_int(value: Any, name: str) -> int:
     return value
 
 
+def _json_names(value: Any, name: str) -> tuple[str, ...]:
+    """A JSON list of file names; a bare string or a number (a descriptor) is refused."""
+    if type(value) is not list or not all(type(v) is str for v in value):
+        raise TypeError(f"{name} must be a list of file names, got {value!r}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything needed to reproduce a run, serializable as JSON."""
@@ -216,8 +223,8 @@ class ExperimentConfig:
                 global_offset=float(strat.get("global_offset", 0.0)),
             )
             source = obj.get("input_source") or {"mode": "seeded"}
-            replay_x = tuple(source.get("x_files", ()))
-            replay_y = tuple(source.get("y_files", ()))
+            replay_x = _json_names(source.get("x_files", []), "x_files")
+            replay_y = _json_names(source.get("y_files", []), "y_files")
             mode = source.get("mode", "seeded")
             if mode not in ("seeded", "replay") or (mode == "replay") != bool(replay_x or replay_y):
                 raise ValueError(f"input_source mode {mode!r} does not match the files given")
@@ -408,8 +415,9 @@ def read_rounds_csv(path: str | os.PathLike) -> ExperimentResult:
         raise DataFormatError(f"{path}: unexpected header {header!r}")
     table, stored = [], []
     for row in reader:
-        if len(row) != len(ROUNDS_CSV_FIELDS):
-            raise DataFormatError(f"{path}: malformed row {row!r}")
+        if len(row) != len(ROUNDS_CSV_FIELDS) or row[0] != str(len(table)):
+            raise DataFormatError(f"{path}: malformed row {row!r}: want {len(ROUNDS_CSV_FIELDS)} "
+                                  f"fields, the first its round_index {len(table)}")
         try:
             x, y, same, diff = (int(v) for v in row[1:5])
             stored.append(float(row[5]))

@@ -8,11 +8,16 @@ second route where that is practical.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from diqrng.certify import (
     CLASSICAL_S,
@@ -20,14 +25,17 @@ from diqrng.certify import (
     TSIRELSON_S,
     Certificate,
     Verdict,
+    certificate_text,
+    certified_rate,
     certify,
     certify_pooled,
+    load_certificate,
     min_entropy_rate,
     s_value,
     violation_significance,
 )
 from diqrng.harness import ExperimentConfig, run_certified_experiment
-from diqrng.io import canonical_json
+from diqrng.io import DataFormatError, atomic_write_text
 
 # frozen reference values (independent evaluation of the closed forms)
 S_AT_BELEM_TARGET = 2.3697600000000003          # 8 * 0.79622 - 4
@@ -73,6 +81,11 @@ class TestViolationSignificance:
     def test_degenerate_inputs_are_signed_infinities(self):
         assert violation_significance(1.0, 100) == math.inf
         assert violation_significance(0.0, 100) == -math.inf
+
+    def test_underflowing_variance_is_a_signed_infinity(self):
+        # p * (1 - p) / n rounds to 0.0 here; dividing by its root would raise
+        assert violation_significance(5e-324, 10**12) == -math.inf
+        assert certify_pooled(5e-324, 10**12).z == -math.inf
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -162,33 +175,87 @@ class TestCertifyPooled:
         assert certify_pooled(p, n, threshold_z=z - 0.01).verdict is Verdict.CERTIFIED
 
 
+def _save(path, cert: Certificate):
+    atomic_write_text(path, certificate_text(cert))
+    return path
+
+
+# a JSON value of each kind, to stand in for a stored field
+_json_values = st.one_of(st.none(), st.booleans(), st.integers(),
+                         st.floats(allow_infinity=False), st.text(max_size=12),
+                         st.sampled_from([v.value for v in Verdict] + ["inf", "-inf"]))
+
+
 class TestCertificate:
-    def test_consistency_check(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            Certificate(p_win=0.8, n=10, s=2.0, z=1.0, min_entropy_rate=0.0,
-                        verdict=Verdict.NOT_VIOLATED, threshold_z=5.0)
+    def test_consistency_check(self, tmp_path):
+        # the loader, not the constructor, refuses an s that p_win does not give
+        path = _save(tmp_path / "c.json", dataclasses.replace(certify_pooled(0.8, 10), s=2.0))
+        with pytest.raises(DataFormatError, match="bad certificate"):
+            load_certificate(path)
 
-    def test_json_round_trip_is_exact(self):
+    def test_json_round_trip_is_exact(self, tmp_path):
         cert = certify_pooled(0.82448, 100_000)
-        obj = json.loads(canonical_json(cert.to_json_obj(), precise=True))
-        back = Certificate.from_json_obj(obj)
-        assert back == cert
+        assert load_certificate(_save(tmp_path / "c.json", cert)) == cert
 
-    def test_marginal_violation_round_trips(self):
+    def test_marginal_violation_round_trips(self, tmp_path):
         # s - 2 = 8*(p - 3/4) carries fewer leading digits than p itself, so
-        # a rounding serializer would break the internal consistency check;
-        # the precise writer must not
+        # a rounding serializer would break the re-issued comparison; the
+        # precise writer must not
         cert = certify_pooled(0.750001, 10**6)
-        back = Certificate.from_json_obj(
-            json.loads(canonical_json(cert.to_json_obj(), precise=True)))
-        assert back == cert
+        assert load_certificate(_save(tmp_path / "c.json", cert)) == cert
 
-    def test_infinite_z_survives_canonical_json(self):
+    def test_infinite_z_survives_canonical_json(self, tmp_path):
         cert = certify_pooled(1.0, 50)
-        text = canonical_json(cert.to_json_obj(), precise=True)
-        assert '"inf"' in text
-        back = Certificate.from_json_obj(json.loads(text))
+        assert '"inf"' in certificate_text(cert)
+        back = load_certificate(_save(tmp_path / "c.json", cert))
         assert back.z == math.inf
+
+    @settings(deadline=None, max_examples=200)
+    @given(p=st.one_of(st.sampled_from([0.0, 0.75, 1.0]), st.floats(0.0, 1.0)),
+           n=st.one_of(st.just(0), st.integers(1, 10**12)),
+           threshold_z=st.floats(allow_nan=False, allow_infinity=False))
+    def test_save_then_load_gives_back_the_certificate(self, p, n, threshold_z):
+        cert = certify_pooled(p, n, threshold_z)
+        with tempfile.TemporaryDirectory() as d:
+            assert load_certificate(_save(os.path.join(d, "c.json"), cert)) == cert
+
+    @settings(deadline=None, max_examples=300)
+    @given(p=st.one_of(st.sampled_from([0.0, 0.75, 1.0]), st.floats(0.0, 1.0)),
+           n=st.one_of(st.just(0), st.integers(1, 10**12)),
+           threshold_z=st.floats(-10.0, 10.0),
+           field=st.sampled_from(["s", "z", "min_entropy_rate", "verdict"]),
+           value=_json_values)
+    def test_any_one_forged_field_is_refused(self, p, n, threshold_z, field, value):
+        cert = certify_pooled(p, n, threshold_z)
+        obj = json.loads(certificate_text(cert))
+        assume(type(value) is not type(obj[field]) or value != obj[field])
+        obj[field] = value
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "c.json")
+            atomic_write_text(path, json.dumps(obj))
+            with pytest.raises(DataFormatError, match="bad certificate"):
+                load_certificate(path)
+
+    @pytest.mark.parametrize("field", [
+        {"n": 1000.0}, {"n": True}, {"threshold_z": math.inf}, {"threshold_z": "5"},
+        {"p_win": "0.8"}, {"p_win": None}, {"extra": 1},
+    ], ids=["n-float", "n-bool", "threshold-infinite", "threshold-string",
+            "p-string", "p-null", "extra-field"])
+    def test_malformed_inputs_are_refused(self, tmp_path, field):
+        obj = {**json.loads(certificate_text(certify_pooled(0.85, 1000))), **field}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(DataFormatError, match="bad certificate"):
+            load_certificate(path)
+
+    def test_only_certified_authorises_a_rate(self, tmp_path):
+        cert = certify_pooled(0.85, 10_000)
+        assert cert.verdict is Verdict.CERTIFIED
+        assert certified_rate(_save(tmp_path / "ok.json", cert)) == cert.min_entropy_rate
+        for p, n in ((0.7, 10_000), (0.85, 0)):
+            path = _save(tmp_path / "no.json", certify_pooled(p, n))
+            with pytest.raises(DataFormatError, match="only a CERTIFIED"):
+                certified_rate(path)
 
 
 class TestCertifyExperiment:

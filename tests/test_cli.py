@@ -140,6 +140,19 @@ class TestPlay:
         assert "malformed experiment config" in capsys.readouterr().err
         assert not (tmp_path / "out" / "rounds.csv").exists()
 
+    @pytest.mark.parametrize("files", ["abc", [1], [0]],
+                             ids=["string", "stdout-descriptor", "stdin-descriptor"])
+    def test_config_file_lists_must_be_lists_of_names(self, tmp_path, capsys, files):
+        # "abc" would open files a, b and c; an int is opened as a file descriptor
+        config = {"format_version": 1, "rounds": 2, "shots": 10,
+                  "input_source": {"mode": "replay", "x_files": files, "y_files": ["y.json"]}}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        code = main(["play", "--config", str(config_path), "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        assert "x_files must be a list of file names" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_undecodable_config_file_exits_65(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_bytes(b'{"rounds": 2, "shots": 10\xff}')
@@ -429,6 +442,23 @@ class TestExtract:
         assert "bad certificate" in capsys.readouterr().err
         assert not (tmp_path / "hashed.txt").exists()
 
+    def test_forged_certificate_exits_65(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert main(["play", "--rounds", "20", "--shots", "200", "--lambda", "0.6",
+                     "--seed", "3", "--out-dir", str(run_dir)]) == EXIT_NOT_VIOLATED
+        cert = json.loads((run_dir / "certificate.json").read_text())
+        assert cert["verdict"] == "NOT_VIOLATED" and cert["s"] < 2
+        cert.update({"verdict": "CERTIFIED", "min_entropy_rate": 1.0})
+        forged = tmp_path / "forged.json"
+        forged.write_text(json.dumps(cert))
+        code = main(["extract", "--in", str(run_dir / "alice_bits.txt"),
+                     "--method", "toeplitz", "--out-len", "3000", "--extractor-seed", "6",
+                     "--certificate", str(forged), "--out", str(tmp_path / "hashed")])
+        assert code == EXIT_DATA
+        assert "bad certificate" in capsys.readouterr().err
+        assert not (tmp_path / "hashed.txt").exists()
+        assert not (tmp_path / "hashed.bin").exists()
+
     def test_undecodable_certificate_is_named(self, tmp_path, capsys):
         path = self._bits_file(tmp_path, "10" * 100)
         cert_path = tmp_path / "certificate.json"
@@ -551,6 +581,24 @@ class TestCertifyCommand:
         lines[2] = head + ",0.999999"
         csv_path.write_text("\n".join(lines) + "\n")
         assert main(["certify", "--rounds-csv", str(csv_path)]) == EXIT_DATA
+
+    @pytest.mark.parametrize("command", ["certify", "report"])
+    @pytest.mark.parametrize("tamper", ["reversed", "unnumbered"])
+    def test_round_index_out_of_place_exits_65(self, tmp_path, capsys, command, tamper):
+        run_dir = tmp_path / "run"
+        main(["play", "--rounds", "4", "--shots", "64", "--out-dir", str(run_dir)])
+        csv_path = run_dir / "rounds.csv"
+        lines = csv_path.read_text().splitlines()
+        rows = lines[2:][::-1]
+        if tamper == "unnumbered":
+            rows = ["zz," + row.split(",", 1)[1] for row in rows]
+        csv_path.write_text("\n".join(lines[:2] + rows) + "\n")
+        args = [command, "--rounds-csv", str(csv_path)]
+        if command == "report":
+            args += ["--out-dir", str(tmp_path / "reports")]
+        assert main(args) == EXIT_DATA
+        assert "round_index" in capsys.readouterr().err
+        assert not (tmp_path / "reports").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_threshold_exits_64(self, tmp_path, capsys, value):
