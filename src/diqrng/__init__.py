@@ -41,7 +41,6 @@ from .harness import (
     DeviceProfile,
     ExperimentConfig,
     IDEAL_WIN_PROBABILITY,
-    LoopholeConfig,
     UnfittableTargetError,
     emit_reports,
     fit_lambda,

@@ -15,7 +15,7 @@ import dataclasses
 import math
 import os
 import sys
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,8 +24,8 @@ from .certify import (DEFAULT_THRESHOLD_Z, Certificate, Verdict, certificate_tex
                       certified_rate, certify)
 from .game import ConfigError
 from .harness import (
+    LOOPHOLE_FIELDS,
     ExperimentConfig,
-    LoopholeConfig,
     emit_reports,
     fit_lambda,
     get_device_profile,
@@ -64,6 +64,10 @@ EXIT_DATA = 65
 EXIT_IO = 74
 
 ENV_OUT_DIR = "DIQRNG_OUT_DIR"
+OUT_DIR_HELP = f"output directory (default ${ENV_OUT_DIR} or .)"
+
+# play's flags whose dest is the ExperimentConfig field they override
+_PLAY_FIELDS = ("rounds", "shots", "lam", "master_seed", "threshold_z", *LOOPHOLE_FIELDS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -122,7 +126,8 @@ def build_parser() -> _Parser:
                    help="depolarizing level in [0,1]")
     p.add_argument("--profile", default=None,
                    help="device profile name; sets lambda from its fitted value")
-    p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
+    p.add_argument("--seed", dest="master_seed", type=int, default=None, metavar="SEED",
+                   help="master seed (default 0)")
     p.add_argument("--threshold-z", type=_finite_float, default=None,
                    help=f"certification z threshold (default {DEFAULT_THRESHOLD_Z:g})")
     p.add_argument("--config", default=None, help="experiment config JSON to start from")
@@ -130,16 +135,18 @@ def build_parser() -> _Parser:
                    help="counts-record files replayed for Alice's inputs")
     p.add_argument("--replay-y", nargs="+", default=None, metavar="FILE",
                    help="counts-record files replayed for Bob's inputs")
-    p.add_argument("--efficiency", type=float, default=1.0,
-                   help="per-party detection efficiency in (0,1] (default 1)")
-    p.add_argument("--report-all-events", action="store_true",
+    p.add_argument("--efficiency", dest="detection_efficiency", type=float, default=None,
+                   metavar="EFFICIENCY", help="per-party detection efficiency in (0,1] (default 1)")
+    p.add_argument("--report-all-events", action="store_const", const=True, default=None,
                    help="also record win fractions over every emitted pair, "
                         "undetected shots scored by their true outcome")
-    p.add_argument("--dependent-inputs", action="store_true",
+    p.add_argument("--dependent-inputs", dest="independent_inputs", action="store_const",
+                   const=False, default=None,
                    help="leave the input-independence loophole open (one stream for x and y)")
-    p.add_argument("--stale-state", action="store_true",
+    p.add_argument("--stale-state", dest="fresh_state_per_round", action="store_const",
+                   const=False, default=None,
                    help="leave the memory loophole open (one stream across rounds)")
-    p.add_argument("--out-dir", default=None, help=f"output directory (default ${ENV_OUT_DIR} or .)")
+    p.add_argument("--out-dir", default=None, help=OUT_DIR_HELP)
     p.set_defaults(func=cmd_play)
 
     p = sub.add_parser("certify",
@@ -202,7 +209,7 @@ def build_parser() -> _Parser:
                        help="emit running-average, histogram, density, and summary files")
     p.add_argument("--rounds-csv", required=True)
     p.add_argument("--label", default="experiment")
-    p.add_argument("--out-dir", default=None)
+    p.add_argument("--out-dir", default=None, help=OUT_DIR_HELP)
     p.set_defaults(func=cmd_report)
 
     return parser
@@ -221,23 +228,11 @@ def _load_stream(path: str, n_bits: int | None) -> np.ndarray:
 
 
 def cmd_play(args) -> int:
-    if args.config:
-        config = ExperimentConfig.from_file(args.config)
-    else:
-        config = ExperimentConfig()
+    config = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
     if args.lam is not None and args.profile:
         raise ConfigError("--lambda and --profile are mutually exclusive")
-    updates: dict[str, Any] = {}
-    if args.rounds is not None:
-        updates["rounds"] = args.rounds
-    if args.shots is not None:
-        updates["shots"] = args.shots
-    if args.seed is not None:
-        updates["master_seed"] = args.seed
-    if args.threshold_z is not None:
-        updates["threshold_z"] = args.threshold_z
-    if args.lam is not None:
-        updates["lam"] = args.lam
+    updates = {name: getattr(args, name) for name in _PLAY_FIELDS
+               if getattr(args, name) is not None}
     profile = None
     if args.profile:
         profile = get_device_profile(args.profile)
@@ -245,15 +240,8 @@ def cmd_play(args) -> int:
     if args.replay_x or args.replay_y:
         updates["replay_x"] = tuple(args.replay_x or ())
         updates["replay_y"] = tuple(args.replay_y or ())
-    if updates:
-        config = dataclasses.replace(config, **updates)
-    loopholes = LoopholeConfig(
-        independent_inputs=not args.dependent_inputs,
-        fresh_state_per_round=not args.stale_state,
-        detection_efficiency=args.efficiency,
-        report_all_events=args.report_all_events,
-    )
-    run = run_certified_experiment(config, loopholes)
+    config = dataclasses.replace(config, **updates)
+    run = run_certified_experiment(config)
     out_dir = args.out_dir or _default_out_dir()
     os.makedirs(out_dir, exist_ok=True)
 
@@ -266,21 +254,17 @@ def cmd_play(args) -> int:
         "lambda": config.lam,
         "master_seed": config.master_seed,
         "verdict": run.certificate.verdict.value,
-        "loopholes": {
-            "independent_inputs": loopholes.independent_inputs,
-            "fresh_state_per_round": loopholes.fresh_state_per_round,
-            "detection_efficiency": loopholes.detection_efficiency,
-            "report_all_events": loopholes.report_all_events,
-            "spacelike_separation": "open (single-process simulation)",
-        },
+        "loopholes": {**{name: getattr(config, name) for name in LOOPHOLE_FIELDS},
+                      "spacelike_separation": "open (single-process simulation)"},
     })
     if profile is not None:
         summary["avg_win_target"] = profile.avg_win_target
-    if loopholes.report_all_events and loopholes.detection_efficiency < 1.0:
-        if run.all_event_win_fractions.size:
-            summary["all_event_p_avg"] = float(run.all_event_win_fractions.mean())
+    if config.detection_efficiency < 1.0:
         summary["detected_fraction"] = (run.experiment.total_shots()
                                         / (config.rounds * config.shots))
+    # present only with report_all_events, and only if some round kept a shot
+    if run.all_event_win_fractions.size:
+        summary["all_event_p_avg"] = float(run.all_event_win_fractions.mean())
     atomic_write_text(os.path.join(out_dir, "summary.json"),
                       canonical_json(summary) + "\n")
     save_bits_text(os.path.join(out_dir, "alice_bits.txt"), run.alice_bits)

@@ -5,7 +5,7 @@ average, play seeded or replayed rounds under explicit loophole controls,
 certify the pooled statistics, hand back Alice's outcome bits as the
 certified stream, and emit the standard report files.
 
-Loophole posture (documented, not silently assumed):
+Loophole posture (ExperimentConfig fields, documented, not silently assumed):
 
 * independent_inputs — x and y come from two independently seeded (or
   separately recorded) sources; turning this off reuses one stream for
@@ -107,7 +107,7 @@ def load_device_profiles(path: str | os.PathLike | None = None) -> list[DevicePr
     for row in obj.get("profiles", []):
         try:
             name = row["name"]
-            target = float(row["avg_win_target"])
+            target = _json_float(row["avg_win_target"], "avg_win_target")
         except (KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"malformed profile row: {row!r}") from exc
         profiles.append(DeviceProfile(
@@ -134,25 +134,24 @@ def get_device_profile(name: str, path: str | os.PathLike | None = None) -> Devi
 # configuration
 # ============================================================
 
-@dataclass(frozen=True)
-class LoopholeConfig:
-    """Explicit switches for the addressable loopholes."""
-
-    independent_inputs: bool = True
-    fresh_state_per_round: bool = True
-    detection_efficiency: float = 1.0
-    report_all_events: bool = False
-
-    def __post_init__(self):
-        eta = self.detection_efficiency
-        if not (0.0 < eta <= 1.0):
-            raise ConfigError(f"detection_efficiency must be in (0, 1], got {eta!r}")
-
-
 def _json_int(value: Any, name: str) -> int:
     """A JSON integer; bools and floats such as 2.7 are refused, not truncated."""
     if type(value) is not int:
         raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _json_float(value: Any, name: str) -> float:
+    """A JSON number as a float; strings and bools such as "0.3" or true are refused."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _json_bool(value: Any, name: str) -> bool:
+    """A JSON true or false; 0, 1 and strings such as "false" are refused."""
+    if type(value) is not bool:
+        raise TypeError(f"{name} must be true or false, got {value!r}")
     return value
 
 
@@ -161,6 +160,11 @@ def _json_names(value: Any, name: str) -> tuple[str, ...]:
     if type(value) is not list or not all(type(v) is str for v in value):
         raise TypeError(f"{name} must be a list of file names, got {value!r}")
     return tuple(value)
+
+
+# the loophole switches, keyed as in a config's and summary.json's "loopholes" object
+LOOPHOLE_FIELDS = ("independent_inputs", "fresh_state_per_round", "detection_efficiency",
+                   "report_all_events")
 
 
 @dataclass(frozen=True)
@@ -176,6 +180,10 @@ class ExperimentConfig:
     replay_x: tuple[str, ...] = ()
     replay_y: tuple[str, ...] = ()
     threshold_z: float = DEFAULT_THRESHOLD_Z
+    independent_inputs: bool = True
+    fresh_state_per_round: bool = True
+    detection_efficiency: float = 1.0
+    report_all_events: bool = False
 
     def __post_init__(self):
         if self.rounds < 1:
@@ -188,6 +196,9 @@ class ExperimentConfig:
             raise ConfigError("replay needs both replay_x and replay_y file lists")
         if not math.isfinite(self.threshold_z):
             raise ConfigError(f"threshold_z must be finite, got {self.threshold_z!r}")
+        eta = self.detection_efficiency
+        if not (0.0 < eta <= 1.0):
+            raise ConfigError(f"detection_efficiency must be in (0, 1], got {eta!r}")
 
     def to_json_obj(self) -> dict[str, Any]:
         return {
@@ -207,10 +218,12 @@ class ExperimentConfig:
                 {"mode": "seeded"}
             ),
             "threshold_z": self.threshold_z,
+            "loopholes": {name: getattr(self, name) for name in LOOPHOLE_FIELDS},
         }
 
     @classmethod
     def from_json_obj(cls, obj: Mapping[str, Any]) -> "ExperimentConfig":
+        """Parse a config object; a missing `loopholes` object means the defaults."""
         if not isinstance(obj, Mapping):
             raise DataFormatError("experiment config must be a JSON object")
         if obj.get("format_version") != FORMAT_VERSION:
@@ -220,7 +233,7 @@ class ExperimentConfig:
             strategy = QuantumStrategy(
                 alice_angles=tuple(strat.get("alice_angles", (0.0, math.pi / 4))),
                 bob_angles=tuple(strat.get("bob_angles", (math.pi / 8, -math.pi / 8))),
-                global_offset=float(strat.get("global_offset", 0.0)),
+                global_offset=_json_float(strat.get("global_offset", 0.0), "global_offset"),
             )
             source = obj.get("input_source") or {"mode": "seeded"}
             replay_x = _json_names(source.get("x_files", []), "x_files")
@@ -228,15 +241,23 @@ class ExperimentConfig:
             mode = source.get("mode", "seeded")
             if mode not in ("seeded", "replay") or (mode == "replay") != bool(replay_x or replay_y):
                 raise ValueError(f"input_source mode {mode!r} does not match the files given")
+            switches = obj.get("loopholes", {})
+            if not isinstance(switches, Mapping) or not set(switches) <= set(LOOPHOLE_FIELDS):
+                raise ValueError(f"loopholes must be an object keyed by {LOOPHOLE_FIELDS}")
+            loopholes = {
+                name: (_json_float if name == "detection_efficiency" else _json_bool)(value, name)
+                for name, value in switches.items()}
             return cls(
                 rounds=_json_int(obj["rounds"], "rounds"),
                 shots=_json_int(obj["shots"], "shots"),
-                lam=float(obj.get("lambda", 0.0)),
+                lam=_json_float(obj.get("lambda", 0.0), "lambda"),
                 master_seed=_json_int(obj.get("master_seed", 0), "master_seed"),
                 strategy=strategy,
                 replay_x=replay_x,
                 replay_y=replay_y,
-                threshold_z=float(obj.get("threshold_z", DEFAULT_THRESHOLD_Z)),
+                threshold_z=_json_float(obj.get("threshold_z", DEFAULT_THRESHOLD_Z),
+                                        "threshold_z"),
+                **loopholes,
             )
         except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise DataFormatError(f"malformed experiment config: {exc}") from exc
@@ -299,27 +320,28 @@ class CertifiedRun(NamedTuple):
     all_event_win_fractions: np.ndarray
 
 
-def _referee_columns(config: ExperimentConfig,
-                     loopholes: LoopholeConfig) -> tuple[np.ndarray, np.ndarray]:
+def _referee_columns(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     n = config.rounds
     if config.replay_x:
         bits_x = replay_backend(config.replay_x)
         bits_y = replay_backend(config.replay_y)
-        if (loopholes.independent_inputs
-                and list(map(os.fspath, config.replay_x)) == list(map(os.fspath, config.replay_y))):
-            raise ConfigError("input sources must be independent (identical source given)")
+        # resolved, so that q.json and ./q.json count as one source
+        shared = set(map(os.path.realpath, config.replay_x)) & set(
+            map(os.path.realpath, config.replay_y))
+        if config.independent_inputs and shared:
+            raise ConfigError("input sources must be independent "
+                              f"(file given on both sides: {sorted(shared)[0]})")
     else:
         # 2n Alice bits: the second n are y when the inputs are dependent
         bits_x = uniform_bits(derive_seed(config.master_seed, "alice-inputs"), 2 * n)
         bits_y = uniform_bits(derive_seed(config.master_seed, "bob-inputs"), n)
-    if not loopholes.independent_inputs:
+    if not config.independent_inputs:
         # loophole left open on purpose: one stream feeds both sides
         bits_y = bits_x[n:]
     return referee_inputs(n, bits_x, bits_y)
 
 
-def run_certified_experiment(config: ExperimentConfig,
-                             loopholes: LoopholeConfig | None = None) -> CertifiedRun:
+def run_certified_experiment(config: ExperimentConfig) -> CertifiedRun:
     """Play, certify, and collect Alice's outcome bits for one config.
 
     Round i draws one row of uniforms: its shots' outcome uniforms and,
@@ -328,16 +350,15 @@ def run_certified_experiment(config: ExperimentConfig,
     row; a stale-state run draws each chunk of rows in one call.  Sampling,
     detection and tallying run once per chunk.
     """
-    loopholes = loopholes or LoopholeConfig()
-    x, y = _referee_columns(config, loopholes)
+    x, y = _referee_columns(config)
     n, shots = config.rounds, config.shots
-    eta = loopholes.detection_efficiency
+    eta = config.detection_efficiency
     lossy = eta < 1.0
     # one generator per run; with fresh state each round re-keys it to the
     # round's own seed, otherwise one stream runs through every round
     rng = make_rng(derive_seed(config.master_seed, "shared-stream"))
     round_seeds = (derive_seeds(config.master_seed, "round")
-                   if loopholes.fresh_state_per_round else None)
+                   if config.fresh_state_per_round else None)
     # setting code 2x + y; each distribution present is built once
     settings = 2 * x + y
     cdfs = np.zeros((4, 4))
@@ -369,7 +390,7 @@ def run_certified_experiment(config: ExperimentConfig,
             continue
         kept = (block[:, shots:2 * shots] < eta) & (block[:, 2 * shots:] < eta)
         same[lo:hi], diff[lo:hi] = result_from_indices(idx, kept)
-        if loopholes.report_all_events:
+        if config.report_all_events:
             # ground truth over every emitted pair, detected or not -- the
             # quantity a real experiment cannot observe; rounds that lost
             # every shot to the detectors are left out

@@ -217,19 +217,11 @@ def bitstring(index: int, n_qubits: int) -> str:
     return format(index, f"0{n_qubits}b")
 
 
-def sample_indices(dist: OutcomeDistribution, shots: int, rng_seed: int | None = None,
-                   *, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Outcome indices for `shots` draws; pure function of (dist, seed).
-
-    Callers that thread one stream across several draws pass `rng`
-    instead of a seed; exactly one of the two must be given.
-    """
+def sample_indices(dist: OutcomeDistribution, shots: int, rng_seed: int) -> np.ndarray:
+    """Outcome indices for `shots` draws; pure function of (dist, seed)."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    if (rng is None) == (rng_seed is None):
-        raise ValueError("provide exactly one of rng_seed or rng")
-    gen = rng if rng is not None else make_rng(rng_seed)
-    return _kernels.sample_outcomes(dist.cdf, gen.random(shots))
+    return _kernels.sample_outcomes(dist.cdf, make_rng(rng_seed).random(shots))
 
 
 @dataclass

@@ -128,9 +128,26 @@ class TestPlay:
         {"master_seed": "3"},
         {"threshold_z": math.nan},
         {"threshold_z": math.inf},
+        {"lambda": "0.3"},
+        {"lambda": True},
+        {"threshold_z": True},
+        {"threshold_z": "3"},
+        {"strategy": {"global_offset": "0.1"}},
+        {"loopholes": {"detection_efficiency": "0.8"}},
+        {"loopholes": {"detection_efficiency": True}},
+        {"loopholes": {"detection_efficiency": 0}},
+        {"loopholes": {"independent_inputs": 0}},
+        {"loopholes": {"fresh_state_per_round": "false"}},
+        {"loopholes": {"report_all_events": None}},
+        {"loopholes": {"fresh_state": False}},
+        {"loopholes": [False]},
     ], ids=["angles-not-a-list", "strategy-not-an-object", "source-not-an-object",
             "rounds-infinite", "angles-nan", "offset-nan", "rounds-fraction", "shots-bool",
-            "seed-fraction", "rounds-float", "seed-string", "threshold-nan", "threshold-inf"])
+            "seed-fraction", "rounds-float", "seed-string", "threshold-nan", "threshold-inf",
+            "lambda-string", "lambda-bool", "threshold-bool", "threshold-string",
+            "offset-string", "efficiency-string", "efficiency-bool", "efficiency-zero",
+            "switch-int", "switch-string", "switch-null", "switch-unknown",
+            "loopholes-not-an-object"])
     def test_malformed_config_file_exits_65(self, tmp_path, capsys, field):
         config = {"format_version": 1, "rounds": 2, "shots": 10, **field}
         config_path = tmp_path / "config.json"
@@ -182,6 +199,15 @@ class TestPlay:
         assert "all_event_p_avg" in summary
         assert summary["all_event_p_avg"] == pytest.approx(0.8536, abs=0.05)
         assert summary["detected_fraction"] == pytest.approx(0.49, abs=0.08)
+
+    def test_lossy_run_reports_detected_fraction(self, tmp_path, capsys):
+        code = main(["play", "--rounds", "4", "--shots", "400", "--seed", "2",
+                     "--efficiency", "0.7", "--out-dir", str(tmp_path)])
+        assert code in (EXIT_OK, EXIT_NOT_VIOLATED)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["detected_fraction"] == pytest.approx(0.49, abs=0.08)
+        assert summary["detected_fraction"] == summary["total_shots"] / 1600
+        assert "all_event_p_avg" not in summary
 
 
 class TestReplayFlow:
@@ -242,6 +268,19 @@ class TestReplayFlow:
                      "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_USAGE
         assert "independent" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sides", [(["xa.json"], ["./xa.json"]),
+                                       (["xa.json", "ya.json"], ["ya.json"])],
+                             ids=["respelled-path", "overlapping-lists"])
+    def test_file_on_both_sides_is_rejected(self, tmp_path, capsys, monkeypatch, sides):
+        self._make_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        x_files, y_files = sides
+        code = main(["play", "--rounds", "10", "--shots", "10", "--replay-x", *x_files,
+                     "--replay-y", *y_files, "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_USAGE
+        assert "independent" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_replay_needs_both_sides(self, tmp_path, capsys):
         xa, _ = self._make_inputs(tmp_path)

@@ -6,6 +6,9 @@ feed the replay run and a `report` over the defaults run) are compared
 with constants recorded before the two round engines were merged.  Any change
 to input drawing, seed derivation, sampling, detection, tallying,
 certification or serialisation shows up here as a digest mismatch.
+Four of the runs are played again from a config file written from the
+config each one played, with no other run flag; the rounds, certificate
+and Alice bits must come out the same.
 
 Randomness scheme: diqrng/philox-sha256/v1.  To re-record after a
 deliberate scheme change, run ``python tests/test_golden.py`` and paste
@@ -19,7 +22,10 @@ import os
 
 import pytest
 
+from diqrng import cli
 from diqrng.cli import EXIT_NOT_VIOLATED, EXIT_OK, main
+from diqrng.harness import run_certified_experiment
+from diqrng.io import atomic_write_text, canonical_json
 
 SIZE = ["--rounds", "20", "--shots", "50"]
 
@@ -129,6 +135,31 @@ def _digests(root: str) -> dict[str, str]:
 def test_play_outputs_match_golden_digests(name, tmp_path):
     RUNS[name](str(tmp_path))
     assert _digests(str(tmp_path)) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", ["stale_state", "dependent_inputs", "lossy_report_all",
+                                  "replay"])
+def test_config_file_reproduces_the_flag_driven_run(name, tmp_path, monkeypatch):
+    """`play --config FILE` alone, FILE written from the config a flag-driven
+    run played, writes the same rounds, certificate and Alice bits."""
+    played = []
+
+    def recording(config):
+        played.append(config)
+        return run_certified_experiment(config)
+
+    monkeypatch.setattr(cli, "run_certified_experiment", recording)
+    flags = tmp_path / "flags"
+    flags.mkdir()
+    RUNS[name](str(flags))
+    config_path = tmp_path / "config.json"
+    atomic_write_text(config_path, canonical_json(played[-1].to_json_obj(), precise=True))
+    out = tmp_path / "config"
+    assert main(["play", "--config", str(config_path), "--out-dir", str(out)]) in (
+        EXIT_OK, EXIT_NOT_VIOLATED)
+    flags_out = flags / "play" if name == "replay" else flags
+    for file in ("rounds.csv", "certificate.json", "alice_bits.txt", "alice_bits.bin"):
+        assert (out / file).read_bytes() == (flags_out / file).read_bytes(), file
 
 
 if __name__ == "__main__":

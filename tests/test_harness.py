@@ -5,6 +5,7 @@ canonical-serialization helpers underneath them.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diqrng import harness
+from diqrng import _kernels, harness
 from diqrng import rng as rng_module
 from diqrng.certify import Verdict
 from diqrng.game import (
@@ -31,7 +32,6 @@ from diqrng.harness import (
     IDEAL_WIN_PROBABILITY,
     DeviceProfile,
     ExperimentConfig,
-    LoopholeConfig,
     UnfittableTargetError,
     emit_reports,
     fit_lambda,
@@ -60,7 +60,6 @@ from diqrng.simulator import (
     DataIntegrityError,
     OutcomeDistribution,
     sample,
-    sample_indices,
 )
 
 # frozen: (cos^2(pi/8) - target) / (cos^2(pi/8) - 1/2)
@@ -129,6 +128,11 @@ class TestDeviceProfiles:
         bad.write_text("not json")
         with pytest.raises(DataFormatError, match="JSON"):
             load_device_profiles(bad)
+        for target in ('"0.8"', "true"):
+            bad.write_text('{"format_version": 1, "profiles": [{"name": "d", '
+                           f'"avg_win_target": {target}}}]}}')
+            with pytest.raises(DataFormatError, match="malformed profile row"):
+                load_device_profiles(bad)
 
     def test_undecodable_profile_file_is_named(self, tmp_path):
         bad = tmp_path / "profiles.json"
@@ -153,11 +157,29 @@ class TestDeviceProfiles:
 class TestExperimentConfig:
     def test_json_round_trip(self, tmp_path):
         config = ExperimentConfig(rounds=7, shots=123, lam=0.25, master_seed=42,
-                                  threshold_z=3.5)
+                                  threshold_z=3.5, independent_inputs=False,
+                                  fresh_state_per_round=False, detection_efficiency=0.7,
+                                  report_all_events=True)
         path = tmp_path / "config.json"
         atomic_write_text(path, canonical_json(config.to_json_obj(), precise=True))
         back = ExperimentConfig.from_file(path)
         assert back == config  # exact: the default strategy angles round-trip
+        # a file without the loopholes object (as every file written before it
+        # existed) means every switch at its default
+        obj = config.to_json_obj()
+        del obj["loopholes"]
+        assert ExperimentConfig.from_json_obj(obj) == dataclasses.replace(
+            config, independent_inputs=True, fresh_state_per_round=True,
+            detection_efficiency=1.0, report_all_events=False)
+
+    def test_json_integers_become_floats(self):
+        obj = {"format_version": 1, "rounds": 2, "shots": 10, "lambda": 0, "threshold_z": 3,
+               "strategy": {"global_offset": 0}, "loopholes": {"detection_efficiency": 1}}
+        config = ExperimentConfig.from_json_obj(obj)
+        # so summary.json and certificate.json bytes do not depend on the spelling
+        for value in (config.lam, config.threshold_z, config.strategy.global_offset,
+                      config.detection_efficiency):
+            assert type(value) is float
 
     def test_replay_round_trip(self):
         config = ExperimentConfig(replay_x=("a.json",), replay_y=("b.json",))
@@ -190,9 +212,9 @@ class TestExperimentConfig:
 
     def test_loophole_config_validation(self):
         with pytest.raises(ConfigError, match="detection_efficiency"):
-            LoopholeConfig(detection_efficiency=0.0)
+            ExperimentConfig(detection_efficiency=0.0)
         with pytest.raises(ConfigError, match="detection_efficiency"):
-            LoopholeConfig(detection_efficiency=1.2)
+            ExperimentConfig(detection_efficiency=1.2)
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +270,10 @@ class TestCertifiedRuns:
                 save_counts_record(path, sample(dist, rounds, rng_seed=seed, memory=True))
             replay_x, replay_y = (str(tmp_path / "x.json"),), (str(tmp_path / "y.json"),)
         config = ExperimentConfig(rounds=rounds, shots=shots, lam=0.1, master_seed=77,
-                                  replay_x=replay_x, replay_y=replay_y)
-        run = run_certified_experiment(config, LoopholeConfig(
-            independent_inputs=independent, fresh_state_per_round=fresh,
-            detection_efficiency=eta, report_all_events=all_events))
+                                  replay_x=replay_x, replay_y=replay_y,
+                                  independent_inputs=independent, fresh_state_per_round=fresh,
+                                  detection_efficiency=eta, report_all_events=all_events)
+        run = run_certified_experiment(config)
         e = run.experiment
         if replay:
             np.testing.assert_array_equal(e.x, replay_backend(replay_x)[:rounds])
@@ -264,7 +286,7 @@ class TestCertifiedRuns:
                 rng = make_rng(derive_seed(config.master_seed, "round", i))
             setting = GameSetting(int(e.x[i]), int(e.y[i]))
             dist = round_distribution(setting, config.strategy, config.lam)
-            emitted = sample_indices(dist, config.shots, rng=rng)
+            emitted = _kernels.sample_outcomes(dist.cdf, rng.random(config.shots))
             idx = emitted
             if eta < 1.0:
                 detected_a = rng.random(config.shots) < eta
@@ -332,35 +354,35 @@ class TestCertifiedRuns:
         config = ExperimentConfig(rounds=5, shots=400, master_seed=77)
         fresh = run_certified_experiment(config)
         stale = run_certified_experiment(
-            config, LoopholeConfig(fresh_state_per_round=False))
+            dataclasses.replace(config, fresh_state_per_round=False))
         fresh_fracs = fresh.experiment.win_fractions.tolist()
         stale_fracs = stale.experiment.win_fractions.tolist()
         assert fresh_fracs != stale_fracs
         # but the stale stream is itself reproducible
         again = run_certified_experiment(
-            config, LoopholeConfig(fresh_state_per_round=False))
+            dataclasses.replace(config, fresh_state_per_round=False))
         assert again.experiment.win_fractions.tolist() == stale_fracs
 
     def test_dependent_inputs_change_settings(self):
         config = ExperimentConfig(rounds=40, shots=10, master_seed=3)
         indep = run_certified_experiment(config)
-        dep = run_certified_experiment(config, LoopholeConfig(independent_inputs=False))
+        dep = run_certified_experiment(dataclasses.replace(config, independent_inputs=False))
         indep_settings = list(zip(indep.experiment.x.tolist(), indep.experiment.y.tolist()))
         dep_settings = list(zip(dep.experiment.x.tolist(), dep.experiment.y.tolist()))
         assert indep_settings != dep_settings
 
     def test_dependent_inputs_split_the_alice_stream(self):
         config = ExperimentConfig(rounds=40, shots=10, master_seed=3)
-        dep = run_certified_experiment(config, LoopholeConfig(independent_inputs=False))
+        dep = run_certified_experiment(dataclasses.replace(config, independent_inputs=False))
         alice = uniform_bits(derive_seed(3, "alice-inputs"), 80)
         np.testing.assert_array_equal(dep.experiment.x, alice[:40])
         np.testing.assert_array_equal(dep.experiment.y, alice[40:])
 
     def test_detection_efficiency_bookkeeping(self):
         eta = 0.8
-        config = ExperimentConfig(rounds=8, shots=2000, master_seed=5)
-        run = run_certified_experiment(
-            config, LoopholeConfig(detection_efficiency=eta, report_all_events=True))
+        config = ExperimentConfig(rounds=8, shots=2000, master_seed=5,
+                                  detection_efficiency=eta, report_all_events=True)
+        run = run_certified_experiment(config)
         e = run.experiment
         assert e.x.size == 8
         assert (e.shots <= 2000).all()
@@ -379,9 +401,8 @@ class TestCertifiedRuns:
         assert len(run.alice_bits) == total_kept
 
     def test_all_shots_lost_round_survives(self):
-        config = ExperimentConfig(rounds=12, shots=2, master_seed=0)
-        run = run_certified_experiment(
-            config, LoopholeConfig(detection_efficiency=0.05))
+        config = ExperimentConfig(rounds=12, shots=2, master_seed=0, detection_efficiency=0.05)
+        run = run_certified_experiment(config)
         e = run.experiment
         assert e.x.size == 12
         empty = e.shots == 0
@@ -446,7 +467,7 @@ class TestReplayBackend:
         with pytest.raises(ConfigError, match="independent"):
             run_certified_experiment(config)
         # leaving the loophole open on purpose reads x and y from one stream
-        run = run_certified_experiment(config, LoopholeConfig(independent_inputs=False))
+        run = run_certified_experiment(dataclasses.replace(config, independent_inputs=False))
         bits = replay_backend([path])
         np.testing.assert_array_equal(run.experiment.x, bits[:10])
         np.testing.assert_array_equal(run.experiment.y, bits[10:20])

@@ -279,13 +279,6 @@ class TestSampling:
         c = sample_indices(dist, 500, rng_seed=13)
         assert not np.array_equal(a, c)
 
-    def test_exactly_one_rng_argument(self):
-        dist = OutcomeDistribution(1, np.array([0.5, 0.5]))
-        with pytest.raises(ValueError, match="exactly one"):
-            sample_indices(dist, 10)
-        with pytest.raises(ValueError, match="exactly one"):
-            sample_indices(dist, 10, rng_seed=1, rng=np.random.default_rng(1))
-
     def test_empirical_frequencies_within_4_sigma(self):
         probs = np.array([0.15, 0.35, 0.05, 0.45])
         dist = OutcomeDistribution(2, probs)
