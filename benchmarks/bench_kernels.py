@@ -18,17 +18,24 @@ chunks and is checked against one whole-length draw.  The Toeplitz rows
 are checked against one FFT convolution over the whole stream.
 The two large rows hash a 1e7-bit stream to 1 742 455 bits (the
 budget-sized output of a 1e3 x 1e4-shot run) and to 9e6 bits; their
-reference needs about 1.1 GB.
+reference needs about 1.1 GB.  The `gaussian_kde` row is `report`'s
+density estimate of 1e4 win fractions on its 1001-point grid, computed in
+blocks of grid rows; it is checked against the whole 1001 x 1e4 matrix
+(about 240 MB), and the row also prints the estimate's peak memory as
+`tracemalloc` sees it.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import time
+import tracemalloc
 
 import numpy as np
 
 from diqrng import _kernels
+from diqrng.harness import _gaussian_kde
 from diqrng.rng import derive_seed, derive_seeds, make_rng, rekey, uniform_bits
 
 
@@ -68,6 +75,25 @@ def _round_loop(master_seed, rounds, shots):
         rekey(rng, seed)
         rng.random(out=row)
     return u
+
+
+def _whole_matrix_kde(values, grid):
+    """The density estimate from one grid x values matrix."""
+    n = values.size
+    h = max(1.06 * float(values.std(ddof=0)) * n ** (-0.2), 1e-3)
+    z = (grid[:, None] - values[None, :]) / h
+    return np.exp(-0.5 * z * z).sum(axis=1) / (n * h * math.sqrt(2.0 * math.pi))
+
+
+def _traced_peak_mb(fn, args) -> float:
+    """The peak of memory allocated during one call, as tracemalloc sees it."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        fn(*args)
+        return (tracemalloc.get_traced_memory()[1] - before) / 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 def _row(name: str, fn, args, want, repeats: int) -> str:
@@ -127,6 +153,13 @@ def main() -> int:
     want_seed = (make_rng(7).random(n_seed) < 0.5).astype(np.uint8)
     print(_row("uniform_bits 1.17e7", uniform_bits, (7, n_seed), want_seed, args.repeats))
     del want_seed
+
+    fractions = rng.binomial(100, 0.85, 10_000) / 100
+    grid = np.linspace(0.0, 1.0, 1001)
+    kde_args = (fractions, grid)
+    print(_row("gaussian_kde 1e4 rounds", _gaussian_kde, kde_args,
+               _whole_matrix_kde(*kde_args), args.repeats)
+          + f"   traced peak {_traced_peak_mb(_gaussian_kde, kde_args):.1f} MB")
 
     for label, in_len, out_len in (("1e6->4096", 1_000_000, 4096),
                                    ("1e7->1742455", 10_000_000, 1_742_455),

@@ -35,7 +35,7 @@ from .harness import (
     save_counts_record,
     write_rounds_csv,
 )
-from .io import atomic_write_text, canonical_json, round_sig
+from .io import atomic_write_text, canonical_json, format_sig
 from .randomness import (
     BATTERY_TESTS,
     DEFAULT_BLOCK_LEN,
@@ -277,7 +277,7 @@ def cmd_play(args) -> int:
 def _fmt(x: float | None) -> str:
     if x is None:
         return "n/a"
-    return f"{round_sig(x):g}"  # infinities pass round_sig and print as inf, -inf
+    return format_sig(x)
 
 
 def _verdict_line(cert: Certificate) -> str:
@@ -364,7 +364,7 @@ def cmd_test(args) -> int:
 
 def cmd_fit_noise(args) -> int:
     lam = fit_lambda(args.target)
-    print(f"{round_sig(lam):g}")
+    print(format_sig(lam))
     return EXIT_OK
 
 

@@ -38,6 +38,11 @@ def round_sig(x: float, digits: int = 6) -> float:
     return float(f"{x:.{digits}g}")
 
 
+def format_sig(x: float) -> str:
+    """`x` as text at 6 significant digits, as report files and the CLI print it."""
+    return f"{float(x):.6g}"
+
+
 # exact types the walk hands back unchanged, checked before the call so a
 # long list of strings or ints costs no call per element
 _LEAVES = frozenset({str, int, bool, type(None)})

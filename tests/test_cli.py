@@ -141,13 +141,19 @@ class TestPlay:
         {"loopholes": {"report_all_events": None}},
         {"loopholes": {"fresh_state": False}},
         {"loopholes": [False]},
+        {"lambd": 0.9},
+        {"strategy": {"alice_angle": [0.0, 0.5]}},
+        {"input_source": {"mode": "seeded", "xfiles": ["x.json"]}},
+        {"strategy": False},
+        {"input_source": ""},
     ], ids=["angles-not-a-list", "strategy-not-an-object", "source-not-an-object",
             "rounds-infinite", "angles-nan", "offset-nan", "rounds-fraction", "shots-bool",
             "seed-fraction", "rounds-float", "seed-string", "threshold-nan", "threshold-inf",
             "lambda-string", "lambda-bool", "threshold-bool", "threshold-string",
             "offset-string", "efficiency-string", "efficiency-bool", "efficiency-zero",
             "switch-int", "switch-string", "switch-null", "switch-unknown",
-            "loopholes-not-an-object"])
+            "loopholes-not-an-object", "key-unknown", "strategy-key-unknown",
+            "source-key-unknown", "strategy-false", "source-empty-string"])
     def test_malformed_config_file_exits_65(self, tmp_path, capsys, field):
         config = {"format_version": 1, "rounds": 2, "shots": 10, **field}
         config_path = tmp_path / "config.json"

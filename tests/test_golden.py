@@ -3,7 +3,10 @@
 Five loophole configurations run through `main()` at 20 rounds x 50 shots
 and the digests of all files written (including the `qrng` records that
 feed the replay run and a `report` over the defaults run) are compared
-with constants recorded before the two round engines were merged.  Any change
+with constants recorded before the two round engines were merged.  A
+sixth run plays 3000 rounds x 10 shots and reports on them, so the density
+estimate spans many blocks of grid rows; its constants were recorded from
+the whole-matrix density estimate.  Any change
 to input drawing, seed derivation, sampling, detection, tallying,
 certification or serialisation shows up here as a digest mismatch.
 Four of the runs are played again from a config file written from the
@@ -34,6 +37,14 @@ def _run_defaults(d: str) -> None:
     assert main(["play", *SIZE, "--seed", "5", "--out-dir", d]) == EXIT_OK
     assert main(["report", "--rounds-csv", os.path.join(d, "rounds.csv"),
                  "--label", "golden", "--out-dir", os.path.join(d, "report")]) == EXIT_OK
+
+
+def _run_report_blocks(d: str) -> None:
+    # 3000 rounds put about 21 grid rows in each block of the density estimate
+    assert main(["play", "--rounds", "3000", "--shots", "10", "--seed", "11",
+                 "--out-dir", d]) == EXIT_OK
+    assert main(["report", "--rounds-csv", os.path.join(d, "rounds.csv"),
+                 "--label", "blocks", "--out-dir", os.path.join(d, "report")]) == EXIT_OK
 
 
 def _run_stale_state(d: str) -> None:
@@ -68,6 +79,7 @@ RUNS = {
     "dependent_inputs": _run_dependent_inputs,
     "lossy_report_all": _run_lossy,
     "replay": _run_replay,
+    "report_blocks": _run_report_blocks,
 }
 
 # sha256 of every file written, keyed by path relative to the run directory
@@ -109,6 +121,17 @@ GOLDEN: dict[str, dict[str, str]] = {
         'qy.bin': '1375a574e0bc3b0124669679f35626f84849fd5b3814d5d71a5c7a2e8dbbfadc',
         'qy.json': 'cee830fdafaaed41ecdd976cc351b3bb1f3531762469f87705df9a3ad953c813',
         'qy.txt': '54d9d34e8e0e3558bfde4b4edcb85ada48dfe76232a3085146845fe88868b3a8',
+    },
+    'report_blocks': {
+        'alice_bits.bin': '220dbef4668c010a7665e6f268c1844d41e33c5cb04109feb862f30f8f41ebb1',
+        'alice_bits.txt': 'd9705d751e4c392103d1dece820530732fcd9419df79cf6b17d9326010367e4b',
+        'certificate.json': '15901b4598225c9a34c598c50335ed3a2a22eca637de1a1494ec97d3a9626163',
+        'report/density.csv': '39470aa8b781ebc93581abe692f5c2dcbe3588bfd0ed2f700dbfaabb8fb61fab',
+        'report/hist.csv': '18570fe1c08b08cc56d35deca07444086fd266701ec8329c761e6b5d4befb1b4',
+        'report/running_avg.csv': 'a1f05ffd97734551c33479ef7f7572fa9faa54c47d17092fa25df88b8e11e126',
+        'report/summary.json': '16daba86414cd4aa2c3009e00cc60052e571d1eb540c84a8e8a7a1da15e9e4d4',
+        'rounds.csv': '35ea25b0775588e90b86f265fd33abdbc0cef2f09f60443a5c47d5e4ce623d07',
+        'summary.json': 'd76ddcc212b8b3b3da7289c05998eb0ed65c25dfaa0feb64d99f6facadf6d158',
     },
     'stale_state': {
         'alice_bits.bin': '2fba7bb95847f27131ad54f604414fb11332b40b2b53bc3c4fb783b7cc93a2e6',

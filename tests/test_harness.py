@@ -9,6 +9,7 @@ import dataclasses
 import json
 import math
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,7 @@ from diqrng.harness import (
     write_rounds_csv,
 )
 from diqrng.game import analytic_win_probability, round_distribution, win_probability_from_dist
-from diqrng.io import atomic_write_text, canonical_json, round_sig
+from diqrng.io import atomic_write_text, canonical_json, format_sig, round_sig
 from diqrng.rng import (
     SourceDepleted,
     derive_seed,
@@ -594,6 +595,47 @@ class TestReports:
             assert Path(p1[key]).read_bytes() == Path(p2[key]).read_bytes()
 
 
+def _whole_matrix_kde(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """The density from one grid x values matrix, the form the blocks reproduce."""
+    n = values.size
+    h = max(1.06 * float(values.std(ddof=0)) * n ** (-0.2), 1e-3)
+    z = (grid[:, None] - values[None, :]) / h
+    return np.exp(-0.5 * z * z).sum(axis=1) / (n * h * math.sqrt(2.0 * math.pi))
+
+
+_ROWS_AT_2000 = harness._KDE_BLOCK // 2000
+
+
+class TestGaussianKde:
+    @pytest.mark.parametrize("n, grid_size", [
+        (1, 1001), (100, 1001), (2000, 1001),
+        (2000, _ROWS_AT_2000 + 1), (2000, 3 * _ROWS_AT_2000 + 7),
+        (harness._KDE_BLOCK + 1, 11),
+    ], ids=["1-round", "100-rounds", "2000-rounds", "one-block-plus-1-row",
+            "three-blocks-plus-7-rows", "one-row-per-block"])
+    def test_blocks_equal_the_whole_matrix(self, n, grid_size):
+        values = np.random.default_rng(n).binomial(200, 0.85, n) / 200
+        grid = np.linspace(0.0, 1.0, grid_size)
+        assert np.array_equal(harness._gaussian_kde(values, grid),
+                              _whole_matrix_kde(values, grid))
+
+    def test_working_memory_is_linear_in_rounds(self):
+        values = np.random.default_rng(4).random(10_000)
+        grid = np.linspace(0.0, 1.0, 1001)
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            harness._gaussian_kde(values, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        # the whole-matrix form needs about 240 MB here
+        assert peak - before < 16 * 2 ** 20
+
+
 # ---------------------------------------------------------------------------
 # canonical serialization helpers
 # ---------------------------------------------------------------------------
@@ -604,6 +646,12 @@ class TestCanonicalIo:
         assert round_sig(1 / 3) == 0.333333
         assert round_sig(123456789.0) == 123457000.0
         assert round_sig(0.0) == 0.0
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                                   1.7976931348623157e308, 0.9999995, 999999.5, 1 / 3,
+                                   -123456789.0, 0.8535533905932737, 2.5e-7])
+    def test_format_sig_prints_the_six_digit_rounding(self, x):
+        assert format_sig(x) == f"{round_sig(x):g}"
 
     def test_canonical_json_is_sorted_and_stable(self):
         text = canonical_json({"b": 1, "a": {"d": 2.0, "c": [3, 4]}})
