@@ -16,13 +16,13 @@ file unless every stored field agrees with the re-issued one.
 from __future__ import annotations
 
 import enum
-import json
 import math
 import os
 from dataclasses import asdict, dataclass
+from typing import Any
 
 from .game import ExperimentResult
-from .io import DataFormatError, canonical_json, read_text
+from .io import DataFormatError, _json_float, _json_int, canonical_json, load_json
 
 CLASSICAL_S = 2.0
 TSIRELSON_S = 2.0 * math.sqrt(2.0)
@@ -115,29 +115,30 @@ def certificate_text(cert: Certificate) -> str:
     return canonical_json(obj, precise=True) + "\n"
 
 
-def load_certificate(path: str | os.PathLike) -> Certificate:
+def _certificate_from_obj(obj: Any) -> Certificate:
     """Re-issue a stored certificate from its p_win, n and threshold_z.
 
-    The file is refused unless it holds exactly the re-issued certificate's
+    The object is refused unless it holds exactly the re-issued certificate's
     fields and values, so no field can be edited on its own.
     """
-    text = read_text(path)  # outside the try: an undecodable file keeps its own message
     try:
-        obj = json.loads(text)
-        p_win, n, threshold_z = obj["p_win"], obj["n"], obj["threshold_z"]
-        if type(p_win) not in (int, float, type(None)):
-            raise TypeError(f"p_win must be a number or null, got {p_win!r}")
-        if type(n) is not int:
-            raise TypeError(f"n must be an integer, got {n!r}")
-        if type(threshold_z) not in (int, float) or not math.isfinite(threshold_z):
-            raise ValueError(f"threshold_z must be a finite number, got {threshold_z!r}")
+        p_win, n, threshold_z = obj["p_win"], _json_int(obj["n"], "n"), obj["threshold_z"]
+        # checked, not converted: a stored int must re-issue as the same int
+        if p_win is not None:
+            _json_float(p_win, "p_win")
+        if not math.isfinite(_json_float(threshold_z, "threshold_z")):
+            raise ValueError(f"threshold_z must be finite, got {threshold_z!r}")
         cert = certify_pooled(p_win, n, threshold_z)
         if canonical_json(obj, precise=True) + "\n" != certificate_text(cert):
             raise ValueError("stored fields differ from the certificate that "
                              "p_win, n and threshold_z give")
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
-        raise DataFormatError(f"{os.fspath(path)}: bad certificate: {exc}") from exc
+        raise DataFormatError(f"bad certificate: {exc}") from exc
     return cert
+
+
+def load_certificate(path: str | os.PathLike) -> Certificate:
+    return load_json(path, _certificate_from_obj)
 
 
 def certified_rate(path: str | os.PathLike) -> float:

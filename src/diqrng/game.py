@@ -193,21 +193,17 @@ def analytic_win_probability(setting: GameSetting,
 # ============================================================
 
 def result_from_indices(idx: np.ndarray, kept: np.ndarray | None = None) -> tuple:
-    """Tally 2-qubit outcome indices along the last axis: (same-bit, different-bit) shots.
+    """Per-round (same-bit, different-bit) shot counts of a (rounds, shots) outcome block.
 
-    `kept`, a boolean mask of idx's shape, limits the tally to the shots it
-    marks.  A 1-d idx (one round) gives two ints; a (rounds, shots) block
-    gives two per-round int arrays.
+    `kept`, a boolean mask of idx's shape, limits the tally to the shots it marks.
     """
     is_same = (idx == 0) | (idx == 3)
     if kept is None:
-        total = idx.shape[-1]
+        total = idx.shape[1]
     else:
         is_same &= kept
-        total = np.count_nonzero(kept, axis=-1)
-    same = np.count_nonzero(is_same, axis=-1)
-    if idx.ndim == 1:
-        return int(same), int(total) - int(same)
+        total = np.count_nonzero(kept, axis=1)
+    same = np.count_nonzero(is_same, axis=1)
     return same, total - same
 
 

@@ -23,11 +23,9 @@ Loophole posture (ExperimentConfig fields, documented, not silently assumed):
 
 from __future__ import annotations
 
-import csv
-import io as _io
-import json
 import math
 import os
+import warnings
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Any, Mapping, NamedTuple, Sequence
@@ -45,9 +43,11 @@ from .game import (
     result_from_indices,
     round_distribution,
 )
-from .io import atomic_write_text, canonical_json, format_sig, read_text
+from .io import (DataFormatError, DataIntegrityError, _json_bool, _json_float, _json_int,
+                 _known_keys, atomic_write_text, canonical_json, format_sig, load_json,
+                 parse_json, read_text)
 from .rng import derive_seed, derive_seeds, make_rng, rekey, uniform_bits
-from .simulator import CountsRecord, DataFormatError, DataIntegrityError
+from .simulator import CountsRecord
 
 IDEAL_WIN_PROBABILITY = math.cos(math.pi / 8) ** 2
 DEFAULT_ROUNDS = 100
@@ -58,6 +58,8 @@ FORMAT_VERSION = 1
 _CHUNK_DRAWS = 1 << 16
 
 ROUNDS_CSV_FIELDS = ("round_index", "x", "y", "same_count", "diff_count", "win_fraction")
+# one row of rounds.csv as np.loadtxt parses it: five integers, then the stored fraction
+_ROUNDS_DTYPE = np.dtype({"names": ROUNDS_CSV_FIELDS, "formats": 5 * ["i8"] + ["f8"]})
 
 
 class UnfittableTargetError(ValueError):
@@ -91,34 +93,29 @@ class DeviceProfile:
     metadata: dict[str, Any] = field(default_factory=dict)
 
 
-def load_device_profiles(path: str | os.PathLike | None = None) -> list[DeviceProfile]:
-    """Load the bundled profile table (or one from an explicit path)."""
-    if path is None:
-        text = resources.files("diqrng.data").joinpath("device_profiles.json").read_text("utf-8")
-    else:
-        text = read_text(path)
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"profile file is not valid JSON: {exc}") from exc
+def _profiles_from_obj(obj: Any) -> list[DeviceProfile]:
     if not isinstance(obj, Mapping) or obj.get("format_version") != FORMAT_VERSION:
         raise DataFormatError("profile file missing a supported format_version")
+    rows = obj.get("profiles")
+    if type(rows) is not list or not rows:
+        raise DataFormatError("profile file holds no list of profiles")
     profiles = []
-    for row in obj.get("profiles", []):
+    for row in rows:
         try:
-            name = row["name"]
-            target = _json_float(row["avg_win_target"], "avg_win_target")
-        except (KeyError, TypeError, ValueError) as exc:
+            name, target = row["name"], _json_float(row["avg_win_target"], "avg_win_target")
+            metadata = dict(row.get("metadata") or {})
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise DataFormatError(f"malformed profile row: {row!r}") from exc
-        profiles.append(DeviceProfile(
-            name=name,
-            avg_win_target=target,
-            fitted_lambda=fit_lambda(target),
-            metadata=dict(row.get("metadata") or {}),
-        ))
-    if not profiles:
-        raise DataFormatError("profile file holds no profiles")
+        profiles.append(DeviceProfile(name, target, fit_lambda(target), metadata))
     return profiles
+
+
+def load_device_profiles(path: str | os.PathLike | None = None) -> list[DeviceProfile]:
+    """Load the bundled profile table (or one from an explicit path)."""
+    if path is not None:
+        return load_json(path, _profiles_from_obj)
+    bundled = resources.files("diqrng.data").joinpath("device_profiles.json")
+    return _profiles_from_obj(parse_json(bundled.read_text("utf-8"), "device_profiles.json"))
 
 
 def get_device_profile(name: str, path: str | os.PathLike | None = None) -> DeviceProfile:
@@ -133,27 +130,6 @@ def get_device_profile(name: str, path: str | os.PathLike | None = None) -> Devi
 # ============================================================
 # configuration
 # ============================================================
-
-def _json_int(value: Any, name: str) -> int:
-    """A JSON integer; bools and floats such as 2.7 are refused, not truncated."""
-    if type(value) is not int:
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _json_float(value: Any, name: str) -> float:
-    """A JSON number as a float; strings and bools such as "0.3" or true are refused."""
-    if type(value) not in (int, float):
-        raise TypeError(f"{name} must be a number, got {value!r}")
-    return float(value)
-
-
-def _json_bool(value: Any, name: str) -> bool:
-    """A JSON true or false; 0, 1 and strings such as "false" are refused."""
-    if type(value) is not bool:
-        raise TypeError(f"{name} must be true or false, got {value!r}")
-    return value
-
 
 def _json_names(value: Any, name: str) -> tuple[str, ...]:
     """A JSON list of file names; a bare string or a number (a descriptor) is refused."""
@@ -170,12 +146,6 @@ _CONFIG_KEYS = ("format_version", "rounds", "shots", "lambda", "master_seed", "s
                 "input_source", "threshold_z", "loopholes")
 _STRATEGY_KEYS = ("alice_angles", "bob_angles", "global_offset")
 _INPUT_SOURCE_KEYS = ("mode", "x_files", "y_files")
-
-
-def _known_keys(value: Any, keys: tuple[str, ...], name: str) -> None:
-    """Refuse a non-object or an unknown key, such as a misspelt "lambd"."""
-    if not isinstance(value, Mapping) or not set(value) <= set(keys):
-        raise ValueError(f"{name} must be an object keyed by {keys}")
 
 
 @dataclass(frozen=True)
@@ -235,12 +205,10 @@ class ExperimentConfig:
     @classmethod
     def from_json_obj(cls, obj: Mapping[str, Any]) -> "ExperimentConfig":
         """Parse a config object; a missing `loopholes` object means the defaults."""
-        if not isinstance(obj, Mapping):
-            raise DataFormatError("experiment config must be a JSON object")
-        if obj.get("format_version") != FORMAT_VERSION:
-            raise DataFormatError("experiment config missing a supported format_version")
         try:
             _known_keys(obj, _CONFIG_KEYS, "experiment config")
+            if obj.get("format_version") != FORMAT_VERSION:
+                raise ValueError("missing a supported format_version")
             strat = obj.get("strategy", {})
             _known_keys(strat, _STRATEGY_KEYS, "strategy")
             strategy = QuantumStrategy(
@@ -277,11 +245,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str | os.PathLike) -> "ExperimentConfig":
-        try:
-            obj = json.loads(read_text(path))
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"config file is not valid JSON: {exc}") from exc
-        return cls.from_json_obj(obj)
+        return load_json(path, cls.from_json_obj)
 
 
 # ============================================================
@@ -289,11 +253,7 @@ class ExperimentConfig:
 # ============================================================
 
 def load_counts_record(path: str | os.PathLike) -> CountsRecord:
-    try:
-        obj = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"{path}: not valid JSON: {exc}") from exc
-    return CountsRecord.from_json_obj(obj)
+    return load_json(path, CountsRecord.from_json_obj)
 
 
 def save_counts_record(path: str | os.PathLike, record: CountsRecord) -> None:
@@ -423,15 +383,13 @@ def run_certified_experiment(config: ExperimentConfig) -> CertifiedRun:
 # ============================================================
 
 def rounds_csv_text(experiment: ExperimentResult) -> str:
-    buf = _io.StringIO()
-    buf.write(f"# format_version={FORMAT_VERSION}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(ROUNDS_CSV_FIELDS)
     e = experiment
+    lines = [f"# format_version={FORMAT_VERSION}", ",".join(ROUNDS_CSV_FIELDS)]
     # tolist() hands back Python ints and floats, so repr is the plain float text
-    writer.writerows(zip(range(e.x.size), e.x.tolist(), e.y.tolist(), e.same.tolist(),
-                         e.diff.tolist(), map(repr, e.win_fractions.tolist())))
-    return buf.getvalue()
+    rows = zip(range(e.x.size), e.x.tolist(), e.y.tolist(), e.same.tolist(), e.diff.tolist(),
+               e.win_fractions.tolist())
+    lines += [f"{i},{x},{y},{same},{diff},{f!r}" for i, x, y, same, diff, f in rows]
+    return "\n".join(lines) + "\n"
 
 
 def write_rounds_csv(path: str | os.PathLike, experiment: ExperimentResult) -> None:
@@ -439,39 +397,39 @@ def write_rounds_csv(path: str | os.PathLike, experiment: ExperimentResult) -> N
 
 
 def read_rounds_csv(path: str | os.PathLike) -> ExperimentResult:
-    """Rebuild an ExperimentResult from a rounds table."""
-    lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith(f"# format_version={FORMAT_VERSION}"):
-        raise DataFormatError(f"{path}: missing format_version header")
-    reader = csv.reader(lines[1:])
-    header = next(reader, None)
-    if header != list(ROUNDS_CSV_FIELDS):
-        raise DataFormatError(f"{path}: unexpected header {header!r}")
-    table, stored = [], []
-    for row in reader:
-        if len(row) != len(ROUNDS_CSV_FIELDS) or row[0] != str(len(table)):
-            raise DataFormatError(f"{path}: malformed row {row!r}: want {len(ROUNDS_CSV_FIELDS)} "
-                                  f"fields, the first its round_index {len(table)}")
-        try:
-            x, y, same, diff = (int(v) for v in row[1:5])
-            stored.append(float(row[5]))
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: malformed row {row!r}: {exc}") from exc
-        if x not in (0, 1) or y not in (0, 1) or same < 0 or diff < 0:
-            raise DataFormatError(
-                f"{path}: malformed row {row!r}: inputs must be bits, tallies non-negative")
-        table.append((x, y, same, diff))
-    if not table:
+    """Rebuild an ExperimentResult from a rounds table, parsed in one pass."""
+    lines = read_text(path).splitlines()
+    header = [f"# format_version={FORMAT_VERSION}", ",".join(ROUNDS_CSV_FIELDS)]
+    if lines[:2] != header:
+        raise DataFormatError(f"{path}: want the header lines {header!r}, got {lines[:2]!r}")
+    # loadtxt skips empty lines, and warns on a table that has nothing else
+    if not any(lines[2:]):
         raise DataFormatError(f"{path}: no data rows")
-    # the columns are int64; a larger total would wrap instead of failing
-    if sum(same + diff for _, _, same, diff in table) >= 2 ** 63:
+    try:
+        # numpy 1.x reads an int field such as 10.7 via a float and only warns: refuse it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt(lines, dtype=_ROUNDS_DTYPE, delimiter=",", comments=None,
+                               skiprows=2, ndmin=1)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: malformed row: want {len(ROUNDS_CSV_FIELDS)} plain "
+                              f"decimal fields, the first the round_index: {exc}") from exc
+    del lines  # parsed: the checks below need only the columns
+    x, y, same, diff, stored = (table[name] for name in ROUNDS_CSV_FIELDS[1:])
+    bad = np.flatnonzero((table["round_index"] != np.arange(table.size))
+                         | (x < 0) | (x > 1) | (y < 0) | (y > 1) | (same < 0) | (diff < 0))
+    if bad.size:
+        raise DataFormatError(f"{path}: malformed row {table[bad[0]].tolist()!r}: want "
+                              f"round_index {bad[0]}, bits x and y, non-negative tallies")
+    # int64 columns would wrap past 2^63 instead of failing, so the total is a Python int
+    if same.sum(dtype=object) + diff.sum(dtype=object) >= 2 ** 63:
         raise DataFormatError(f"{path}: total shots exceed the int64 range")
-    experiment = ExperimentResult.from_rounds(*np.array(table, dtype=np.int64).T)
+    experiment = ExperimentResult.from_rounds(x, y, same, diff)
     # written so that a NaN or infinite stored fraction fails it
     bad = np.flatnonzero(~(np.abs(experiment.win_fractions - stored) <= 1e-9))
     if bad.size:
         raise DataIntegrityError(
-            f"{path}: stored win_fraction {stored[bad[0]]!r} disagrees with tallies")
+            f"{path}: stored win_fraction {stored[bad[0]].item()!r} disagrees with tallies")
     return experiment
 
 

@@ -5,8 +5,9 @@ with the same inputs produce byte-identical output: JSON keys are sorted
 and writes land via a temp file plus rename.  Presentation files round
 floats to 6 significant digits; files the package reads back (certificates,
 configs, counts records) are written with ``precise=True`` so every float
-survives the round trip exactly.  Every text file the package reads goes
-through ``read_text``, so a file that does not decode is named in the error.
+survives the round trip exactly.  Every file the package reads goes through
+``read_text`` and every JSON text through ``parse_json``, so the error names a
+file that does not decode or parse; the ``_json_*`` readers type-check values.
 """
 
 from __future__ import annotations
@@ -15,11 +16,15 @@ import json
 import math
 import os
 import tempfile
-from typing import Any
+from typing import Any, Callable, Mapping
 
 
 class DataFormatError(ValueError):
     """A record or file violates the documented schema."""
+
+
+class DataIntegrityError(ValueError):
+    """A record is well-formed but internally inconsistent."""
 
 
 def read_text(path: str | os.PathLike, encoding: str = "utf-8") -> str:
@@ -29,6 +34,50 @@ def read_text(path: str | os.PathLike, encoding: str = "utf-8") -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{os.fspath(path)}: {exc}") from exc
+
+
+def parse_json(text: str, source: str) -> Any:
+    """The JSON value in `text`; a parse failure, too-deep nesting too, names `source`."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise DataFormatError(f"{source}: not valid JSON: {exc}") from exc
+
+
+def load_json(path: str | os.PathLike, build: Callable[[Any], Any]) -> Any:
+    """`build` applied to a file's JSON value; every refusal names the file."""
+    obj = parse_json(read_text(path), os.fspath(path))
+    try:
+        return build(obj)
+    except (DataFormatError, DataIntegrityError) as exc:
+        raise type(exc)(f"{os.fspath(path)}: {exc}") from exc
+
+
+def _json_int(value: Any, name: str) -> int:
+    """A JSON integer; bools and floats such as 2.7 are refused, not truncated."""
+    if type(value) is not int:
+        raise DataFormatError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _json_float(value: Any, name: str) -> float:
+    """A JSON number as a float; strings and bools such as "0.3" or true are refused."""
+    if type(value) not in (int, float):
+        raise DataFormatError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _json_bool(value: Any, name: str) -> bool:
+    """A JSON true or false; 0, 1 and strings such as "false" are refused."""
+    if type(value) is not bool:
+        raise DataFormatError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _known_keys(value: Any, keys: tuple[str, ...], name: str) -> None:
+    """Refuse a non-object or an unknown key, such as a misspelt "lambd"."""
+    if not isinstance(value, Mapping) or not set(value) <= set(keys):
+        raise DataFormatError(f"{name} must be an object keyed by {keys}")
 
 
 def round_sig(x: float, digits: int = 6) -> float:

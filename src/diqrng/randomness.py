@@ -303,9 +303,9 @@ def save_bits_text(path, bits, line_width: int | None = None) -> None:
     atomic_write_text(path, bits_to_text(_as_bits(bits), line_width))
 
 
-def _check_count(n_bits: int | None, available: int) -> None:
+def _check_count(path, n_bits: int | None, available: int) -> None:
     if n_bits is not None and not (0 < n_bits <= available):
-        raise DataFormatError(f"requested {n_bits} bits from a file holding {available}")
+        raise DataFormatError(f"{path}: requested {n_bits} bits from a file holding {available}")
 
 
 def load_bits_text(path, n_bits: int | None = None) -> np.ndarray:
@@ -315,10 +315,10 @@ def load_bits_text(path, n_bits: int | None = None) -> np.ndarray:
     # a byte below "0" wraps above 1
     if bits.size and bits.max() > 1:
         bad = set(read_text(path, "ascii")) - set("01\n\r")
-        raise DataFormatError(f"bit text contains non-bit characters {sorted(bad)}")
+        raise DataFormatError(f"{path}: bit text contains non-bit characters {sorted(bad)}")
     if not bits.size:
-        raise DataFormatError("bit text file is empty")
-    _check_count(n_bits, bits.size)
+        raise DataFormatError(f"{path}: bit text file is empty")
+    _check_count(path, n_bits, bits.size)
     return bits[:n_bits]
 
 
@@ -330,6 +330,6 @@ def load_bits_packed(path, n_bits: int | None = None) -> np.ndarray:
     with open(path, "rb") as fh:
         data = fh.read()
     if not data:
-        raise DataFormatError("packed bit file is empty")
-    _check_count(n_bits, 8 * len(data))
+        raise DataFormatError(f"{path}: packed bit file is empty")
+    _check_count(path, n_bits, 8 * len(data))
     return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=n_bits)

@@ -18,7 +18,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from . import _kernels
-from .io import DataFormatError
+from .io import DataFormatError, DataIntegrityError, _json_int
 from .rng import make_rng
 
 MAX_QUBITS = 12
@@ -32,10 +32,6 @@ GATE_KINDS = ("H", "X", "CNOT", "RY")
 
 class CapacityError(ValueError):
     """Qubit count outside the supported 1..MAX_QUBITS range."""
-
-
-class DataIntegrityError(ValueError):
-    """A record is well-formed but internally inconsistent."""
 
 
 # ============================================================
@@ -256,7 +252,7 @@ class CountsRecord:
         counts = obj["counts"]
         memory = obj.get("memory")
         metadata = obj.get("metadata") or {}
-        if not isinstance(shots, int) or isinstance(shots, bool) or shots < 1:
+        if _json_int(shots, "shots") < 1:
             raise DataFormatError(f"shots must be a positive int, got {shots!r}")
         if not isinstance(counts, Mapping) or not counts:
             raise DataFormatError("counts must be a non-empty object")
@@ -264,7 +260,7 @@ class CountsRecord:
         for key, value in counts.items():
             if not isinstance(key, str) or not key or set(key) - {"0", "1"}:
                 raise DataFormatError(f"counts key {key!r} is not a bitstring")
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            if _json_int(value, f"count for {key!r}") < 0:
                 raise DataFormatError(f"count for {key!r} must be a non-negative int")
             widths.add(len(key))
         if len(widths) != 1:

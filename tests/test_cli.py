@@ -589,7 +589,7 @@ class TestBatteryCommand:
         path = tmp_path / "bits.txt"
         path.write_bytes(b"01x1\r\n0 2\n")
         assert main(["test", "--in", str(path)]) == EXIT_DATA
-        assert ("data error: bit text contains non-bit characters [' ', '2', 'x']"
+        assert (f"data error: {path}: bit text contains non-bit characters [' ', '2', 'x']"
                 in capsys.readouterr().err)
 
     def test_missing_input_file_exits_74(self, tmp_path, capsys):
@@ -642,7 +642,27 @@ class TestCertifyCommand:
         if command == "report":
             args += ["--out-dir", str(tmp_path / "reports")]
         assert main(args) == EXIT_DATA
-        assert "round_index" in capsys.readouterr().err
+        # after the path, which holds this test's name and so the word itself
+        assert "round_index" in capsys.readouterr().err.split(f"{csv_path}: ", 1)[1]
+        assert not (tmp_path / "reports").exists()
+
+    # int() reads "1_0" as 10, and numpy 1.x's loadtxt reads 10.7 or 1e1 as 10 with no
+    # more than a DeprecationWarning, which is ignored outside the test suite; the
+    # stored fraction 10/15 agrees with each such reading
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    @pytest.mark.parametrize("row", ["0,0,0,1_0,5", "0,0,0,10.0,5", "0,0,0,10.7,5",
+                                     "0,0,0,1e1,5", "0,0.9,0,10,5"])
+    @pytest.mark.parametrize("command", ["certify", "report"])
+    def test_tally_not_plain_decimal_exits_65(self, tmp_path, capsys, command, row):
+        csv_path = tmp_path / "rounds.csv"
+        csv_path.write_text("# format_version=1\n"
+                            "round_index,x,y,same_count,diff_count,win_fraction\n"
+                            f"{row},0.6666666666666666\n")
+        args = [command, "--rounds-csv", str(csv_path)]
+        if command == "report":
+            args += ["--out-dir", str(tmp_path / "reports")]
+        assert main(args) == EXIT_DATA
+        assert "malformed row" in capsys.readouterr().err.split(f"{csv_path}: ", 1)[1]
         assert not (tmp_path / "reports").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -685,6 +705,65 @@ class TestCertifyCommand:
                             "0,0,0,90,10,nan\n")
         assert main(["certify", "--rounds-csv", str(csv_path)]) == EXIT_DATA
         assert "win_fraction" in capsys.readouterr().err
+
+
+class TestRefusedInputIsNamed:
+    """A refused input file exits 65, is named in the message, and nothing is written."""
+
+    def _argv(self, tmp_path, reader, bad):
+        out = str(tmp_path / "out")
+        bits = tmp_path / "in.txt"
+        bits.write_text("10" * 100 + "\n")
+        for side in "xy":
+            assert main(["qrng", "--mode", "hadamard", "--qubits", "1", "--shots", "20",
+                         "--seed", str(ord(side)), "--out", str(tmp_path / side),
+                         "--counts-out", str(tmp_path / f"{side}.json")]) == EXIT_OK
+        toeplitz = ["extract", "--in", str(bits), "--method", "toeplitz", "--out-len", "10",
+                    "--out", out]
+        return {
+            "play-config": ["play", "--config", str(bad), "--out-dir", out],
+            # the bad record second, after a good one
+            "play-replay-x": ["play", "--rounds", "5", "--shots", "5",
+                              "--replay-x", str(tmp_path / "x.json"), str(bad),
+                              "--replay-y", str(tmp_path / "y.json"), "--out-dir", out],
+            "extract-certificate": [*toeplitz, "--extractor-seed", "6", "--certificate", str(bad)],
+            "extract-seed-file": [*toeplitz, "--seed-file", str(bad)],
+            "test": ["test", "--in", str(bad)],
+            "test-9-bits": ["test", "--in", str(bad), "--bits", "9"],
+        }[reader]
+
+    def _refused(self, tmp_path, capsys, reader, bad) -> str:
+        argv = self._argv(tmp_path, reader, bad)
+        before = sorted(os.listdir(tmp_path))
+        capsys.readouterr()
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"data error: {bad}: " in err
+        assert sorted(os.listdir(tmp_path)) == before
+        return err
+
+    @pytest.mark.parametrize("text", ["[" * 10 ** 5, "[" + "1" * 5000 + "]"],
+                             ids=["nested-1e5-deep", "int-of-5000-digits"])
+    @pytest.mark.parametrize("reader", ["play-config", "play-replay-x", "extract-certificate"])
+    def test_json_that_does_not_parse(self, tmp_path, capsys, reader, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert "not valid JSON" in self._refused(tmp_path, capsys, reader, bad)
+
+    @pytest.mark.parametrize("reader, name, content", [
+        ("extract-seed-file", "seed.txt", b"\x00"),
+        ("test-9-bits", "one.bin", b"a"),
+        ("test", "empty.txt", b""),
+        ("test", "empty.bin", b""),
+        ("play-replay-x", "bad.json",
+         b'{"shots": 2, "counts": {"0": 1, "1": 1}, "memory": ["0", "x"], "metadata": {}}'),
+        ("play-config", "bad.json", b'{"format_version": 1, "rounds": 2, "shots": "10"}'),
+    ], ids=["seed-file-nul", "bits-past-a-bin", "empty-txt", "empty-bin",
+            "record-memory-entry", "config-field"])
+    def test_refusal_names_the_file(self, tmp_path, capsys, reader, name, content):
+        bad = tmp_path / name
+        bad.write_bytes(content)
+        self._refused(tmp_path, capsys, reader, bad)
 
 
 class TestMiscCommands:

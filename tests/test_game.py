@@ -193,8 +193,8 @@ class TestRoundResults:
     def test_result_from_indices_counts_same_and_diff(self):
         # outcomes 0 ("00") and 3 ("11") are same-bit; 1 and 2 differ
         idx = np.array([0, 3, 1, 2, 3, 0, 0], dtype=np.int64)
-        same, diff = result_from_indices(idx)
-        result = ExperimentResult.from_rounds([0], [0], [same], [diff])
+        same, diff = result_from_indices(idx[None])
+        result = ExperimentResult.from_rounds([0], [0], same, diff)
         assert result.shots[0] == 7
         assert result.same[0] == 5
         assert result.diff[0] == 2
@@ -204,8 +204,8 @@ class TestRoundResults:
 
     def test_win_flips_at_setting_one_one(self):
         idx = np.array([0, 3, 1, 2], dtype=np.int64)
-        same, diff = result_from_indices(idx)
-        result = ExperimentResult.from_rounds([1], [1], [same], [diff])
+        same, diff = result_from_indices(idx[None])
+        result = ExperimentResult.from_rounds([1], [1], same, diff)
         assert result.wins[0] == 2  # the two different-bit outcomes
 
     def test_columns_must_be_equal_length_and_non_empty(self):

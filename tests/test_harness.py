@@ -22,6 +22,7 @@ from diqrng import rng as rng_module
 from diqrng.certify import Verdict
 from diqrng.game import (
     ConfigError,
+    ExperimentResult,
     GameSetting,
     QuantumStrategy,
     referee_inputs,
@@ -134,6 +135,20 @@ class TestDeviceProfiles:
                            f'"avg_win_target": {target}}}]}}')
             with pytest.raises(DataFormatError, match="malformed profile row"):
                 load_device_profiles(bad)
+
+    @pytest.mark.parametrize("body", ['"profiles": 5', '"profiles": []', '"profiles": [7]',
+                                      '"profiles": [{"name": "d", "avg_win_target": 1%s}]'
+                                      % ("0" * 400),
+                                      '"profiles": [{"name": "d", "avg_win_target": 0.8, '
+                                      '"metadata": [1]}]'])
+    def test_malformed_profile_file_is_named(self, tmp_path, body):
+        bad = tmp_path / "profiles.json"
+        bad.write_text(f'{{"format_version": 1, {body}}}')
+        with pytest.raises(DataFormatError) as info:
+            load_device_profiles(bad)
+        assert str(info.value).startswith(f"{bad}: ")
+        # after the path, which holds this test's name and so the word itself
+        assert "profile" in str(info.value).split(f"{bad}: ", 1)[1]
 
     def test_undecodable_profile_file_is_named(self, tmp_path):
         bad = tmp_path / "profiles.json"
@@ -293,9 +308,10 @@ class TestCertifiedRuns:
                 detected_a = rng.random(config.shots) < eta
                 detected_b = rng.random(config.shots) < eta
                 idx = idx[detected_a & detected_b]
-            assert result_from_indices(idx) == (e.same[i], e.diff[i])
+            (same,), (diff,) = result_from_indices(idx[None])
+            assert (same, diff) == (e.same[i], e.diff[i])
             if idx.size and all_events and eta < 1.0:
-                same_all, diff_all = result_from_indices(emitted)
+                (same_all,), (diff_all,) = result_from_indices(emitted[None])
                 all_event.append((diff_all if setting.x & setting.y else same_all) / shots)
             alice = run.alice_bits[start:start + idx.size]
             np.testing.assert_array_equal(alice, (idx >> 1) & 1)
@@ -538,6 +554,29 @@ class TestRoundsCsv:
             with pytest.raises(DataIntegrityError, match="win_fraction"):
                 read_rounds_csv(path)
 
+    def test_large_table_reads_in_bounded_memory(self, tmp_path):
+        n = 10 ** 5
+        rng = np.random.default_rng(3)
+        same = rng.integers(0, 1000, n)
+        experiment = ExperimentResult.from_rounds(rng.integers(0, 2, n), rng.integers(0, 2, n),
+                                                  same, 1000 - same)
+        path = tmp_path / "rounds.csv"
+        write_rounds_csv(path, experiment)
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            back = read_rounds_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        # a tuple per row, parsed in Python, peaked at about 25 MB here
+        assert peak - before < 20 * 2 ** 20
+        for column in ("x", "y", "same", "diff"):
+            np.testing.assert_array_equal(getattr(back, column), getattr(experiment, column))
+
     def test_malformed_files(self, tmp_path):
         path = tmp_path / "rounds.csv"
         path.write_text("round_index,x,y\n0,0,1\n")
@@ -546,6 +585,12 @@ class TestRoundsCsv:
         path.write_text(f"# format_version={FORMAT_VERSION}\nwrong,fields\n")
         with pytest.raises(DataFormatError):
             read_rounds_csv(path)
+        for version in ("10", "1x"):
+            path.write_text(f"# format_version={version}\n"
+                            "round_index,x,y,same_count,diff_count,win_fraction\n"
+                            "0,0,0,90,10,0.9\n")
+            with pytest.raises(DataFormatError, match="format_version"):
+                read_rounds_csv(path)
         path.write_text(f"# format_version={FORMAT_VERSION}\n"
                         "round_index,x,y,same_count,diff_count,win_fraction\n")
         with pytest.raises(DataFormatError, match="no data"):
