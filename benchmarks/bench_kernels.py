@@ -18,17 +18,24 @@ chunks and is checked against one whole-length draw.  The Toeplitz rows
 are checked against one FFT convolution over the whole stream.
 The two large rows hash a 1e7-bit stream to 1 742 455 bits (the
 budget-sized output of a 1e3 x 1e4-shot run) and to 9e6 bits; their
-reference needs about 1.1 GB.  The `gaussian_kde` row is `report`'s
-density estimate of 1e4 win fractions on its 1001-point grid, computed in
-blocks of grid rows; it is checked against the whole 1001 x 1e4 matrix
-(about 240 MB), and the row also prints the estimate's peak memory as
-`tracemalloc` sees it.
+reference needs about 1.1 GB.  The `extract .bin` row runs the first of
+them as `extract --method toeplitz --extractor-seed` does: the stream is
+read from a packed file and the seed bits drawn, one block at a time.
+It and the `toeplitz_gf2 1e7->1742455` row also print their peak memory
+as `tracemalloc` sees it; the kernel row's inputs are allocated before
+the call, the `extract .bin` row holds no whole input.  The
+`gaussian_kde` row is `report`'s density estimate of 1e4 win fractions on
+its 1001-point grid, computed in blocks of grid rows; it is checked
+against the whole 1001 x 1e4 matrix (about 240 MB), and the row also
+prints the estimate's peak memory as `tracemalloc` sees it.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
+import tempfile
 import time
 import tracemalloc
 
@@ -36,6 +43,7 @@ import numpy as np
 
 from diqrng import _kernels
 from diqrng.harness import _gaussian_kde
+from diqrng.randomness import PackedBits, save_bits_packed, toeplitz_extract, toeplitz_seed_bits
 from diqrng.rng import derive_seed, derive_seeds, make_rng, rekey, uniform_bits
 
 
@@ -56,6 +64,12 @@ def _whole_stream_toeplitz(seed_bits, x_bits, out_len):
     fs *= np.fft.rfft(x_bits.astype(np.float64), size)
     conv = np.fft.irfft(fs, size)[n - 1:n - 1 + out_len]
     return (np.rint(conv).astype(np.int64) & 1).astype(np.uint8)
+
+
+def _extract_from_file(path, in_len, out_len, seed):
+    """Toeplitz extraction of a packed file's first in_len bits with drawn seed bits."""
+    return toeplitz_extract(PackedBits(path, in_len), toeplitz_seed_bits(in_len, out_len, seed),
+                            out_len)
 
 
 def _searchsorted_by_table(tables, table_of_row, u):
@@ -164,11 +178,23 @@ def main() -> int:
     for label, in_len, out_len in (("1e6->4096", 1_000_000, 4096),
                                    ("1e7->1742455", 10_000_000, 1_742_455),
                                    ("1e7->9e6", 10_000_000, 9_000_000)):
-        seed_bits = (rng.random(in_len + out_len - 1) < 0.5).astype(np.uint8)
+        seed_bits = uniform_bits(7, in_len + out_len - 1)
         x_bits = (rng.random(in_len) < 0.5).astype(np.uint8)
         toeplitz_args = (seed_bits, x_bits, out_len)
-        print(_row(f"toeplitz_gf2 {label}", _kernels.toeplitz_gf2, toeplitz_args,
-                   _whole_stream_toeplitz(*toeplitz_args), args.repeats))
+        want = _whole_stream_toeplitz(*toeplitz_args)
+        row = _row(f"toeplitz_gf2 {label}", _kernels.toeplitz_gf2, toeplitz_args, want,
+                   args.repeats)
+        if label != "1e7->1742455":
+            print(row)
+            continue
+        kernel_peak = _traced_peak_mb(_kernels.toeplitz_gf2, toeplitz_args)
+        print(row + f"   traced peak {kernel_peak:.1f} MB")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "x.bin")
+            save_bits_packed(path, x_bits)
+            file_args = (path, in_len, out_len, 7)
+            print(_row(f"extract .bin {label}", _extract_from_file, file_args, want, args.repeats)
+                  + f"   traced peak {_traced_peak_mb(_extract_from_file, file_args):.1f} MB")
     return 0
 
 

@@ -6,8 +6,11 @@ sampling, von Neumann pair scanning, and the GF(2) Toeplitz product
 naively).  The Toeplitz product is an integer convolution computed with
 block-partitioned FFTs, so its working memory grows with the block size
 and the shorter of input and output, not with one whole-stream transform.
-Its seed-segment transforms run on one helper thread, overlapped with the
-rest of the product on the calling thread; ``numpy.fft`` releases the GIL.
+It slices its input and seed one block at a time and requests each seed
+bit once, so a stream read from a packed file and seed bits drawn by range
+(``randomness.BitSource``) are never held whole.  Its seed segments are
+sliced and transformed on one helper thread, overlapped with the rest of
+the product on the calling thread; ``numpy.fft`` releases the GIL.
 ``benchmarks/bench_kernels.py`` checks each kernel against a reference and
 times it.
 """
@@ -80,15 +83,21 @@ def von_neumann_pairs(bits: np.ndarray) -> np.ndarray:
 # in flight beyond the serial schedule.  One helper, not a pool: it
 # takes about half of the transforms, which keeps both cores of a 2-vCPU
 # host busy, and each further worker would hold one more spectrum in
-# flight.  The helper runs only numpy code, so wrappers around package
-# functions always see one thread.
+# flight.  Consecutive segments overlap by p-1 bits, so the helper carries
+# the last p-1 bits of one segment into the next and slices only the p new
+# ones: a seed drawn by range is drawn once, on the helper.  Beyond numpy
+# the helper runs only that slice (`rng.uniform_bits` for a drawn seed),
+# so wrappers around the other package functions always see one thread.
 
 # 2**18-bit blocks take 2**19-point transforms.  Hashing 1e7 bits to
 # 1.74e6 with the helper took 0.94 / 0.74 / 0.82 / 0.89 s at 2**17 /
 # 2**18 / 2**19 / 2**20 on a 2-vCPU x86 host (serial at 2**19: 1.34 s),
 # and to 9e6 bits 4.72 / 2.89 / 2.32 / 2.15 s (serial at 2**19: 3.00 s).
-# 2**18 wins at the certified budget; each doubling past it adds about
-# 40 MB of peak RSS there (147 / 187 / 251 MB with the inputs' 136 MB).
+# 2**18 wins at the certified budget.  A fresh `extract` of many_shots'
+# .bin at that budget (stream read and seed drawn per block, 33 MB of it
+# the imported program) peaked at 108 / 124 / 163 / 233 MB RSS at
+# 2**17 / 2**18 / 2**19 / 2**20, against 129 / 144 / 182 / 242 MB when
+# the stream and seed were whole arrays.
 _MAX_BLOCK = 1 << 18
 
 
@@ -98,7 +107,12 @@ def _block_size(n: int, out_len: int) -> int:
 
 
 def toeplitz_gf2(seed_bits: np.ndarray, x_bits: np.ndarray, out_len: int) -> np.ndarray:
-    """T @ x mod 2 by block-partitioned FFT convolution, rounded to exact integers."""
+    """T @ x mod 2 by block-partitioned FFT convolution, rounded to exact integers.
+
+    Either input may be any object with a `size` whose contiguous slices
+    are uint8 bit arrays, such as a `randomness.BitSource`; it is sliced
+    one block at a time, and each seed bit is requested once, in order.
+    """
     from concurrent.futures import ThreadPoolExecutor  # only extraction needs it
 
     n = x_bits.size
@@ -106,12 +120,21 @@ def toeplitz_gf2(seed_bits: np.ndarray, x_bits: np.ndarray, out_len: int) -> np.
     size = 2 * p
     n_in = -(-n // p)
     n_out = -(-out_len // p)
+    tail = None  # the last p - 1 bits of the previous seed segment
 
     def seed_spectrum(d: int) -> np.ndarray:
+        # segment d's first p - 1 bits are segment d-1's last p - 1: carry them
+        nonlocal tail
         start = n + (d - 1) * p
-        lo, hi = max(start, 0), min(start + size - 1, seed_bits.size)
         segment = np.zeros(size)
-        segment[lo - start:hi - start] = seed_bits[lo:hi]
+        first = start
+        if tail is not None:
+            segment[:p - 1] = tail
+            first += p - 1
+        lo, hi = max(first, 0), min(start + size - 1, seed_bits.size)
+        if lo < hi:
+            segment[lo - start:hi - start] = seed_bits[lo:hi]
+        tail = segment[p:size - 1].astype(np.uint8)
         return np.fft.rfft(segment)
 
     out = np.empty(out_len, dtype=np.uint8)

@@ -40,6 +40,7 @@ from .randomness import (
     BATTERY_TESTS,
     DEFAULT_BLOCK_LEN,
     DEFAULT_SECURITY_MARGIN,
+    PackedBits,
     hadamard_circuit,
     indices_to_bits,
     load_bits_packed,
@@ -219,11 +220,13 @@ def build_parser() -> _Parser:
 # command bodies
 # ============================================================
 
-def _load_stream(path: str, n_bits: int | None) -> np.ndarray:
+def _load_stream(path: str, n_bits: int | None, *,
+                 whole: bool = True) -> np.ndarray | PackedBits:
+    """The stream's bits; unless `whole`, a .bin stays a view read block by block."""
     if path.endswith(".txt"):
         return load_bits_text(path, n_bits)
     if path.endswith(".bin"):
-        return load_bits_packed(path, n_bits)
+        return load_bits_packed(path, n_bits) if whole else PackedBits(path, n_bits)
     raise DataFormatError(f"{path}: expected a .txt or .bin bit stream")
 
 
@@ -314,7 +317,7 @@ def cmd_qrng(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    stream = _load_stream(args.infile, args.bits)
+    stream = _load_stream(args.infile, args.bits, whole=args.method == "von-neumann")
     if args.method == "von-neumann":
         out = von_neumann(stream)
     else:

@@ -6,12 +6,16 @@ per-shot bits always XOR to zero.  Downstream, von Neumann debiasing
 removes bias from independent bits, and Toeplitz hashing over GF(2)
 compresses a stream to its certified entropy budget.  The test battery
 is the monobit, block-frequency, and runs subset with the usual
-pass mark p >= 0.01.  Every bit stream is a 1-d uint8 array of 0s and 1s.
+pass mark p >= 0.01.  Every bit stream is a 1-d uint8 array of 0s and 1s,
+except that Toeplitz extraction also takes a `BitSource`, which makes each
+slice on demand: a packed file read block by block, or seed bits drawn by
+range.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -80,6 +84,55 @@ def parity_qrng(n_qubits: int, shots: int, rng_seed: int) -> np.ndarray:
 
 
 # ============================================================
+# bit sources
+# ============================================================
+# The Toeplitz kernel reads its input and seed one block at a time, so
+# neither needs to exist as a whole array.
+
+class BitSource:
+    """A read-only stream of `size` bits whose slices are made on demand.
+
+    `source[lo:hi]` is a new uint8 array of bits lo .. hi-1 and `source[:]`
+    is the whole stream.  Subclasses set `size` and define `_read(lo, hi)`
+    for 0 <= lo < hi <= size, producing only 0s and 1s.
+    """
+
+    size: int
+
+    def __len__(self) -> int:
+        return self.size
+
+    @property
+    def shape(self) -> tuple[int]:
+        return (self.size,)
+
+    def __getitem__(self, key: slice) -> np.ndarray:
+        if not isinstance(key, slice) or key.step not in (None, 1):
+            raise TypeError(f"{type(self).__name__} takes only contiguous slices")
+        lo, hi, _ = key.indices(self.size)
+        return self._read(lo, hi) if lo < hi else np.zeros(0, dtype=np.uint8)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError(f"{type(self).__name__} holds no array to share")
+        return self[:] if dtype is None else self[:].astype(dtype, copy=False)
+
+    def _read(self, lo: int, hi: int) -> np.ndarray:
+        raise NotImplementedError
+
+
+class SeedBits(BitSource):
+    """The first `size` bits of `rng.uniform_bits(seed, ...)`, drawn per slice."""
+
+    def __init__(self, seed: int, size: int):
+        self.seed = seed
+        self.size = size
+
+    def _read(self, lo: int, hi: int) -> np.ndarray:
+        return uniform_bits(self.seed, hi - lo, lo)
+
+
+# ============================================================
 # debiasing and extraction
 # ============================================================
 
@@ -102,12 +155,15 @@ def von_neumann(stream: np.ndarray) -> np.ndarray:
     return _kernels.von_neumann_pairs(_as_bits(stream))
 
 
-def toeplitz_seed_bits(in_len: int, out_len: int, rng_seed: int) -> np.ndarray:
-    """Seed bits of the required length in_len + out_len - 1, from a seed."""
+def toeplitz_seed_bits(in_len: int, out_len: int, rng_seed: int) -> SeedBits:
+    """Seed bits of the required length in_len + out_len - 1, from a seed.
+
+    Nothing is drawn here: the extractor draws each block as it needs it.
+    """
     n = in_len + out_len - 1
     if n < 1:
         raise ValueError("seed length must be positive")
-    return uniform_bits(rng_seed, n)
+    return SeedBits(rng_seed, n)
 
 
 def toeplitz_matrix(seed_bits: np.ndarray, in_len: int, out_len: int) -> np.ndarray:
@@ -123,7 +179,13 @@ def toeplitz_matrix(seed_bits: np.ndarray, in_len: int, out_len: int) -> np.ndar
     return seed_bits[(in_len - 1) + i - j]
 
 
-def toeplitz_extract(stream: np.ndarray, seed_bits: np.ndarray, out_len: int, *,
+def _as_source(bits: BitSource | np.ndarray | Sequence[int]) -> BitSource | np.ndarray:
+    """A bit source as it is; anything else checked by `_as_bits`."""
+    return bits if isinstance(bits, BitSource) else _as_bits(bits)
+
+
+def toeplitz_extract(stream: BitSource | np.ndarray, seed_bits: BitSource | np.ndarray,
+                     out_len: int, *,
                      min_entropy_rate: float | None = None,
                      security_margin: int = DEFAULT_SECURITY_MARGIN) -> np.ndarray:
     """Hash the stream down to out_len bits with the seeded Toeplitz family.
@@ -132,15 +194,16 @@ def toeplitz_extract(stream: np.ndarray, seed_bits: np.ndarray, out_len: int, *,
     capped at floor(len * rate - security_margin); exceeding it raises
     ExtractionBudgetError.  Without a rate the caller takes responsibility
     for the budget (the identity-pattern seed then reproduces the input).
+    Stream and seed may each be a `BitSource`, read one block at a time.
     """
-    bits = _as_bits(stream)
+    bits = _as_source(stream)
     if bits.size < 1:
         raise ValueError("cannot extract from an empty stream")
     if out_len < 1:
         raise ValueError(f"out_len must be >= 1, got {out_len}")
     if security_margin < 0:
         raise ValueError(f"security_margin must be >= 0, got {security_margin}")
-    seed_bits = _as_bits(seed_bits)
+    seed_bits = _as_source(seed_bits)
     want = bits.size + out_len - 1
     if seed_bits.size != want:
         raise ValueError(
@@ -326,10 +389,29 @@ def save_bits_packed(path, bits) -> None:
     atomic_write_bytes(path, np.packbits(_as_bits(bits)).tobytes())
 
 
+class PackedBits(BitSource):
+    """The first `n_bits` of a packed .bin file (all of it by default).
+
+    A slice reads and unpacks only the bytes that hold it.
+    """
+
+    def __init__(self, path, n_bits: int | None = None):
+        with open(path, "rb") as fh:
+            n_bytes = os.fstat(fh.fileno()).st_size
+        if not n_bytes:
+            raise DataFormatError(f"{path}: packed bit file is empty")
+        _check_count(path, n_bits, 8 * n_bytes)
+        self.path = path
+        self.size = 8 * n_bytes if n_bits is None else n_bits
+
+    def _read(self, lo: int, hi: int) -> np.ndarray:
+        first, last = lo // 8, -(-hi // 8)
+        data = np.fromfile(self.path, dtype=np.uint8, count=last - first, offset=first)
+        if data.size != last - first:
+            raise DataFormatError(f"{self.path}: file shrank to {first + data.size} bytes "
+                                  f"while being read")
+        return np.unpackbits(data, count=hi - 8 * first)[lo - 8 * first:]
+
+
 def load_bits_packed(path, n_bits: int | None = None) -> np.ndarray:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if not data:
-        raise DataFormatError(f"{path}: packed bit file is empty")
-    _check_count(path, n_bits, 8 * len(data))
-    return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=n_bits)
+    return PackedBits(path, n_bits)[:]

@@ -82,19 +82,26 @@ def rekey(rng: np.random.Generator, seed: int) -> None:
     }
 
 
-def uniform_bits(seed: int, n: int) -> np.ndarray:
-    """The first n uniform bits of the Philox stream keyed by seed.
+def uniform_bits(seed: int, n: int, start: int = 0) -> np.ndarray:
+    """Bits start .. start+n-1 of the uniform bit stream keyed by seed.
 
     Bits come from the high half of unit doubles, the same primitive the
     sampler uses, so the whole package rests on one generator contract.
     The doubles are drawn _BITS_CHUNK at a time into one reused buffer;
-    draws are sequential, so the bits equal those of one `random(n)`
-    without its n float64s.
+    draws are sequential, so the bits equal those of one `random(start + n)`
+    without its float64s.  Philox yields four doubles per counter step, so
+    the draw skips to bit `start` by advancing the counter start // 4 steps
+    and discarding start % 4 doubles.  The Philox is built here rather
+    than by `make_rng`, so the seed draws on the Toeplitz kernel's helper
+    thread call no other package function.
     """
-    rng = make_rng(seed)
+    bitgen = np.random.Philox(key=np.uint64(seed))
+    bitgen.advance(start // 4)
+    rng = np.random.Generator(bitgen)
+    rng.random(start % 4)
     out = np.empty(n, dtype=np.uint8)
     buf = np.empty(min(n, _BITS_CHUNK))
-    for start in range(0, n, _BITS_CHUNK):
-        u = rng.random(out=buf[:min(_BITS_CHUNK, n - start)])
-        np.less(u, 0.5, out=out[start:start + u.size])
+    for lo in range(0, n, _BITS_CHUNK):
+        u = rng.random(out=buf[:min(_BITS_CHUNK, n - lo)])
+        np.less(u, 0.5, out=out[lo:lo + u.size])
     return out

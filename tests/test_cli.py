@@ -534,6 +534,42 @@ class TestExtract:
                      "--method", "von-neumann", "--out", str(out_bin)]) == EXIT_OK
         assert Path(str(out_txt) + ".txt").read_text() == Path(str(out_bin) + ".txt").read_text()
 
+    def test_toeplitz_outputs_agree_across_stream_and_seed_forms(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        from diqrng import _kernels
+        from diqrng.randomness import load_bits_text, save_bits_text, toeplitz_matrix
+        from diqrng.rng import uniform_bits
+
+        monkeypatch.setattr(_kernels, "_MAX_BLOCK", 64)  # several blocks of each input
+        run_dir = tmp_path / "run"
+        assert main(["play", "--rounds", "6", "--shots", "200", "--seed", "3",
+                     "--out-dir", str(run_dir)]) == EXIT_OK
+        n_bits, out_len, seed = 1003, 300, 6  # 1003 is no multiple of 8 or of the block
+        seed_file = tmp_path / "seed.txt"
+        save_bits_text(seed_file, uniform_bits(seed, n_bits + out_len - 1))
+        bin_in, txt_in = str(run_dir / "alice_bits.bin"), str(run_dir / "alice_bits.txt")
+        outputs = []
+        for name, source in (("bin", [bin_in, "--extractor-seed", str(seed)]),
+                             ("txt", [txt_in, "--extractor-seed", str(seed)]),
+                             ("seed-file", [bin_in, "--seed-file", str(seed_file)])):
+            out = tmp_path / name
+            assert main(["extract", "--in", *source, "--bits", str(n_bits),
+                         "--method", "toeplitz", "--out-len", str(out_len),
+                         "--out", str(out)]) == EXIT_OK
+            outputs.append((Path(f"{out}.txt").read_bytes(), Path(f"{out}.bin").read_bytes()))
+        assert outputs[0] == outputs[1] == outputs[2]
+        dense = toeplitz_matrix(uniform_bits(seed, n_bits + out_len - 1), n_bits, out_len)
+        want = dense.astype(np.int64) @ load_bits_text(txt_in, n_bits) % 2
+        np.testing.assert_array_equal(load_bits_text(tmp_path / "bin.txt"), want)
+
+        past_end = str(8 * (run_dir / "alice_bits.bin").stat().st_size + 1)
+        capsys.readouterr()
+        assert main(["extract", "--in", bin_in, "--bits", past_end, "--method", "toeplitz",
+                     "--out-len", "8", "--extractor-seed", str(seed),
+                     "--out", str(tmp_path / "past")]) == EXIT_DATA
+        assert f"requested {past_end} bits" in capsys.readouterr().err
+        assert not (tmp_path / "past.txt").exists()
+
     def test_unrecognized_extension(self, tmp_path, capsys):
         path = tmp_path / "bits.csv"
         path.write_text("0101")

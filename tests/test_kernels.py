@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diqrng import _kernels
-from diqrng.randomness import toeplitz_matrix
+from diqrng.randomness import PackedBits, save_bits_packed, toeplitz_matrix
 
 
 def _reference_sample(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -39,6 +39,19 @@ def _reference_toeplitz(seed: np.ndarray, x: np.ndarray, out_len: int) -> np.nda
             acc ^= int(seed[(n - 1) + i - j]) & int(x[j])
         out[i] = acc
     return out
+
+
+class _CountingSeed:
+    """Seed bits that record each range the kernel asks for, and on which thread."""
+
+    def __init__(self, bits: np.ndarray):
+        self.bits = bits
+        self.size = bits.size
+        self.requests: list[tuple[int, int, threading.Thread]] = []
+
+    def __getitem__(self, key: slice) -> np.ndarray:
+        self.requests.append((key.start, key.stop, threading.current_thread()))
+        return self.bits[key]
 
 
 @st.composite
@@ -185,6 +198,32 @@ class TestToeplitzPartitioned:
         np.testing.assert_array_equal(got, _reference_toeplitz(seed, x, out_len))
         dense = toeplitz_matrix(seed, in_len, out_len).astype(np.int64) @ x % 2
         np.testing.assert_array_equal(got, dense)
+
+    @pytest.mark.parametrize("in_len, out_len", SIZES)
+    def test_each_seed_bit_is_requested_once_in_order(self, in_len, out_len):
+        rng = np.random.default_rng(707 + in_len * 1000 + out_len)
+        bits = (rng.random(in_len + out_len - 1) < 0.5).astype(np.uint8)
+        x = (rng.random(in_len) < 0.5).astype(np.uint8)
+        seed = _CountingSeed(bits)
+        np.testing.assert_array_equal(_kernels.toeplitz_gf2(seed, x, out_len),
+                                      _reference_toeplitz(bits, x, out_len))
+        starts = [lo for lo, _, _ in seed.requests]
+        stops = [hi for _, hi, _ in seed.requests]
+        assert starts == [0] + stops[:-1] and stops[-1] == bits.size
+        assert all(lo < hi for lo, hi in zip(starts, stops))
+        # drawn where the segments are transformed, off the calling thread
+        assert threading.main_thread() not in {t for _, _, t in seed.requests}
+
+    @pytest.mark.parametrize("in_len, out_len", [(37, 21), (21, 37), (9, 17), (100, 3),
+                                                 (1, 20), (3, 100)])
+    def test_packed_view_input_matches_the_array(self, tmp_path, in_len, out_len):
+        rng = np.random.default_rng(708 + in_len * 1000 + out_len)
+        seed = (rng.random(in_len + out_len - 1) < 0.5).astype(np.uint8)
+        x = (rng.random(in_len) < 0.5).astype(np.uint8)
+        path = tmp_path / "x.bin"
+        save_bits_packed(path, x)
+        got = _kernels.toeplitz_gf2(seed, PackedBits(path, in_len), out_len)
+        np.testing.assert_array_equal(got, _kernels.toeplitz_gf2(seed, x, out_len))
 
     def test_sizes_span_several_blocks(self):
         assert _kernels._block_size(37, 21) == self.BLOCK

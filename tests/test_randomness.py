@@ -13,15 +13,19 @@ monobit, block-frequency, and runs procedures.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from diqrng.randomness import (
     BATTERY_TESTS,
     _gammaincc,
     DEFAULT_SECURITY_MARGIN,
     ExtractionBudgetError,
+    PackedBits,
     block_frequency_test,
     bits_to_text,
     hadamard_circuit,
@@ -41,6 +45,7 @@ from diqrng.randomness import (
     toeplitz_seed_bits,
     von_neumann,
 )
+from diqrng.rng import _BITS_CHUNK, uniform_bits
 from diqrng.simulator import DataFormatError
 
 
@@ -271,6 +276,101 @@ class TestToeplitz:
         seed = toeplitz_seed_bits(500, 1, rng_seed=0)
         with pytest.raises(ExtractionBudgetError):
             toeplitz_extract(bits, seed, 1, min_entropy_rate=0.0)
+
+
+class TestBitSources:
+    """Seed bits drawn by range and a packed file read by slice equal the whole arrays."""
+
+    # small offsets and lengths, and ones around the draw's chunk size
+    EDGES = st.one_of(st.integers(0, 12), st.integers(_BITS_CHUNK - 6, _BITS_CHUNK + 6))
+
+    @settings(deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2 ** 64 - 1), lo=EDGES, k=EDGES)
+    @example(seed=1, lo=3, k=9)  # inside one Philox block of four words
+    @example(seed=2, lo=_BITS_CHUNK - 5, k=10)  # across bit _BITS_CHUNK
+    @example(seed=3, lo=7, k=_BITS_CHUNK + 3)  # two chunks of draws
+    def test_range_draw_equals_the_prefix_draw(self, seed, lo, k):
+        got = uniform_bits(seed, k, lo)
+        np.testing.assert_array_equal(got, uniform_bits(seed, lo + k)[lo:])
+
+    def test_seed_source_slices_the_whole_draw(self):
+        seed = toeplitz_seed_bits(300, 40, rng_seed=9)
+        want = uniform_bits(9, 339)
+        assert seed.size == len(seed) == 339
+        for lo, hi in ((0, 339), (5, 6), (3, 130), (338, 339), (200, 100)):
+            np.testing.assert_array_equal(seed[lo:hi], want[lo:hi])
+
+    @settings(deadline=None, max_examples=60,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.binary(min_size=1, max_size=40),
+           n_bits=st.one_of(st.none(), st.integers(1, 320)),
+           lo=st.integers(-330, 330), hi=st.integers(-330, 330))
+    @example(data=b"\xa5\x0f\xff", n_bits=21, lo=3, hi=19)
+    def test_packed_view_slices_equal_unpackbits(self, tmp_path, data, n_bits, lo, hi):
+        path = tmp_path / "bits.bin"
+        path.write_bytes(data)
+        full = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+        if n_bits is not None:
+            n_bits = min(n_bits, full.size)
+        view = PackedBits(path, n_bits)
+        want = full[:n_bits]
+        assert view.size == len(view) == want.size
+        np.testing.assert_array_equal(view[lo:hi], want[lo:hi])
+        np.testing.assert_array_equal(view[:], want)
+        np.testing.assert_array_equal(load_bits_packed(path, n_bits), want)
+
+    def test_sources_take_only_contiguous_slices(self, tmp_path):
+        path = tmp_path / "bits.bin"
+        path.write_bytes(b"\x0f")
+        for source in (PackedBits(path), toeplitz_seed_bits(4, 5, rng_seed=1)):
+            with pytest.raises(TypeError, match="contiguous"):
+                source[::2]
+            with pytest.raises(TypeError, match="contiguous"):
+                source[3]
+
+    def test_packed_view_refuses_a_file_that_shrank(self, tmp_path):
+        path = tmp_path / "bits.bin"
+        path.write_bytes(b"\x0f\xf0\xaa")
+        view = PackedBits(path)
+        path.write_bytes(b"\x0f")
+        np.testing.assert_array_equal(view[0:8], [0, 0, 0, 0, 1, 1, 1, 1])
+        with pytest.raises(DataFormatError, match="shrank"):
+            view[4:20]
+
+    def test_extraction_from_sources_saves_the_whole_arrays(self, tmp_path):
+        n, out_len, seed = 1 << 22, 4096, 5
+        path = tmp_path / "bits.bin"
+        save_bits_packed(path, (np.random.default_rng(12).random(n) < 0.5).astype(np.uint8))
+
+        def lazy():
+            return toeplitz_extract(PackedBits(path), toeplitz_seed_bits(n, out_len, seed),
+                                    out_len)
+
+        def whole():
+            return toeplitz_extract(load_bits_packed(path), uniform_bits(seed, n + out_len - 1),
+                                    out_len)
+
+        def traced_peak(fn):
+            was_tracing = tracemalloc.is_tracing()
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                before, _ = tracemalloc.get_traced_memory()
+                out = fn()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                if not was_tracing:
+                    tracemalloc.stop()
+            return peak - before, out
+
+        want = lazy()  # the first transform's one-off set-up stays out of the peaks
+        lazy_peak, got = traced_peak(lazy)
+        whole_peak, _ = traced_peak(whole)
+        np.testing.assert_array_equal(got, want)
+        # the whole path holds the unpacked stream and the seed, n + out_len - 1
+        # bytes, for the whole kernel; the lazy path's few small objects per
+        # block stay under 64 KiB
+        assert whole_peak - lazy_peak >= (2 * n + out_len - 1) - (1 << 16)
 
 
 # ---------------------------------------------------------------------------
