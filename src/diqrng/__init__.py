@@ -1,9 +1,9 @@
 """Device-independent randomness, desk scale.
 
-Simulate the two-player nonlocal game with an exactly-compiled entangled
-strategy, certify the violation of the classical 3/4 ceiling, fit a
-depolarizing noise level to recorded device averages, and turn the
-certified outcomes into tested bit streams.
+Simulate the two-player nonlocal game from the entangled strategy's Born
+probabilities in closed form, certify the violation of the classical 3/4
+ceiling, fit a depolarizing noise level to recorded device averages, and
+turn the certified outcomes into tested bit streams.
 """
 
 from .certify import (
@@ -29,11 +29,9 @@ from .game import (
     analytic_win_probability,
     best_classical_win_probability,
     classical_win_value,
-    compile_round,
     play_classical_round,
     referee_inputs,
     round_distribution,
-    round_state,
     win_condition,
 )
 from .harness import (
@@ -58,7 +56,6 @@ from .randomness import (
     hadamard_qrng,
     monobit_test,
     parity_qrng,
-    parity_state,
     run_battery,
     runs_test,
     toeplitz_extract,
@@ -72,15 +69,9 @@ from .simulator import (
     CountsRecord,
     DataFormatError,
     DataIntegrityError,
-    Gate,
     MAX_QUBITS,
     OutcomeDistribution,
-    StateVector,
-    apply_circuit,
-    apply_gate,
     depolarize,
-    new_state,
-    probabilities,
     sample,
     sample_indices,
 )

@@ -41,12 +41,10 @@ from .randomness import (
     DEFAULT_BLOCK_LEN,
     DEFAULT_SECURITY_MARGIN,
     PackedBits,
-    hadamard_circuit,
     indices_to_bits,
     load_bits_packed,
     load_bits_text,
-    parity_state,
-    qrng_indices,
+    qrng_distribution,
     run_battery,
     save_bits_packed,
     save_bits_text,
@@ -55,7 +53,7 @@ from .randomness import (
     von_neumann,
 )
 from .rng import SourceDepleted
-from .simulator import DataFormatError, DataIntegrityError, record_from_indices
+from .simulator import DataFormatError, DataIntegrityError, record_from_indices, sample_indices
 
 EXIT_OK = 0
 EXIT_TEST_FAIL = 1
@@ -302,8 +300,7 @@ def cmd_certify(args) -> int:
 
 def cmd_qrng(args) -> int:
     n = args.qubits
-    gates = hadamard_circuit(n) if args.mode == "hadamard" else parity_state(n)
-    idx = qrng_indices(gates, n, args.shots, args.seed)
+    idx = sample_indices(qrng_distribution(args.mode, n), args.shots, args.seed)
     flat = indices_to_bits(idx, n).reshape(-1)
     save_bits_text(args.out + ".txt", flat, line_width=n)
     save_bits_packed(args.out + ".bin", flat)

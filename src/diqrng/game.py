@@ -19,15 +19,7 @@ from itertools import product
 import numpy as np
 
 from .rng import SourceDepleted
-from .simulator import (
-    Gate,
-    OutcomeDistribution,
-    StateVector,
-    apply_circuit,
-    depolarize,
-    new_state,
-    probabilities,
-)
+from .simulator import OutcomeDistribution, depolarize
 
 _ANGLE_TOL = 1e-12
 
@@ -144,30 +136,19 @@ class QuantumStrategy:
         return self.bob_angles[y] + self.global_offset
 
 
-def compile_round(setting: GameSetting, strategy: QuantumStrategy) -> list[Gate]:
-    """Gate list for one round: Bell pair, then each side's basis rotation.
-
-    Planar angles double on the sphere, so each side applies Ry(2*angle).
-    Exact zero rotations are omitted.
-    """
-    gates = [Gate.h(0), Gate.cnot(0, 1)]
-    theta_a = 2.0 * strategy.angle_a(setting.x)
-    theta_b = 2.0 * strategy.angle_b(setting.y)
-    if theta_a != 0.0:
-        gates.append(Gate.ry(theta_a, 0))
-    if theta_b != 0.0:
-        gates.append(Gate.ry(theta_b, 1))
-    return gates
-
-
-def round_state(setting: GameSetting, strategy: QuantumStrategy) -> StateVector:
-    return apply_circuit(new_state(2), compile_round(setting, strategy))
-
-
 def round_distribution(setting: GameSetting, strategy: QuantumStrategy,
                        lam: float = 0.0) -> OutcomeDistribution:
-    """Outcome distribution of one round, optionally depolarized."""
-    dist = probabilities(round_state(setting, strategy))
+    """Outcome distribution of one round, optionally depolarized.
+
+    The round's circuit is H on qubit 0 and CNOT(0, 1), which prepare
+    (|00> + |11>)/sqrt(2), then Ry(2*angle_a(x)) on qubit 0 and
+    Ry(2*angle_b(y)) on qubit 1: planar angles double on the sphere.  Its
+    Born probabilities, with d = angle_a(x) - angle_b(y), are
+    P(00) = P(11) = cos^2(d)/2 and P(01) = P(10) = sin^2(d)/2.
+    """
+    d = strategy.angle_a(setting.x) - strategy.angle_b(setting.y)
+    same, diff = math.cos(d) ** 2 / 2.0, math.sin(d) ** 2 / 2.0
+    dist = OutcomeDistribution(2, np.array([same, diff, diff, same]))
     if lam != 0.0:
         dist = depolarize(dist, lam)
     return dist

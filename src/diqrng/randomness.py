@@ -23,9 +23,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _kernels
-from .io import atomic_write_bytes, atomic_write_text, read_text
+from .io import DataFormatError, atomic_write_bytes, atomic_write_text, read_text
 from .rng import uniform_bits
-from .simulator import DataFormatError, Gate, apply_circuit, new_state, probabilities, sample_indices
+from .simulator import OutcomeDistribution, check_qubits, sample_indices
 
 PASS_P = 0.01
 MONOBIT_MIN_LEN = 100
@@ -41,28 +41,25 @@ class ExtractionBudgetError(ValueError):
 # seeded generation pipelines
 # ============================================================
 
-def hadamard_circuit(n_qubits: int) -> list[Gate]:
-    """Superpose every qubit: the sampled outcomes are uniform n-bit strings."""
-    return [Gate.h(q) for q in range(n_qubits)]
+def qrng_distribution(mode: str, n_qubits: int) -> OutcomeDistribution:
+    """Born distribution of a qrng mode's circuit on n_qubits.
 
-
-def parity_state(n_qubits: int) -> list[Gate]:
-    """Uniform superposition over even-parity strings.
-
-    Qubits 0..n-2 are superposed and each is a CNOT control onto the last
-    qubit, which therefore always carries the XOR of the others.
+    "hadamard" puts H on every qubit: each n-bit string has probability
+    1/2**n.  "parity" puts H on qubits 0..n-2 and makes each a CNOT
+    control onto the last qubit, which therefore carries the XOR of the
+    others: each even-parity string has probability 2/2**n, the rest 0.
+    The qubit count is checked before anything of size 2**n is built.
     """
-    if n_qubits < 3:
-        raise ValueError(f"parity pipeline needs n_qubits >= 3, got {n_qubits}")
-    gates = [Gate.h(q) for q in range(n_qubits - 1)]
-    gates += [Gate.cnot(q, n_qubits - 1) for q in range(n_qubits - 1)]
-    return gates
-
-
-def qrng_indices(gates: list[Gate], n_qubits: int, shots: int, rng_seed: int) -> np.ndarray:
-    """Outcome indices of `shots` draws from the circuit's output state."""
-    dist = probabilities(apply_circuit(new_state(n_qubits), gates))
-    return sample_indices(dist, shots, rng_seed)
+    check_qubits(n_qubits)
+    size = 2 ** n_qubits
+    if mode == "hadamard":
+        return OutcomeDistribution(n_qubits, np.full(size, 1.0 / size))
+    if mode == "parity":
+        if n_qubits < 3:
+            raise ValueError(f"parity pipeline needs n_qubits >= 3, got {n_qubits}")
+        odd = indices_to_bits(np.arange(size), n_qubits).sum(axis=1) % 2
+        return OutcomeDistribution(n_qubits, np.where(odd, 0.0, 2.0 / size))
+    raise ValueError(f"unknown qrng mode {mode!r}")
 
 
 def indices_to_bits(idx: np.ndarray, n_qubits: int) -> np.ndarray:
@@ -73,13 +70,13 @@ def indices_to_bits(idx: np.ndarray, n_qubits: int) -> np.ndarray:
 
 def hadamard_qrng(n_qubits: int, shots: int, rng_seed: int) -> np.ndarray:
     """(n_qubits, shots) array of independent unbiased bits, one row per qubit."""
-    idx = qrng_indices(hadamard_circuit(n_qubits), n_qubits, shots, rng_seed)
+    idx = sample_indices(qrng_distribution("hadamard", n_qubits), shots, rng_seed)
     return indices_to_bits(idx, n_qubits).T
 
 
 def parity_qrng(n_qubits: int, shots: int, rng_seed: int) -> np.ndarray:
     """(n_qubits, shots) array, one row per qubit; each column XORs to zero."""
-    idx = qrng_indices(parity_state(n_qubits), n_qubits, shots, rng_seed)
+    idx = sample_indices(qrng_distribution("parity", n_qubits), shots, rng_seed)
     return indices_to_bits(idx, n_qubits).T
 
 
@@ -373,8 +370,8 @@ def _check_count(path, n_bits: int | None, available: int) -> None:
 
 def load_bits_text(path, n_bits: int | None = None) -> np.ndarray:
     with open(path, "rb") as fh:
-        raw = np.frombuffer(fh.read(), dtype=np.uint8)
-    bits = raw[(raw != ord("\n")) & (raw != ord("\r"))] - np.uint8(ord("0"))
+        digits = fh.read().translate(None, b"\r\n")
+    bits = np.frombuffer(digits, dtype=np.uint8) - np.uint8(ord("0"))
     # a byte below "0" wraps above 1
     if bits.size and bits.max() > 1:
         bad = set(read_text(path, "ascii")) - set("01\n\r")

@@ -1,19 +1,19 @@
-"""Pure-state simulation of small gate circuits.
+"""Outcome distributions of small measurement circuits, and sampling from them.
 
-States live on 1..12 qubits as complex statevectors.  Qubit 0 is the
-leftmost bit of an outcome string, so basis index i spells the outcome
-``format(i, "0nb")``.  Every operation is pure: gates return new states,
-and the norm is re-checked to 1e-12 after each application.  Sampling is
-the only randomized step and is fully determined by its seed.
+A distribution covers the 2**n outcomes of n = 1..12 qubits.  Qubit 0 is
+the leftmost bit of an outcome string, so basis index i spells the outcome
+``format(i, "0nb")``.  The package's circuits have Born probabilities in
+closed form (`game.round_distribution`, `randomness.qrng_distribution`);
+this module checks, depolarizes and samples them.  Sampling is the only
+randomized step and is fully determined by its seed.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -22,139 +22,20 @@ from .io import DataFormatError, DataIntegrityError, _json_int
 from .rng import make_rng
 
 MAX_QUBITS = 12
-NORM_TOL = 1e-12
 DIST_TOL = 1e-9
-
-_SQRT2_INV = 1.0 / math.sqrt(2.0)
-
-GATE_KINDS = ("H", "X", "CNOT", "RY")
 
 
 class CapacityError(ValueError):
     """Qubit count outside the supported 1..MAX_QUBITS range."""
 
 
-# ============================================================
-# gates
-# ============================================================
+def check_qubits(n_qubits: int) -> None:
+    """Raise CapacityError unless n_qubits is an int in 1..MAX_QUBITS.
 
-@dataclass(frozen=True)
-class Gate:
-    """One circuit element: kind, target qubits, optional rotation angle."""
-
-    kind: str
-    targets: tuple[int, ...]
-    theta: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in GATE_KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        arity = 2 if self.kind == "CNOT" else 1
-        if len(self.targets) != arity:
-            raise ValueError(f"{self.kind} takes {arity} target(s), got {len(self.targets)}")
-        if not all(isinstance(t, (int, np.integer)) and t >= 0 for t in self.targets):
-            raise ValueError(f"targets must be non-negative ints, got {self.targets!r}")
-        if self.kind == "CNOT" and self.targets[0] == self.targets[1]:
-            raise ValueError("CNOT control and target must differ")
-        if (self.theta is not None) != (self.kind == "RY"):
-            raise ValueError("theta is required for RY and only for RY")
-
-    @classmethod
-    def h(cls, qubit: int) -> "Gate":
-        return cls("H", (qubit,))
-
-    @classmethod
-    def x(cls, qubit: int) -> "Gate":
-        return cls("X", (qubit,))
-
-    @classmethod
-    def cnot(cls, control: int, target: int) -> "Gate":
-        return cls("CNOT", (control, target))
-
-    @classmethod
-    def ry(cls, theta: float, qubit: int) -> "Gate":
-        return cls("RY", (qubit,), float(theta))
-
-    def matrix(self) -> np.ndarray:
-        """Unitary matrix of the gate (2x2, or 4x4 for CNOT)."""
-        if self.kind == "H":
-            return np.array([[1, 1], [1, -1]], dtype=np.complex128) * _SQRT2_INV
-        if self.kind == "X":
-            return np.array([[0, 1], [1, 0]], dtype=np.complex128)
-        if self.kind == "RY":
-            c = math.cos(self.theta / 2.0)
-            s = math.sin(self.theta / 2.0)
-            return np.array([[c, -s], [s, c]], dtype=np.complex128)
-        return np.array(
-            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
-            dtype=np.complex128,
-        )
-
-
-# ============================================================
-# states
-# ============================================================
-
-@dataclass(frozen=True)
-class StateVector:
-    """Unit-norm pure state on n_qubits; amplitudes are read-only."""
-
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        if not (1 <= self.n_qubits <= MAX_QUBITS):
-            raise CapacityError(f"n_qubits must be in 1..{MAX_QUBITS}, got {self.n_qubits}")
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (2 ** self.n_qubits,):
-            raise ValueError(f"amplitudes must have shape (2**{self.n_qubits},)")
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if not abs(norm_sq - 1.0) <= NORM_TOL:  # NaN fails too
-            raise ValueError(f"state norm**2 = {norm_sq!r}, not 1 within {NORM_TOL}")
-        amps = amps.copy()
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-
-
-def new_state(n_qubits: int) -> StateVector:
-    """|0...0> on n_qubits.  Raises CapacityError outside 1..MAX_QUBITS."""
+    Callers check before building anything of size 2**n_qubits.
+    """
     if not isinstance(n_qubits, (int, np.integer)) or not (1 <= n_qubits <= MAX_QUBITS):
         raise CapacityError(f"n_qubits must be an int in 1..{MAX_QUBITS}, got {n_qubits!r}")
-    amps = np.zeros(2 ** n_qubits, dtype=np.complex128)
-    amps[0] = 1.0
-    return StateVector(int(n_qubits), amps)
-
-
-def _check_target(q: int, n: int) -> None:
-    if not (0 <= q < n):
-        raise IndexError(f"qubit {q} out of range for {n}-qubit state")
-
-
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Apply one gate, returning a new state."""
-    n = state.n_qubits
-    for q in gate.targets:
-        _check_target(q, n)
-    psi = state.amplitudes.reshape([2] * n)
-    if gate.kind == "CNOT":
-        control, target = gate.targets
-        out = psi.copy()
-        sel: list[Any] = [slice(None)] * n
-        sel[control] = 1
-        sub = out[tuple(sel)]
-        t_axis = target - 1 if target > control else target
-        out[tuple(sel)] = np.flip(sub, axis=t_axis).copy()
-    else:
-        m = gate.matrix()
-        moved = np.tensordot(m, psi, axes=([1], [gate.targets[0]]))
-        out = np.moveaxis(moved, 0, gate.targets[0])
-    return StateVector(n, out.reshape(-1))
-
-
-def apply_circuit(state: StateVector, gates: Sequence[Gate]) -> StateVector:
-    for g in gates:
-        state = apply_gate(state, g)
-    return state
 
 
 # ============================================================
@@ -169,8 +50,7 @@ class OutcomeDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        if not (1 <= self.n_qubits <= MAX_QUBITS):
-            raise CapacityError(f"n_qubits must be in 1..{MAX_QUBITS}, got {self.n_qubits}")
+        check_qubits(self.n_qubits)
         p = np.asarray(self.probs, dtype=np.float64)
         if p.shape != (2 ** self.n_qubits,):
             raise ValueError(f"probs must have shape (2**{self.n_qubits},)")
@@ -190,11 +70,6 @@ class OutcomeDistribution:
         cdf[-1] = 1.0
         cdf.flags.writeable = False
         return cdf
-
-
-def probabilities(state: StateVector) -> OutcomeDistribution:
-    """Born-rule outcome distribution of a state."""
-    return OutcomeDistribution(state.n_qubits, np.abs(state.amplitudes) ** 2)
 
 
 def depolarize(dist: OutcomeDistribution, lam: float) -> OutcomeDistribution:

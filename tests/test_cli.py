@@ -325,6 +325,15 @@ class TestQrng:
                      "--out", str(tmp_path / "p")])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("mode", ["hadamard", "parity"])
+    @pytest.mark.parametrize("qubits", [13, 40])
+    def test_qubit_limit_exits_64(self, tmp_path, capsys, mode, qubits):
+        code = main(["qrng", "--mode", mode, "--qubits", str(qubits), "--shots", "10",
+                     "--out", str(tmp_path / "q"), "--counts-out", str(tmp_path / "rec.json")])
+        assert code == EXIT_USAGE
+        assert "1..12" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("seed", [-1, 2 ** 64], ids=["-1", "2**64"])
     def test_out_of_range_seed_exits_64(self, tmp_path, capsys, seed):
         code = main(["qrng", "--mode", "hadamard", "--qubits", "2", "--shots", "10",

@@ -25,17 +25,14 @@ from diqrng.game import (
     analytic_win_probability,
     best_classical_win_probability,
     classical_win_value,
-    compile_round,
     referee_inputs,
     result_from_indices,
     round_distribution,
-    round_state,
     win_condition,
     win_probability_from_dist,
 )
 from diqrng.harness import ExperimentConfig, run_certified_experiment
 from diqrng.rng import uniform_bits
-from diqrng.simulator import Gate
 
 COS2_PI_8 = 0.8535533905932737  # cos^2(pi/8), ideal win probability
 COS2_3PI_8 = 0.1464466094067263  # cos^2(3pi/8), same-bit probability at (1,1)
@@ -129,18 +126,6 @@ class TestQuantumStrategy:
         assert strategy.angle_a(0) == pytest.approx(0.3)
         assert strategy.angle_b(1) == pytest.approx(-math.pi / 8 + 0.3)
 
-    def test_compiled_circuit_shape(self):
-        gates = compile_round(GameSetting(1, 1), QuantumStrategy())
-        kinds = [g.kind for g in gates]
-        assert kinds[:2] == ["H", "CNOT"]
-        assert all(k == "RY" for k in kinds[2:])
-
-    def test_zero_rotation_is_omitted(self):
-        # x=0 with the default strategy means Alice's angle is exactly 0
-        gates = compile_round(GameSetting(0, 0), QuantumStrategy())
-        ry_targets = [g.targets[0] for g in gates if g.kind == "RY"]
-        assert ry_targets == [1]  # only Bob rotates
-
 
 class TestAnalyticValue:
     def test_each_setting_hits_ideal_value(self):
@@ -148,17 +133,6 @@ class TestAnalyticValue:
         for setting in ALL_SETTINGS:
             p = analytic_win_probability(setting, strategy)
             assert abs(p - COS2_PI_8) < 1e-12
-
-    def test_analytic_matches_simulated_distribution(self):
-        """Closed form and full statevector route agree for random offsets."""
-        rng = np.random.default_rng(404)
-        for _ in range(5):
-            strategy = QuantumStrategy(global_offset=float(rng.uniform(-math.pi, math.pi)))
-            for setting in ALL_SETTINGS:
-                dist = round_distribution(setting, strategy)
-                p_sim = win_probability_from_dist(setting, dist)
-                p_formula = analytic_win_probability(setting, strategy)
-                assert abs(p_sim - p_formula) < 1e-12
 
     def test_offset_invariance_and_same_bit_probability(self):
         rng = np.random.default_rng(11)
@@ -178,11 +152,6 @@ class TestAnalyticValue:
             p = win_probability_from_dist(GameSetting(0, 0), dist)
             expected = (1 - lam) * COS2_PI_8 + lam * 0.5
             assert abs(p - expected) < 1e-12
-
-    def test_round_state_is_normalized_two_qubit(self):
-        state = round_state(GameSetting(1, 0), QuantumStrategy())
-        assert state.n_qubits == 2
-        assert abs(np.vdot(state.amplitudes, state.amplitudes).real - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------

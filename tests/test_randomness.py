@@ -28,14 +28,12 @@ from diqrng.randomness import (
     PackedBits,
     block_frequency_test,
     bits_to_text,
-    hadamard_circuit,
     hadamard_qrng,
     indices_to_bits,
     load_bits_packed,
     load_bits_text,
     monobit_test,
     parity_qrng,
-    parity_state,
     run_battery,
     runs_test,
     save_bits_packed,
@@ -46,7 +44,7 @@ from diqrng.randomness import (
     von_neumann,
 )
 from diqrng.rng import _BITS_CHUNK, uniform_bits
-from diqrng.simulator import DataFormatError
+from diqrng.simulator import MAX_QUBITS, CapacityError, DataFormatError
 
 
 def _stream(text: str) -> np.ndarray:
@@ -89,19 +87,6 @@ def _oracle_toeplitz(seed: np.ndarray, x: np.ndarray, out_len: int) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 class TestSources:
-    def test_hadamard_circuit_is_one_h_per_qubit(self):
-        gates = hadamard_circuit(4)
-        assert [(g.kind, g.targets) for g in gates] == [
-            ("H", (0,)), ("H", (1,)), ("H", (2,)), ("H", (3,))]
-
-    def test_parity_state_layout(self):
-        gates = parity_state(4)
-        kinds = [(g.kind, g.targets) for g in gates]
-        assert kinds == [("H", (0,)), ("H", (1,)), ("H", (2,)),
-                         ("CNOT", (0, 3)), ("CNOT", (1, 3)), ("CNOT", (2, 3))]
-        with pytest.raises(ValueError, match=">= 3"):
-            parity_state(2)
-
     def test_indices_to_bits_bit_order(self):
         # qubit 0 is the most significant bit of each outcome index
         idx = np.array([0b10, 0b01, 0b11], dtype=np.int64)
@@ -132,6 +117,15 @@ class TestSources:
         for s in streams[:-1]:
             acc ^= s
         np.testing.assert_array_equal(acc, streams[-1])
+
+    @pytest.mark.parametrize("make, n_qubits", [
+        (hadamard_qrng, 0), (hadamard_qrng, MAX_QUBITS + 1), (parity_qrng, MAX_QUBITS + 1),
+    ], ids=["hadamard-0", "hadamard-13", "parity-13"])
+    def test_qubit_limit(self, make, n_qubits):
+        with pytest.raises(CapacityError, match=f"1..{MAX_QUBITS}"):
+            make(n_qubits, 10, rng_seed=1)
+        # the documented ceiling itself is fine
+        assert make(MAX_QUBITS, 10, rng_seed=1).shape == (MAX_QUBITS, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +526,34 @@ class TestPersistence:
         path.write_text("")
         with pytest.raises(DataFormatError, match="empty"):
             load_bits_text(path)
+
+    def test_text_line_ends(self, tmp_path):
+        bits = (np.random.default_rng(12).random(150) < 0.5).astype(np.uint8)
+        digits = "".join(map(str, bits))
+        path = tmp_path / "bits.txt"
+        for text in (digits + "\n", digits, digits[:70] + "\r\n" + digits[70:] + "\r\n",
+                     "\n".join(digits[k:k + 8] for k in range(0, 150, 8))):
+            path.write_bytes(text.encode())
+            np.testing.assert_array_equal(load_bits_text(path), bits)
+
+    def test_text_reads_in_bounded_memory(self, tmp_path):
+        bits = (np.random.default_rng(13).random(2 * 10 ** 6) < 0.5).astype(np.uint8)
+        path = tmp_path / "bits.txt"
+        save_bits_text(path, bits, line_width=64)
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            back = load_bits_text(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        # the file's bytes and its digits, one copy each, hold 2 x its size;
+        # byte masks over the whole file would pass 2.5 x
+        assert peak - before < 2.5 * path.stat().st_size
+        np.testing.assert_array_equal(back, bits)
 
     def test_text_prefix_count(self, tmp_path):
         bits = (np.random.default_rng(11).random(203) < 0.5).astype(np.uint8)

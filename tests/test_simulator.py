@@ -1,10 +1,11 @@
-"""Statevector simulator tests.
+"""Outcome-distribution, sampling and counts-record tests.
 
-The reference oracle here is deliberately independent of the package's
-tensordot/axis-permutation machinery: every gate is expanded to a dense
-2**n x 2**n matrix by explicit bit bookkeeping and applied with plain
-matrix-vector multiplication.  Agreement between the two routes on random
-circuits is the core correctness argument for the simulator.
+The package computes its circuits' Born probabilities in closed form.  The
+reference oracle here is deliberately independent of those formulas: every
+gate is expanded to a dense 2**n x 2**n matrix by explicit bit bookkeeping
+and applied to |0...0> with plain matrix-vector multiplication.  Agreement
+between the two routes, for the CHSH round and both qrng circuits, is the
+core correctness argument for the distributions the package samples.
 """
 
 from __future__ import annotations
@@ -16,21 +17,15 @@ import re
 import numpy as np
 import pytest
 
+from diqrng.game import ALL_SETTINGS, QuantumStrategy, round_distribution
+from diqrng.randomness import qrng_distribution
 from diqrng.simulator import (
-    MAX_QUBITS,
-    CapacityError,
     CountsRecord,
     DataFormatError,
     DataIntegrityError,
-    Gate,
     OutcomeDistribution,
-    StateVector,
-    apply_circuit,
-    apply_gate,
     bitstring,
     depolarize,
-    new_state,
-    probabilities,
     record_from_indices,
     sample,
     sample_indices,
@@ -42,26 +37,30 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # ---------------------------------------------------------------------------
 # independent dense-matrix oracle
 # ---------------------------------------------------------------------------
+# A gate is a plain tuple: ("H", (q,)), ("X", (q,)), ("RY", (q,), theta) or
+# ("CNOT", (control, target)).
 
-def _gate_matrix(gate: Gate) -> np.ndarray:
-    if gate.kind == "H":
+def _gate_matrix(gate) -> np.ndarray:
+    kind = gate[0]
+    if kind == "H":
         return np.array([[INV_SQRT2, INV_SQRT2], [INV_SQRT2, -INV_SQRT2]], dtype=complex)
-    if gate.kind == "X":
+    if kind == "X":
         return np.array([[0, 1], [1, 0]], dtype=complex)
-    if gate.kind == "RY":
-        c, s = math.cos(gate.theta / 2.0), math.sin(gate.theta / 2.0)
+    if kind == "RY":
+        theta = gate[2]
+        c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
         return np.array([[c, -s], [s, c]], dtype=complex)
-    if gate.kind == "CNOT":
+    if kind == "CNOT":
         return np.array(
             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
         )
-    raise AssertionError(gate.kind)
+    raise AssertionError(kind)
 
 
-def _dense_operator(gate: Gate, n_qubits: int) -> np.ndarray:
+def _dense_operator(gate, n_qubits: int) -> np.ndarray:
     """Expand `gate` to the full 2**n matrix, qubit 0 = most significant bit."""
     small = _gate_matrix(gate)
-    targets = gate.targets
+    targets = gate[1]
     dim = 1 << n_qubits
     full = np.zeros((dim, dim), dtype=complex)
     shifts = [n_qubits - 1 - q for q in targets]
@@ -89,130 +88,43 @@ def _oracle_run(gates, n_qubits: int) -> np.ndarray:
     return vec
 
 
-def _random_circuit(rng: np.random.Generator, n_qubits: int, depth: int):
-    gates = []
-    for _ in range(depth):
-        kind = rng.choice(["H", "X", "RY", "CNOT"] if n_qubits > 1 else ["H", "X", "RY"])
-        if kind == "CNOT":
-            control, target = rng.choice(n_qubits, size=2, replace=False)
-            gates.append(Gate.cnot(int(control), int(target)))
-        elif kind == "RY":
-            gates.append(Gate.ry(float(rng.uniform(-2 * math.pi, 2 * math.pi)),
-                                 int(rng.integers(n_qubits))))
-        elif kind == "H":
-            gates.append(Gate.h(int(rng.integers(n_qubits))))
+class TestOracle:
+    def test_oracle_basics(self):
+        """Bell pair, qubit order and both CNOT orientations, by hand."""
+        bell = _oracle_run([("H", (0,)), ("CNOT", (0, 1))], 2)
+        np.testing.assert_allclose(bell, [INV_SQRT2, 0, 0, INV_SQRT2], atol=1e-15)
+        np.testing.assert_array_equal(_oracle_run([("X", (0,))], 2), [0, 0, 1, 0])  # |10>
+        for gates in ([("X", (0,)), ("CNOT", (0, 1))], [("X", (1,)), ("CNOT", (1, 0))]):
+            np.testing.assert_array_equal(_oracle_run(gates, 2), [0, 0, 0, 1])
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
+    def test_round_distribution_matches_oracle(self, lam):
+        """H, CNOT, then Ry(2*angle) on each side, as a 4 x 4 Kronecker product."""
+        rng = np.random.default_rng(404)
+        bell = _oracle_run([("H", (0,)), ("CNOT", (0, 1))], 2)
+        offsets = [0.0, *rng.uniform(-2 * math.pi, 2 * math.pi, 5)]
+        for offset in offsets:
+            strategy = QuantumStrategy(global_offset=float(offset))
+            for setting in ALL_SETTINGS:
+                rotate = np.kron(_gate_matrix(("RY", (0,), 2 * strategy.angle_a(setting.x))),
+                                 _gate_matrix(("RY", (1,), 2 * strategy.angle_b(setting.y))))
+                want = (1 - lam) * np.abs(rotate @ bell) ** 2 + lam / 4
+                got = round_distribution(setting, strategy, lam).probs
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("mode, n_qubits", [
+        *(("hadamard", n) for n in range(1, 6)),
+        *(("parity", n) for n in range(3, 6)),
+    ])
+    def test_qrng_distribution_matches_oracle(self, mode, n_qubits):
+        if mode == "hadamard":
+            gates = [("H", (q,)) for q in range(n_qubits)]
         else:
-            gates.append(Gate.x(int(rng.integers(n_qubits))))
-    return gates
-
-
-# ---------------------------------------------------------------------------
-# states and gates
-# ---------------------------------------------------------------------------
-
-class TestStateConstruction:
-    def test_new_state_is_all_zeros_ket(self):
-        state = new_state(3)
-        expected = np.zeros(8, dtype=complex)
-        expected[0] = 1.0
-        assert state.n_qubits == 3
-        np.testing.assert_array_equal(state.amplitudes, expected)
-
-    def test_capacity_bounds(self):
-        with pytest.raises(CapacityError):
-            new_state(0)
-        with pytest.raises(CapacityError):
-            new_state(MAX_QUBITS + 1)
-        # the documented ceiling itself is fine
-        assert new_state(MAX_QUBITS).n_qubits == MAX_QUBITS
-
-    def test_statevector_rejects_unnormalized(self):
-        with pytest.raises(ValueError, match="norm"):
-            StateVector(1, np.array([0.5, 0.5], dtype=complex))
-        with pytest.raises(ValueError, match="norm"):
-            StateVector(1, np.array([np.nan, 0.0], dtype=complex))
-
-    def test_statevector_amplitudes_are_frozen(self):
-        state = new_state(1)
-        with pytest.raises(ValueError):
-            state.amplitudes[0] = 0.0
-
-
-class TestGateValidation:
-    def test_arity_checks(self):
-        with pytest.raises(ValueError):
-            Gate(kind="H", targets=(0, 1))
-        with pytest.raises(ValueError):
-            Gate(kind="CNOT", targets=(2,))
-
-    def test_cnot_targets_must_differ(self):
-        with pytest.raises(ValueError, match="differ"):
-            Gate.cnot(1, 1)
-
-    def test_targets_must_be_ints(self):
-        # catches swapped (theta, qubit) arguments at construction time
-        with pytest.raises(ValueError, match="non-negative ints"):
-            Gate(kind="RY", targets=(0.5,), theta=0.0)
-        with pytest.raises(ValueError, match="non-negative ints"):
-            Gate.h(-1)
-
-    def test_theta_only_for_ry(self):
-        with pytest.raises(ValueError):
-            Gate(kind="H", targets=(0,), theta=0.3)
-        with pytest.raises(ValueError):
-            Gate(kind="RY", targets=(0,))
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown gate"):
-            Gate(kind="CZ", targets=(0, 1)).matrix()
-
-    def test_target_out_of_range(self):
-        with pytest.raises(IndexError):
-            apply_gate(new_state(2), Gate.h(2))
-
-
-class TestGateApplication:
-    def test_bell_pair_amplitudes(self):
-        """H(0) then CNOT(0,1) maps |00> to (|00>+|11>)/sqrt(2)."""
-        state = apply_circuit(new_state(2), [Gate.h(0), Gate.cnot(0, 1)])
-        expected = np.array([INV_SQRT2, 0.0, 0.0, INV_SQRT2], dtype=complex)
-        np.testing.assert_allclose(state.amplitudes, expected, atol=1e-15)
-
-    def test_x_flips_msb_first_ordering(self):
-        """Qubit 0 is the most significant bit of the outcome index."""
-        state = apply_gate(new_state(2), Gate.x(0))
-        assert abs(state.amplitudes[2] - 1.0) < 1e-15  # |10>
-        state = apply_gate(new_state(2), Gate.x(1))
-        assert abs(state.amplitudes[1] - 1.0) < 1e-15  # |01>
-
-    def test_ry_rotation_on_single_qubit(self):
-        theta = 0.7312
-        state = apply_gate(new_state(1), Gate.ry(theta, 0))
-        expected = np.array([math.cos(theta / 2), math.sin(theta / 2)], dtype=complex)
-        np.testing.assert_allclose(state.amplitudes, expected, atol=1e-15)
-
-    def test_cnot_both_orientations(self):
-        # control above target
-        state = apply_circuit(new_state(2), [Gate.x(0), Gate.cnot(0, 1)])
-        assert abs(state.amplitudes[3] - 1.0) < 1e-15  # |11>
-        # control below target
-        state = apply_circuit(new_state(2), [Gate.x(1), Gate.cnot(1, 0)])
-        assert abs(state.amplitudes[3] - 1.0) < 1e-15
-
-    @pytest.mark.parametrize("n_qubits", [1, 2, 3])
-    def test_random_circuits_match_dense_oracle(self, n_qubits):
-        rng = np.random.default_rng(900 + n_qubits)
-        for _ in range(10):
-            gates = _random_circuit(rng, n_qubits, depth=12)
-            got = apply_circuit(new_state(n_qubits), gates).amplitudes
-            want = _oracle_run(gates, n_qubits)
-            np.testing.assert_allclose(got, want, atol=1e-12)
-
-    def test_gate_application_preserves_norm(self):
-        rng = np.random.default_rng(31)
-        gates = _random_circuit(rng, 3, depth=40)
-        state = apply_circuit(new_state(3), gates)
-        assert abs(np.vdot(state.amplitudes, state.amplitudes).real - 1.0) < 1e-12
+            last = n_qubits - 1
+            gates = [("H", (q,)) for q in range(last)] + [("CNOT", (q, last)) for q in range(last)]
+        want = np.abs(_oracle_run(gates, n_qubits)) ** 2
+        got = qrng_distribution(mode, n_qubits).probs
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +132,6 @@ class TestGateApplication:
 # ---------------------------------------------------------------------------
 
 class TestDistributions:
-    def test_born_rule(self):
-        state = apply_circuit(new_state(2), [Gate.h(0), Gate.cnot(0, 1)])
-        dist = probabilities(state)
-        np.testing.assert_allclose(dist.probs, [0.5, 0.0, 0.0, 0.5], atol=1e-15)
-        assert abs(dist.probs.sum() - 1.0) < 1e-12
-
     def test_distribution_validation(self):
         with pytest.raises(ValueError, match="non-negative"):
             OutcomeDistribution(1, np.array([1.5, -0.5]))
