@@ -27,12 +27,18 @@ the call, the `extract .bin` row holds no whole input.  The
 `gaussian_kde` row is `report`'s density estimate of 1e4 win fractions on
 its 1001-point grid, computed in blocks of grid rows; it is checked
 against the whole 1001 x 1e4 matrix (about 240 MB), and the row also
-prints the estimate's peak memory as `tracemalloc` sees it.
+prints the estimate's peak memory as `tracemalloc` sees it.  The two writer
+rows save a 1e7-bit stream as text (`save_bits_text`) and a 1e5-shot
+4-qubit counts record with memory as JSON (`save_counts_record`); each file
+is first checked byte for byte against the whole file built as one string
+(the digits decoded to text, `json.dumps` of the record), and each row
+prints the write's peak memory as `tracemalloc` sees it.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import tempfile
@@ -42,9 +48,11 @@ import tracemalloc
 import numpy as np
 
 from diqrng import _kernels
-from diqrng.harness import _gaussian_kde
-from diqrng.randomness import PackedBits, save_bits_packed, toeplitz_extract, toeplitz_seed_bits
+from diqrng.harness import _gaussian_kde, save_counts_record
+from diqrng.randomness import (PackedBits, save_bits_packed, save_bits_text, toeplitz_extract,
+                               toeplitz_seed_bits)
 from diqrng.rng import derive_seed, derive_seeds, make_rng, rekey, uniform_bits
+from diqrng.simulator import record_from_indices
 
 
 def _best_time(fn, args, repeats: int) -> float:
@@ -116,6 +124,19 @@ def _row(name: str, fn, args, want, repeats: int) -> str:
     return f"{name:<28} {_best_time(fn, args, repeats) * 1e3:>10.2f}"
 
 
+def _writer_row(name: str, write, args, want: bytes, repeats: int) -> str:
+    """Check the file `write(path, *args)` makes against `want`, then time it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out")
+        write(path, *args)
+        with open(path, "rb") as fh:
+            if fh.read() != want:
+                raise AssertionError(f"{name}: file differs from its string form")
+        call_args = (path, *args)
+        return (f"{name:<28} {_best_time(write, call_args, repeats) * 1e3:>10.2f}"
+                f"   traced peak {_traced_peak_mb(write, call_args):.1f} MB")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=5,
@@ -174,6 +195,21 @@ def main() -> int:
     print(_row("gaussian_kde 1e4 rounds", _gaussian_kde, kde_args,
                _whole_matrix_kde(*kde_args), args.repeats)
           + f"   traced peak {_traced_peak_mb(_gaussian_kde, kde_args):.1f} MB")
+
+    text_bits = (rng.random(10_000_000) < 0.5).astype(np.uint8)
+    text_want = (((text_bits != 0) + np.uint8(ord("0"))).tobytes().decode("ascii")
+                 + "\n").encode("ascii")
+    print(_writer_row("save_bits_text 1e7", save_bits_text, (text_bits,), text_want,
+                      args.repeats))
+    del text_bits, text_want
+
+    record = record_from_indices(rng.integers(0, 16, 100_000), 4, memory=True,
+                                 metadata={"mode": "hadamard", "seed": 1})
+    record_want = (json.dumps(record.to_json_obj(), sort_keys=True, separators=(",", ": "),
+                              indent=1) + "\n").encode("ascii")
+    print(_writer_row("save_counts_record 1e5", save_counts_record, (record,), record_want,
+                      args.repeats))
+    del record, record_want
 
     for label, in_len, out_len in (("1e6->4096", 1_000_000, 4096),
                                    ("1e7->1742455", 10_000_000, 1_742_455),

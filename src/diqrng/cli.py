@@ -11,6 +11,7 @@ DIQRNG_OUT_DIR sets the default output directory.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
 import os
@@ -35,7 +36,7 @@ from .harness import (
     save_counts_record,
     write_rounds_csv,
 )
-from .io import atomic_write_text, canonical_json, format_sig
+from .io import atomic_write_json, atomic_write_text, format_sig
 from .randomness import (
     BATTERY_TESTS,
     DEFAULT_BLOCK_LEN,
@@ -266,8 +267,7 @@ def cmd_play(args) -> int:
     # present only with report_all_events, and only if some round kept a shot
     if run.all_event_win_fractions.size:
         summary["all_event_p_avg"] = float(run.all_event_win_fractions.mean())
-    atomic_write_text(os.path.join(out_dir, "summary.json"),
-                      canonical_json(summary) + "\n")
+    atomic_write_json(os.path.join(out_dir, "summary.json"), summary)
     save_bits_text(os.path.join(out_dir, "alice_bits.txt"), run.alice_bits)
     save_bits_packed(os.path.join(out_dir, "alice_bits.bin"), run.alice_bits)
 
@@ -339,6 +339,10 @@ def cmd_extract(args) -> int:
                                min_entropy_rate=rate,
                                security_margin=args.security_margin)
     if len(out) == 0:
+        # a stream from an earlier run must not pass for this one's output
+        for path in (args.out + ".txt", args.out + ".bin"):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
         print("extraction produced no bits (all input pairs were equal)")
         return EXIT_OK
     save_bits_text(args.out + ".txt", out)
@@ -353,9 +357,8 @@ def cmd_test(args) -> int:
     if not names:
         raise ConfigError("no tests selected")
     reports = run_battery(stream, names, block_len=args.block_len)
-    text = canonical_json([r.to_json_obj() for r in reports]) + "\n"
     if args.report:
-        atomic_write_text(args.report, text)
+        atomic_write_json(args.report, [r.to_json_obj() for r in reports])
     for r in reports:
         print(f"{r.test_name}: statistic={_fmt(r.statistic)} p={_fmt(r.p_value)} "
               f"{'PASS' if r.passed else 'FAIL'}")

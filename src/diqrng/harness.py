@@ -44,7 +44,7 @@ from .game import (
     round_distribution,
 )
 from .io import (DataFormatError, DataIntegrityError, _json_bool, _json_float, _json_int,
-                 _known_keys, atomic_write_text, canonical_json, format_sig, load_json,
+                 _known_keys, atomic_write_json, atomic_write_text, format_sig, load_json,
                  parse_json, read_text)
 from .rng import derive_seed, derive_seeds, make_rng, rekey, uniform_bits
 from .simulator import CountsRecord
@@ -257,7 +257,7 @@ def load_counts_record(path: str | os.PathLike) -> CountsRecord:
 
 
 def save_counts_record(path: str | os.PathLike, record: CountsRecord) -> None:
-    atomic_write_text(path, canonical_json(record.to_json_obj(), precise=True) + "\n")
+    atomic_write_json(path, record.to_json_obj(), precise=True)
 
 
 def replay_backend(paths: Sequence[str | os.PathLike]) -> np.ndarray:
@@ -335,7 +335,7 @@ def run_certified_experiment(config: ExperimentConfig) -> CertifiedRun:
     # setting code 2x + y; each distribution present is built once
     settings = 2 * x + y
     cdfs = np.zeros((4, 4))
-    for s in np.unique(settings).tolist():
+    for s in np.flatnonzero(np.bincount(settings, minlength=4)).tolist():
         cdfs[s] = round_distribution(GameSetting(s >> 1, s & 1), config.strategy,
                                      config.lam).cdf
     width = 3 * shots if lossy else shots
@@ -509,5 +509,5 @@ def emit_reports(experiment: ExperimentResult, out_dir: str | os.PathLike,
     atomic_write_text(paths["density"], "\n".join(lines) + "\n")
 
     paths["summary"] = os.path.join(out_dir, "summary.json")
-    atomic_write_text(paths["summary"], canonical_json(run_summary(experiment, label)) + "\n")
+    atomic_write_json(paths["summary"], run_summary(experiment, label))
     return paths

@@ -5,9 +5,13 @@ with the same inputs produce byte-identical output: JSON keys are sorted
 and writes land via a temp file plus rename.  Presentation files round
 floats to 6 significant digits; files the package reads back (certificates,
 configs, counts records) are written with ``precise=True`` so every float
-survives the round trip exactly.  Every file the package reads goes through
-``read_text`` and every JSON text through ``parse_json``, so the error names a
-file that does not decode or parse; the ``_json_*`` readers type-check values.
+survives the round trip exactly.  A file is written from a buffer the caller
+already holds (``atomic_write_bytes`` takes any contiguous buffer, such as a
+numpy array) or, for JSON, streamed from the encoder by ``atomic_write_json``,
+so no whole-file string is built; ``canonical_json`` is the same text as one
+string.  Every file the package reads goes through ``read_text`` and every
+JSON text through ``parse_json``, so the error names a file that does not
+decode or parse; the ``_json_*`` readers type-check values.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ import json
 import math
 import os
 import tempfile
-from typing import Any, Callable, Mapping
+from itertools import islice
+from typing import IO, Any, Callable, Mapping
 
 
 class DataFormatError(ValueError):
@@ -107,8 +112,22 @@ def _canonicalize(obj: Any, precise: bool) -> Any:
         return {k: v if type(v) in _LEAVES else _canonicalize(v, precise)
                 for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
+        # a list of leaves, such as a counts record's memory, is not copied:
+        # the encoder writes a tuple as it writes a list
+        if all(type(v) in _LEAVES for v in obj):
+            return obj
         return [v if type(v) in _LEAVES else _canonicalize(v, precise) for v in obj]
     return obj
+
+
+def _refuse(o: Any) -> Any:
+    raise TypeError(f"not JSON-serializable: {type(o).__name__}")
+
+
+def _encoder() -> json.JSONEncoder:
+    """The one encoder behind `canonical_json` and `atomic_write_json`."""
+    return json.JSONEncoder(sort_keys=True, separators=(",", ": "), indent=1,
+                            allow_nan=False, default=_refuse)
 
 
 def canonical_json(obj: Any, *, precise: bool = False) -> str:
@@ -119,22 +138,23 @@ def canonical_json(obj: Any, *, precise: bool = False) -> str:
     original values exactly.  Infinities serialize as the strings
     "inf"/"-inf" either way so the output stays within strict JSON.
     """
-
-    def _default(o: Any) -> Any:
-        raise TypeError(f"not JSON-serializable: {type(o).__name__}")
-
-    return json.dumps(_canonicalize(obj, precise), sort_keys=True, separators=(",", ": "),
-                      indent=1, allow_nan=False, default=_default)
+    return _encoder().encode(_canonicalize(obj, precise))
 
 
-def _atomic_write(path: str | os.PathLike, data: str | bytes, mode: str,
+# encoder chunks joined per write: about one chunk per scalar, so a batch
+# is tens of kilobytes
+_JSON_BATCH = 1 << 12
+
+
+def _atomic_write(path: str | os.PathLike, write: Callable[[IO], Any], mode: str,
                   **open_kwargs: Any) -> None:
+    """`write(fh)` into a temp file renamed onto path; on any error the temp goes."""
     path = os.fspath(path)
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, mode, **open_kwargs) as fh:
-            fh.write(data)
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -144,9 +164,29 @@ def _atomic_write(path: str | os.PathLike, data: str | bytes, mode: str,
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:
     """Write text to path via temp file + rename in the same directory."""
-    _atomic_write(path, text, "w", encoding="utf-8", newline="\n")
+    _atomic_write(path, lambda fh: fh.write(text), "w", encoding="utf-8", newline="\n")
 
 
-def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
-    """Write bytes to path via temp file + rename in the same directory."""
-    _atomic_write(path, data, "wb")
+def atomic_write_bytes(path: str | os.PathLike, data: Any) -> None:
+    """Write a bytes-like buffer (bytes or a contiguous numpy array) to path.
+
+    Via temp file + rename in the same directory; the buffer is not copied.
+    """
+    _atomic_write(path, lambda fh: fh.write(data), "wb")
+
+
+def atomic_write_json(path: str | os.PathLike, obj: Any, *, precise: bool = False) -> None:
+    """Write `canonical_json(obj, precise=precise) + "\n"` to path, streamed.
+
+    The encoder's chunks go to the temp file a batch at a time, so the
+    whole text never exists as one string.  An encoding error (a NaN, a
+    value that is not JSON) raises as `canonical_json` would and leaves the
+    target untouched.
+    """
+    def write(fh: IO) -> None:
+        chunks = _encoder().iterencode(_canonicalize(obj, precise))
+        while batch := list(islice(chunks, _JSON_BATCH)):
+            fh.write("".join(batch))
+        fh.write("\n")
+
+    _atomic_write(path, write, "w", encoding="utf-8", newline="\n")

@@ -9,7 +9,9 @@ is the monobit, block-frequency, and runs subset with the usual
 pass mark p >= 0.01.  Every bit stream is a 1-d uint8 array of 0s and 1s,
 except that Toeplitz extraction also takes a `BitSource`, which makes each
 slice on demand: a packed file read block by block, or seed bits drawn by
-range.
+range.  Streams are saved as text or packed files, each written from one
+uint8 array of the file's bytes (`bits_to_text`, `np.packbits`) with no
+string or bytes copy of the file.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _kernels
-from .io import DataFormatError, atomic_write_bytes, atomic_write_text, read_text
+from .io import DataFormatError, atomic_write_bytes, read_text
 from .rng import uniform_bits
 from .simulator import OutcomeDistribution, check_qubits, sample_indices
 
@@ -351,16 +353,33 @@ def run_battery(bits, tests: Iterable[str] = BATTERY_TESTS, *,
 # position; the final byte is zero-padded, so exact lengths that are not
 # byte multiples need the text twin or an explicit bit count to recover.
 
-def bits_to_text(bits: np.ndarray, line_width: int | None = None) -> str:
-    digits = (np.asarray(bits, dtype=np.uint8) != 0) + np.uint8(ord("0"))
-    if line_width:
-        breaks = np.arange(line_width, digits.size, line_width)
-        digits = np.insert(digits, breaks, np.uint8(ord("\n")))
-    return digits.tobytes().decode("ascii") + "\n"
+_ZERO, _NEWLINE = np.uint8(ord("0")), np.uint8(ord("\n"))
+
+
+def bits_to_text(bits: np.ndarray, line_width: int | None = None) -> np.ndarray:
+    """The bytes of a bit text file as one uint8 array.
+
+    `bits` holds 0s and 1s.  With `line_width` every full line of that many
+    digits ends in a newline, then a shorter last line if the width does not
+    divide the length; without it the digits are one line.  An empty stream
+    is a lone newline.
+    """
+    bits = np.asarray(bits, dtype=np.uint8).reshape(-1)
+    n = bits.size
+    width = line_width or max(n, 1)
+    full, rest = divmod(n, width)
+    out = np.empty(n + max(1, -(-n // width)), dtype=np.uint8)
+    lines = out[:full * (width + 1)].reshape(full, width + 1)
+    np.add(bits[:full * width].reshape(full, width), _ZERO, out=lines[:, :width])
+    lines[:, width] = _NEWLINE
+    tail = out[full * (width + 1):]
+    np.add(bits[full * width:], _ZERO, out=tail[:rest])
+    tail[rest:] = _NEWLINE
+    return out
 
 
 def save_bits_text(path, bits, line_width: int | None = None) -> None:
-    atomic_write_text(path, bits_to_text(_as_bits(bits), line_width))
+    atomic_write_bytes(path, bits_to_text(_as_bits(bits), line_width))
 
 
 def _check_count(path, n_bits: int | None, available: int) -> None:
@@ -383,7 +402,7 @@ def load_bits_text(path, n_bits: int | None = None) -> np.ndarray:
 
 
 def save_bits_packed(path, bits) -> None:
-    atomic_write_bytes(path, np.packbits(_as_bits(bits)).tobytes())
+    atomic_write_bytes(path, np.packbits(_as_bits(bits)))
 
 
 class PackedBits(BitSource):

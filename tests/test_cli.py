@@ -366,11 +366,15 @@ class TestExtract:
 
     def test_von_neumann_empty_output(self, tmp_path, capsys):
         path = self._bits_file(tmp_path, "0011" * 3)
+        # a stream left by an earlier run under the same base name
+        (tmp_path / "vn.txt").write_text("0101\n")
+        (tmp_path / "vn.bin").write_bytes(b"\x50")
         code = main(["extract", "--in", str(path), "--method", "von-neumann",
                      "--out", str(tmp_path / "vn")])
         assert code == EXIT_OK
         assert "no bits" in capsys.readouterr().out
         assert not (tmp_path / "vn.txt").exists()
+        assert not (tmp_path / "vn.bin").exists()
 
     def test_toeplitz_with_generated_seed(self, tmp_path, capsys):
         path = self._bits_file(tmp_path, "10110010" * 16)  # 128 bits
@@ -842,6 +846,19 @@ class TestMiscCommands:
         loaded_from, scipy_modules = proc.stdout.splitlines()
         assert loaded_from.startswith(src)
         assert scipy_modules == "[]"
+
+    def test_play_loads_no_numpy_ma(self, tmp_path):
+        # numpy.ma costs about 8 ms to import; np.unique would load it
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys\n"
+                "from diqrng.cli import main\n"
+                f"main(['play', '--rounds', '4', '--shots', '10', '--out-dir', {str(tmp_path)!r}])\n"
+                "print('numpy.ma' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert proc.stdout.splitlines()[-1] == "False"
 
     def test_version_and_usage(self, capsys):
         assert main(["--version"]) == EXIT_OK

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from diqrng import _kernels, harness
@@ -48,7 +48,8 @@ from diqrng.harness import (
     write_rounds_csv,
 )
 from diqrng.game import analytic_win_probability, round_distribution, win_probability_from_dist
-from diqrng.io import atomic_write_text, canonical_json, format_sig, round_sig
+from diqrng.io import (atomic_write_json, atomic_write_text, canonical_json, format_sig,
+                       round_sig)
 from diqrng.rng import (
     SourceDepleted,
     derive_seed,
@@ -61,6 +62,7 @@ from diqrng.simulator import (
     DataFormatError,
     DataIntegrityError,
     OutcomeDistribution,
+    record_from_indices,
     sample,
 )
 
@@ -504,6 +506,25 @@ class TestReplayBackend:
         assert back.counts == rec.counts
         assert back.memory == rec.memory
 
+    def test_counts_record_writes_in_bounded_memory(self, tmp_path):
+        idx = np.random.default_rng(16).integers(0, 16, 10 ** 5)
+        rec = record_from_indices(idx, 4, memory=True, metadata={"mode": "hadamard"})
+        path = tmp_path / "rec.json"
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            save_counts_record(path, rec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        # the file is about 1 MB; streamed, the peak is about 1.3 MB (the
+        # memory list copied once), where the whole text as one string read 8.9 MB
+        assert peak - before <= 3 * 2 ** 20
+        assert load_counts_record(path).memory == rec.memory
+
     def test_replayed_run_is_bit_reproducible(self, tmp_path):
         px, py = tmp_path / "x.json", tmp_path / "y.json"
         self._write_record(px, seed=6, shots=30)
@@ -685,6 +706,16 @@ class TestGaussianKde:
 # canonical serialization helpers
 # ---------------------------------------------------------------------------
 
+# JSON values as the package's writers see them: floats include -0.0,
+# subnormals and infinities (written as strings); text includes non-ASCII
+# and control characters
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=False) | st.sampled_from([-0.0, 5e-324, 1e308, math.inf, -math.inf]),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(), inner, max_size=5),
+    max_leaves=25)
+
+
 class TestCanonicalIo:
     def test_round_sig_six_digits(self):
         assert round_sig(0.8535533905932737) == 0.853553
@@ -734,6 +765,40 @@ class TestCanonicalIo:
                 "pair": [1, math.e if precise else 2.71828]}
         assert canonical_json(obj, precise=precise) == json.dumps(
             want, sort_keys=True, separators=(",", ": "), indent=1)
+
+    @settings(deadline=None, max_examples=150,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(obj=_JSON_VALUES, precise=st.booleans())
+    @example(obj={"": [], "e": {}, "z": [-0.0, 5e-324, 1e308, math.inf, -math.inf],
+                  "s": "\u00e9\u4e2d\x00\x1f\n\"\\", "t": (1, "a", None, True)},
+             precise=False)
+    @example(obj=[], precise=True)
+    @example(obj={}, precise=False)
+    # more chunks than one write batch holds
+    @example(obj={"memory": [f"{i:04b}" for i in range(16)] * 1000, "p": 1 / 3}, precise=True)
+    def test_streamed_json_file_is_canonical_json(self, tmp_path, obj, precise):
+        path = tmp_path / "out.json"
+        atomic_write_json(path, obj, precise=precise)
+        assert path.read_bytes() == (canonical_json(obj, precise=precise) + "\n").encode()
+
+    @pytest.mark.parametrize("bad,error", [(math.nan, ValueError), ({1, 2}, TypeError)],
+                             ids=["nan", "set"])
+    @pytest.mark.parametrize("precise", [False, True], ids=["rounded", "precise"])
+    def test_streamed_json_refusal_leaves_target_untouched(self, tmp_path, bad, error, precise):
+        # keys sort "a" first: its 10^4 entries are encoded before the refusal
+        obj = {"a": list(range(10 ** 4)), "b": bad}
+        with pytest.raises(error) as want:
+            canonical_json(obj, precise=precise)
+        path = tmp_path / "out.json"
+        with pytest.raises(error) as got:
+            atomic_write_json(path, obj, precise=precise)
+        assert str(got.value) == str(want.value)
+        assert os.listdir(tmp_path) == []
+        path.write_text("earlier\n")
+        with pytest.raises(error):
+            atomic_write_json(path, obj, precise=precise)
+        assert path.read_text() == "earlier\n"
+        assert os.listdir(tmp_path) == ["out.json"]
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         path = tmp_path / "out.txt"

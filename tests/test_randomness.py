@@ -51,6 +51,21 @@ def _stream(text: str) -> np.ndarray:
     return np.frombuffer(text.encode(), dtype=np.uint8) - ord("0")
 
 
+def _traced_peak(call) -> int:
+    """Bytes `call()` allocates at its peak beyond what was live before, per tracemalloc."""
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return peak - before
+
+
 # inputs every stream-taking function refuses: a value above 1, and 2-d
 NOT_A_STREAM = pytest.mark.parametrize("bad,match", [
     (np.array([0, 2], dtype=np.uint8), "0 or 1"),
@@ -516,7 +531,24 @@ class TestPersistence:
 
     def test_bits_to_text_no_wrap(self):
         # one line, newline-terminated
-        assert bits_to_text(np.array([1, 0, 1, 1], dtype=np.uint8)) == "1011\n"
+        assert bits_to_text(np.array([1, 0, 1, 1], dtype=np.uint8)).tobytes() == b"1011\n"
+
+    @pytest.mark.parametrize("width", [None, *range(1, 10)])
+    def test_bits_to_text_bytes_match_the_string_form(self, width):
+        def string_form(bits, line_width):
+            # the earlier writer: digits, newlines inserted, decoded to text
+            digits = (np.asarray(bits, dtype=np.uint8) != 0) + np.uint8(ord("0"))
+            if line_width:
+                breaks = np.arange(line_width, digits.size, line_width)
+                digits = np.insert(digits, breaks, np.uint8(ord("\n")))
+            return digits.tobytes().decode("ascii") + "\n"
+
+        rng = np.random.default_rng(14)
+        for n in range(301):
+            bits = (rng.random(n) < 0.5).astype(np.uint8)
+            out = bits_to_text(bits, width)
+            assert out.dtype == np.uint8 and out.ndim == 1
+            assert out.tobytes() == string_form(bits, width).encode("ascii"), n
 
     def test_text_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -554,6 +586,23 @@ class TestPersistence:
         # byte masks over the whole file would pass 2.5 x
         assert peak - before < 2.5 * path.stat().st_size
         np.testing.assert_array_equal(back, bits)
+
+    @pytest.mark.parametrize("width", [None, 4], ids=["one-line", "width-4"])
+    def test_text_writes_in_bounded_memory(self, tmp_path, width):
+        bits = (np.random.default_rng(15).random(2 * 10 ** 6) < 0.5).astype(np.uint8)
+        path = tmp_path / "bits.txt"
+        peak = _traced_peak(lambda: save_bits_text(path, bits, line_width=width))
+        # the file's bytes held once; a string form held 3 x (8.8 x wrapped)
+        assert peak <= 1.2 * path.stat().st_size
+        np.testing.assert_array_equal(load_bits_text(path), bits)
+
+    def test_packed_writes_in_bounded_memory(self, tmp_path):
+        bits = (np.random.default_rng(15).random(2 * 10 ** 6) < 0.5).astype(np.uint8)
+        path = tmp_path / "bits.bin"
+        peak = _traced_peak(lambda: save_bits_packed(path, bits))
+        # the packed array itself is written; a bytes copy of it made 2 x
+        assert peak <= 1.2 * path.stat().st_size
+        np.testing.assert_array_equal(load_bits_packed(path, bits.size), bits)
 
     def test_text_prefix_count(self, tmp_path):
         bits = (np.random.default_rng(11).random(203) < 0.5).astype(np.uint8)
