@@ -6,6 +6,9 @@ Usage:
 Each kernel is first checked against a reference on the benchmark
 inputs (a benchmark of wrong answers is worthless), then runs
 `--repeats` times; the table reports the best wall time.  The two
+`von_neumann_pairs` rows are checked against the pair rule as a boolean
+mask over a (pairs, 2) view; 2.56e6 bits is the stream `replay_lossy`
+debiases.  The two
 per-row sampling rows draw 1e5 rounds x 100 shots, each round from one of
 four tables, once by a binary search per table and once by the (rows, K)
 form of `sample_outcomes` that the round engine uses.  The round-loop row
@@ -23,21 +26,28 @@ them as `extract --method toeplitz --extractor-seed` does: the stream is
 read from a packed file and the seed bits drawn, one block at a time.
 It and the `toeplitz_gf2 1e7->1742455` row also print their peak memory
 as `tracemalloc` sees it; the kernel row's inputs are allocated before
-the call, the `extract .bin` row holds no whole input.  The
-`gaussian_kde` row is `report`'s density estimate of 1e4 win fractions on
-its 1001-point grid, computed in blocks of grid rows; it is checked
-against the whole 1001 x 1e4 matrix (about 240 MB), and the row also
+the call, the `extract .bin` row holds no whole input.  The two
+`gaussian_kde` rows are `report`'s density estimate on its 1001-point grid:
+of 1e4 win fractions spread over the grid, and of 2e3 clustered as
+`replay_lossy`'s are (1280 kept shots a round at p = 0.82), where most grid
+rows are past the kernel's reach and skipped.  Both are checked against the
+whole grid x values matrix (about 240 MB for 1e4), and the first also
 prints the estimate's peak memory as `tracemalloc` sees it.  The two writer
 rows save a 1e7-bit stream as text (`save_bits_text`) and a 1e5-shot
-4-qubit counts record with memory as JSON (`save_counts_record`); each file
-is first checked byte for byte against the whole file built as one string
-(the digits decoded to text, `json.dumps` of the record), and each row
-prints the write's peak memory as `tracemalloc` sees it.
+4-qubit counts record with memory as JSON (`save_counts_record`, whose
+memory block is built from the digits, not encoded string by string); each
+file is first checked byte for byte against the whole file built as one
+string (the digits decoded to text, `json.dumps` of the record), and each
+row prints the write's peak memory as `tracemalloc` sees it.  The
+`load_counts_record` row reads that record back; the loaded record is
+first checked against the written one and its memory against a
+`collections.Counter` tally of the counts.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import math
 import os
@@ -48,7 +58,7 @@ import tracemalloc
 import numpy as np
 
 from diqrng import _kernels
-from diqrng.harness import _gaussian_kde, save_counts_record
+from diqrng.harness import _gaussian_kde, load_counts_record, save_counts_record
 from diqrng.randomness import (PackedBits, save_bits_packed, save_bits_text, toeplitz_extract,
                                toeplitz_seed_bits)
 from diqrng.rng import derive_seed, derive_seeds, make_rng, rekey, uniform_bits
@@ -163,7 +173,11 @@ def main() -> int:
                want_idx, args.repeats))
     print(_row("von_neumann_pairs 2e7", _kernels.von_neumann_pairs, (vn_bits,),
                want_vn, args.repeats))
-    del u, want_idx, vn_bits, pairs, want_vn
+    vn_small = (rng.random(2_560_000) < 0.5).astype(np.uint8)
+    small_pairs = vn_small.reshape(-1, 2)
+    print(_row("von_neumann_pairs 2.56e6", _kernels.von_neumann_pairs, (vn_small,),
+               small_pairs[small_pairs[:, 0] != small_pairs[:, 1], 0], args.repeats))
+    del u, want_idx, vn_bits, pairs, want_vn, vn_small, small_pairs
 
     # per-row sampling: 1e5 rounds x 100 shots over four 4-outcome tables
     tables = np.cumsum(rng.dirichlet(np.ones(4), size=4), axis=1)
@@ -195,6 +209,9 @@ def main() -> int:
     print(_row("gaussian_kde 1e4 rounds", _gaussian_kde, kde_args,
                _whole_matrix_kde(*kde_args), args.repeats)
           + f"   traced peak {_traced_peak_mb(_gaussian_kde, kde_args):.1f} MB")
+    clustered = (rng.binomial(1280, 0.82, 2000) / 1280, grid)
+    print(_row("gaussian_kde 2e3 clustered", _gaussian_kde, clustered,
+               _whole_matrix_kde(*clustered), args.repeats))
 
     text_bits = (rng.random(10_000_000) < 0.5).astype(np.uint8)
     text_want = (((text_bits != 0) + np.uint8(ord("0"))).tobytes().decode("ascii")
@@ -209,6 +226,15 @@ def main() -> int:
                               indent=1) + "\n").encode("ascii")
     print(_writer_row("save_counts_record 1e5", save_counts_record, (record,), record_want,
                       args.repeats))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "record.json")
+        save_counts_record(path, record)
+        loaded = load_counts_record(path)
+        if (loaded.memory != record.memory or loaded.counts != record.counts
+                or collections.Counter(loaded.memory) != loaded.counts):
+            raise AssertionError("load_counts_record: record differs from its reference")
+        print(f"{'load_counts_record 1e5':<28} "
+              f"{_best_time(load_counts_record, (path,), args.repeats) * 1e3:>10.2f}")
     del record, record_want
 
     for label, in_len, out_len in (("1e6->4096", 1_000_000, 4096),

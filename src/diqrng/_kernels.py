@@ -46,12 +46,24 @@ def sample_outcomes(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
 # von Neumann pair scan
 # ============================================================
 
+# pairs per block: np.compress builds an int64 index of the kept positions,
+# 256 kB at most per block where a whole 2.56e6-bit stream's took 5 MB
+_PAIR_BLOCK = 1 << 15
+
+
 def von_neumann_pairs(bits: np.ndarray) -> np.ndarray:
-    """Keep the first bit of each non-overlapping unequal pair."""
-    m = bits.size // 2
-    pairs = bits[: 2 * m].reshape(m, 2)
-    keep = pairs[:, 0] != pairs[:, 1]
-    return np.ascontiguousarray(pairs[keep, 0])
+    """Keep the first bit of each non-overlapping unequal pair.
+
+    The pairs' halves are strided views of the input; each block of pairs
+    is selected by one `np.compress`, and the blocks are joined into an
+    array that owns its data.
+    """
+    end = bits.size - bits.size % 2
+    first, second = bits[0:end:2], bits[1:end:2]
+    return np.concatenate([
+        np.compress(first[lo:lo + _PAIR_BLOCK] != second[lo:lo + _PAIR_BLOCK],
+                    first[lo:lo + _PAIR_BLOCK])
+        for lo in range(0, max(first.size, 1), _PAIR_BLOCK)])
 
 
 # ============================================================

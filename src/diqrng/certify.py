@@ -6,7 +6,8 @@ binomial null, and (b) a certified min-entropy rate per output bit,
 max(0, 1 - log2(1 + sqrt(2 - s^2/4))).  The rate is 0 at or below the
 classical point s = 2 and reaches 1 at the maximal quantum value
 s = 2*sqrt(2).  A run is CERTIFIED only when z clears the threshold
-(default 5) and s exceeds 2.
+(default 5) and s exceeds 2, and only a CERTIFIED certificate carries that
+rate: any other verdict states rate 0.
 
 certificate.json is written, read and gated here only.  Loading re-issues
 the certificate from its stored p_win, n and threshold_z and refuses the
@@ -92,12 +93,12 @@ def certify_pooled(p_win: float, n: int,
                            verdict=Verdict.INSUFFICIENT_DATA, threshold_z=threshold_z)
     s = s_value(p_win)
     z = violation_significance(p_win, n)
-    # sampling noise can push s past the quantum bound, and losing runs
-    # drive it negative; the rate only certifies anything on (2, 2*sqrt(2)],
-    # so it is evaluated with s clipped into [0, 2*sqrt(2)]
-    rate = min_entropy_rate(min(max(s, 0.0), TSIRELSON_S))
     verdict = (Verdict.CERTIFIED if z >= threshold_z and s > CLASSICAL_S
                else Verdict.NOT_VIOLATED)
+    # only a certified run carries a rate; sampling noise can push s past
+    # the quantum bound, so the rate is evaluated with s clipped to 2*sqrt(2)
+    rate = (min_entropy_rate(min(s, TSIRELSON_S)) if verdict is Verdict.CERTIFIED
+            else 0.0)
     return Certificate(p_win=p_win, n=n, s=s, z=z, min_entropy_rate=rate,
                        verdict=verdict, threshold_z=threshold_z)
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import Any, Mapping, NamedTuple, Sequence
 
@@ -44,8 +44,8 @@ from .game import (
     round_distribution,
 )
 from .io import (DataFormatError, DataIntegrityError, _json_bool, _json_float, _json_int,
-                 _known_keys, atomic_write_json, atomic_write_text, format_sig, load_json,
-                 parse_json, read_text)
+                 _known_keys, atomic_write_json, atomic_write_pieces, atomic_write_text,
+                 canonical_json, format_sig, load_json, parse_json, read_text)
 from .rng import derive_seed, derive_seeds, make_rng, rekey, uniform_bits
 from .simulator import CountsRecord
 
@@ -256,8 +256,43 @@ def load_counts_record(path: str | os.PathLike) -> CountsRecord:
     return load_json(path, CountsRecord.from_json_obj)
 
 
+# rows of a counts record's memory block per write: 160 kB of text at 4 qubits
+_MEMORY_ROWS = 1 << 14
+
+
 def save_counts_record(path: str | os.PathLike, record: CountsRecord) -> None:
-    atomic_write_json(path, record.to_json_obj(), precise=True)
+    """Write the record; the bytes equal `atomic_write_json` of `record.to_json_obj()`.
+
+    The fields other than memory go through the one JSON encoder, at full
+    precision.  The memory block is built from the record's digits as
+    uint8 lines ``  "0101",`` and written a bounded number of lines at a
+    time.  A record the loader would refuse raises before anything is
+    written.
+    """
+    digits = record.memory_digits()
+    head = canonical_json(replace(record, memory=None).to_json_obj(), precise=True)
+    if digits is None:
+        atomic_write_text(path, head + "\n")
+        return
+    # a top-level key is the only line indented by one space: nested lines
+    # take more, and a newline inside a string is escaped
+    before, _, after = head.partition('\n "memory": null')
+    width = digits.shape[1]
+    line = np.frombuffer(b'  "' + b" " * width + b'",\n', dtype=np.uint8)
+
+    def pieces():
+        yield (before + '\n "memory": [\n').encode("ascii")
+        shots = digits.shape[0]
+        for lo in range(0, shots, _MEMORY_ROWS):
+            rows = digits[lo:lo + _MEMORY_ROWS]
+            lines = np.empty((rows.shape[0], line.size), dtype=np.uint8)
+            lines[:] = line
+            lines[:, 3:3 + width] = rows
+            # the last line ends without its ",\n", where the list closes
+            yield lines if lo + _MEMORY_ROWS < shots else lines.reshape(-1)[:-2]
+        yield f"\n ]{after}\n".encode("ascii")
+
+    atomic_write_pieces(path, pieces())
 
 
 def replay_backend(paths: Sequence[str | os.PathLike]) -> np.ndarray:
@@ -370,8 +405,8 @@ def run_certified_experiment(config: ExperimentConfig) -> CertifiedRun:
             same_all, diff_all = result_from_indices(idx)
             wins_all = np.where(x[lo:hi] & y[lo:hi], diff_all, same_all)
             all_event.append(wins_all[(same[lo:hi] + diff[lo:hi]) > 0] / shots)
-        # a boolean mask flattens in row order, which is round order
-        alice_chunks.append(idx[kept] >> 1)
+        # the kept shots in row order, which is round order
+        alice_chunks.append(np.compress(kept.ravel(), idx.ravel()) >> 1)
     experiment = ExperimentResult.from_rounds(x, y, same, diff)
     certificate = certify(experiment, config.threshold_z)
     return CertifiedRun(experiment, certificate, np.concatenate(alice_chunks),
@@ -438,24 +473,37 @@ def read_rounds_csv(path: str | os.PathLike) -> ExperimentResult:
 # 10^4 values it took 127 ms against 158 ms at 2^20 and 225 ms for the whole
 # matrix (2-vCPU x86-64 host, medians of 7)
 _KDE_BLOCK = 1 << 16
+# past this many bandwidths exp(-z^2/2) is exactly 0.0 in float64: the
+# smallest subnormal is exp(-744.4), and 39^2/2 = 760.5
+_KDE_REACH = 39.0
 
 
 def _gaussian_kde(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Plain Gaussian KDE with a floored Silverman bandwidth.
 
-    The floor keeps single-round and zero-variance inputs finite.  Grid
+    The floor keeps single-round and zero-variance inputs finite.  Only
+    grid rows with a value within _KDE_REACH bandwidths are computed: every
+    term of any other row underflows to 0.0, so its sum is 0.0.  Computed
     rows are summed a block at a time, so working memory is linear in
-    `values.size`; each row is still one contiguous sum of the same
-    length, so the result equals the whole-matrix form bit for bit.
+    `values.size`; each row is still one contiguous sum of the same length,
+    so the result equals the whole-matrix form bit for bit.
     """
     n = values.size
     sigma = float(values.std(ddof=0))
     h = max(1.06 * sigma * n ** (-0.2), 1e-3)
-    sums = np.empty(grid.size)
+    # float subtraction is monotone, so each grid point's nearest value is
+    # one of its two neighbours in sorted order
+    ordered = np.sort(values)
+    right = np.searchsorted(ordered, grid)
+    nearest = np.minimum(np.abs(ordered[np.maximum(right - 1, 0)] - grid),
+                         np.abs(ordered[np.minimum(right, n - 1)] - grid))
+    live = np.flatnonzero(~(nearest > _KDE_REACH * h))  # a NaN row is computed
+    sums = np.zeros(grid.size)
     step = max(1, _KDE_BLOCK // n)
-    for lo in range(0, grid.size, step):
-        z = (grid[lo:lo + step, None] - values[None, :]) / h
-        sums[lo:lo + step] = np.exp(-0.5 * z * z).sum(axis=1)
+    for lo in range(0, live.size, step):
+        rows = live[lo:lo + step]
+        z = (grid[rows, None] - values[None, :]) / h
+        sums[rows] = np.exp(-0.5 * z * z).sum(axis=1)
     return sums / (n * h * math.sqrt(2.0 * math.pi))
 
 

@@ -7,8 +7,9 @@ floats to 6 significant digits; files the package reads back (certificates,
 configs, counts records) are written with ``precise=True`` so every float
 survives the round trip exactly.  A file is written from a buffer the caller
 already holds (``atomic_write_bytes`` takes any contiguous buffer, such as a
-numpy array) or, for JSON, streamed from the encoder by ``atomic_write_json``,
-so no whole-file string is built; ``canonical_json`` is the same text as one
+numpy array) or from buffers made one after another (``atomic_write_pieces``)
+or, for JSON, streamed from the encoder by ``atomic_write_json``, so no
+whole-file string is built; ``canonical_json`` is the same text as one
 string.  Every file the package reads goes through ``read_text`` and every
 JSON text through ``parse_json``, so the error names a file that does not
 decode or parse; the ``_json_*`` readers type-check values.
@@ -21,7 +22,7 @@ import math
 import os
 import tempfile
 from itertools import islice
-from typing import IO, Any, Callable, Mapping
+from typing import IO, Any, Callable, Iterable, Mapping
 
 
 class DataFormatError(ValueError):
@@ -173,6 +174,19 @@ def atomic_write_bytes(path: str | os.PathLike, data: Any) -> None:
     Via temp file + rename in the same directory; the buffer is not copied.
     """
     _atomic_write(path, lambda fh: fh.write(data), "wb")
+
+
+def atomic_write_pieces(path: str | os.PathLike, pieces: Iterable[Any]) -> None:
+    """Write each bytes-like buffer that `pieces` yields to path, in order.
+
+    Via temp file + rename, so a piece made as the file is written need not
+    outlive its write; an error while making one leaves the target untouched.
+    """
+    def write(fh: IO) -> None:
+        for piece in pieces:
+            fh.write(piece)
+
+    _atomic_write(path, write, "wb")
 
 
 def atomic_write_json(path: str | os.PathLike, obj: Any, *, precise: bool = False) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -123,10 +123,28 @@ class CountsRecord:
         missing = {"shots", "counts"} - set(obj)
         if missing:
             raise DataFormatError(f"counts record missing fields: {sorted(missing)}")
-        shots = obj["shots"]
-        counts = obj["counts"]
-        memory = obj.get("memory")
-        metadata = obj.get("metadata") or {}
+        # a present "metadata" must be an object: null, [] or 0 is refused, not read as {}
+        rec = cls(shots=obj["shots"], counts=obj["counts"], memory=obj.get("memory"),
+                  metadata=obj.get("metadata", {}))
+        rec.validate()
+        rec.counts, rec.metadata = dict(rec.counts), dict(rec.metadata)
+        return rec
+
+    def validate(self) -> None:
+        """Check every field as the loader does.
+
+        Raises DataFormatError for a field outside the schema and
+        DataIntegrityError when the fields disagree with each other.
+        """
+        self.memory_digits()
+
+    def memory_digits(self) -> np.ndarray | None:
+        """`validate`, then the memory as a (shots, width) uint8 array of ASCII digits.
+
+        None for a record without memory.  The entries are checked and
+        tallied from one joined text, not one string at a time.
+        """
+        shots, counts, memory = self.shots, self.counts, self.memory
         if _json_int(shots, "shots") < 1:
             raise DataFormatError(f"shots must be a positive int, got {shots!r}")
         if not isinstance(counts, Mapping) or not counts:
@@ -141,41 +159,76 @@ class CountsRecord:
         if len(widths) != 1:
             raise DataFormatError(f"counts keys have mixed widths {sorted(widths)}")
         (width,) = widths
+        digits = None
         if memory is not None:
-            if not isinstance(memory, list):
+            if not isinstance(memory, (list, tuple)):
                 raise DataFormatError("memory must be a list or null")
-
-            def bad(entry: Any) -> bool:
-                return (not isinstance(entry, str) or len(entry) != width
-                        or bool(set(entry) - {"0", "1"}))
-
-            # each distinct entry is checked once; an unhashable one is bad
-            try:
-                ok = not any(map(bad, set(memory)))
-            except TypeError:
-                ok = False
-            if not ok:
-                entry = next(filter(bad, memory))
+            digits = _bit_rows(memory, width)
+            if digits is None:
+                entry = next(e for e in memory if not (
+                    isinstance(e, str) and len(e) == width and not set(e) - {"0", "1"}))
                 raise DataFormatError(f"memory entry {entry!r} is not a width-{width} bitstring")
-        if not isinstance(metadata, Mapping):
+        if not isinstance(self.metadata, Mapping):
             raise DataFormatError("metadata must be an object")
-        rec = cls(shots=shots, counts=dict(counts),
-                  memory=list(memory) if memory is not None else None,
-                  metadata=dict(metadata))
-        rec.validate()
-        return rec
-
-    def validate(self) -> None:
-        """Cross-field consistency; raises DataIntegrityError on mismatch."""
-        total = sum(self.counts.values())
-        if total != self.shots:
-            raise DataIntegrityError(f"counts sum to {total}, shots field says {self.shots}")
-        if self.memory is not None:
-            if len(self.memory) != self.shots:
-                raise DataIntegrityError(
-                    f"memory holds {len(self.memory)} entries for {self.shots} shots")
-            if Counter(self.memory) != {k: v for k, v in self.counts.items() if v > 0}:
+        total = sum(counts.values())
+        if total != shots:
+            raise DataIntegrityError(f"counts sum to {total}, shots field says {shots}")
+        if digits is not None:
+            if len(memory) != shots:
+                raise DataIntegrityError(f"memory holds {len(memory)} entries for {shots} shots")
+            if _tally(digits, memory) != {k: v for k, v in counts.items() if v > 0}:
                 raise DataIntegrityError("memory tallies disagree with counts")
+        return digits
+
+
+def _bit_rows(memory: Sequence[Any], width: int) -> np.ndarray | None:
+    """The entries as a (len, width) uint8 array of the ASCII digits "0" and "1".
+
+    None unless every entry is a str of `width` 0s and 1s.  The entries are
+    joined with "," between and after them: they are all such strings
+    exactly when the text is ASCII, len * (width + 1) characters long, with a
+    comma at every (width + 1)-th place and a 0 or 1 everywhere else.  The
+    array is a view of the joined text's bytes, the one copy made.
+    """
+    try:
+        text = (",".join(memory) + "," if memory else "").encode("ascii")
+    except (TypeError, UnicodeEncodeError):  # an entry that is not an ASCII str
+        return None
+    if len(text) != len(memory) * (width + 1):
+        return None
+    codes = np.frombuffer(text, dtype=np.uint8)
+    rows = codes.reshape(-1, width + 1)
+    # every comma column holds a ",", and no other byte is outside "0" and "1"
+    # (uint8 wraps, so codes below "0" exceed 1 too)
+    if (rows.shape[0] and (rows[:, width].min() != ord(",") or rows[:, width].max() != ord(","))
+            or np.count_nonzero(codes - np.uint8(ord("0")) > 1) != rows.shape[0]):
+        return None
+    return rows[:, :width]
+
+
+# rows tallied per bincount, so that the int64 indices stay at 128 kB
+_TALLY_ROWS = 1 << 14
+
+
+def _tally(digits: np.ndarray, memory: Sequence[str]) -> dict[str, int]:
+    """How often each outcome occurs, by bincounts of the rows' basis indices.
+
+    Rows wider than MAX_QUBITS, whose index range would not fit a bincount,
+    are tallied string by string.
+    """
+    shots, width = digits.shape
+    if width > MAX_QUBITS:
+        return dict(Counter(memory))
+    tally = np.zeros(1 << width, dtype=np.int64)
+    for lo in range(0, shots, _TALLY_ROWS):
+        block = digits[lo:lo + _TALLY_ROWS]
+        idx = np.zeros(block.shape[0], dtype=np.int64)
+        for k in range(width):
+            idx <<= 1
+            idx |= block[:, k] & 1  # the low bit of ASCII "0" and "1" is the digit
+        tally += np.bincount(idx, minlength=1 << width)
+    seen = np.flatnonzero(tally)
+    return {bitstring(i, width): c for i, c in zip(seen.tolist(), tally[seen].tolist())}
 
 
 def record_from_indices(idx: np.ndarray, n_qubits: int, *, memory: bool = False,

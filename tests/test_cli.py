@@ -255,6 +255,19 @@ class TestReplayFlow:
         assert f"data error: {records[side]}: " in capsys.readouterr().err
         assert not (tmp_path / "out" / "rounds.csv").exists()
 
+    @pytest.mark.parametrize("metadata", [[], 0, "", False, None],
+                             ids=["empty-list", "zero", "empty-string", "false", "null"])
+    def test_replay_record_with_non_object_metadata_exits_65(self, tmp_path, capsys, metadata):
+        xa, ya = self._make_inputs(tmp_path)
+        record = json.loads(xa.read_text())
+        record["metadata"] = metadata
+        xa.write_text(json.dumps(record))
+        code = main(["play", "--rounds", "10", "--shots", "10",
+                     "--replay-x", str(xa), "--replay-y", str(ya),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        assert f"data error: {xa}: metadata must be an object" in capsys.readouterr().err
+
     def test_undecodable_second_replay_file_is_named(self, tmp_path, capsys):
         xa, ya = self._make_inputs(tmp_path)
         xb = tmp_path / "xb.json"
@@ -477,6 +490,32 @@ class TestExtract:
         assert verdict in capsys.readouterr().err
         assert not (tmp_path / "hashed.txt").exists()
         assert not (tmp_path / "hashed.bin").exists()
+
+    def test_not_violated_certificate_states_rate_zero(self, tmp_path, capsys):
+        # 11 of 12 shots won: s = 3.33 puts the clipped rate at 1.0, z = 2.09 certifies nothing
+        run_dir = tmp_path / "run"
+        assert main(["play", "--rounds", "1", "--shots", "12", "--seed", "2",
+                     "--out-dir", str(run_dir)]) == EXIT_NOT_VIOLATED
+        cert = json.loads((run_dir / "certificate.json").read_text())
+        assert cert["verdict"] == "NOT_VIOLATED" and cert["s"] > 2
+        assert cert["min_entropy_rate"] == 0.0
+
+    def test_not_violated_certificate_with_a_rate_exits_65(self, tmp_path, capsys):
+        # the form such a certificate took before only CERTIFIED carried a rate
+        run_dir = tmp_path / "run"
+        assert main(["play", "--rounds", "1", "--shots", "12", "--seed", "2",
+                     "--out-dir", str(run_dir)]) == EXIT_NOT_VIOLATED
+        cert = json.loads((run_dir / "certificate.json").read_text())
+        cert["min_entropy_rate"] = 1.0
+        stored = tmp_path / "stored.json"
+        stored.write_text(canonical_json(cert, precise=True) + "\n")
+        path = self._bits_file(tmp_path, "10" * 100)
+        code = main(["extract", "--in", str(path), "--method", "toeplitz",
+                     "--out-len", "10", "--extractor-seed", "6",
+                     "--certificate", str(stored), "--out", str(tmp_path / "hashed")])
+        assert code == EXIT_DATA
+        assert "bad certificate" in capsys.readouterr().err
+        assert not (tmp_path / "hashed.txt").exists()
 
     @pytest.mark.parametrize("field", [
         {"verdict": "BOGUS"},

@@ -98,7 +98,7 @@ GOLDEN: dict[str, dict[str, str]] = {
     'dependent_inputs': {
         'alice_bits.bin': 'e8ffbc8e0e686b70e9b6e3a0800a4a37dbbb69f0bbe065844ea74d8b023da040',
         'alice_bits.txt': 'c697ae293d4e76de36753e4030646777ca1b9f65fee07b9d8d4421da8d715e06',
-        'certificate.json': 'ec32fda27081b483ea4139b4a9817119854e040f009803b8264bb0a51ecb03a2',
+        'certificate.json': '76f06ae4c68cc9a366fea314a95cde715589c607e663e18fd6c27a1787a7b7cd',
         'rounds.csv': '3772b1314cd6346f14ed6b17ee50bfd11a3541672df86706473fc6ae626704c6',
         'summary.json': 'd2738a7303eb4b9966dc0f478beb5374dd02564249f82d8e1565fdbf4c16e5ed',
     },

@@ -11,6 +11,7 @@ import math
 import os
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -59,6 +60,7 @@ from diqrng.rng import (
     uniform_bits,
 )
 from diqrng.simulator import (
+    CountsRecord,
     DataFormatError,
     DataIntegrityError,
     OutcomeDistribution,
@@ -685,6 +687,28 @@ class TestGaussianKde:
         assert np.array_equal(harness._gaussian_kde(values, grid),
                               _whole_matrix_kde(values, grid))
 
+    @pytest.mark.parametrize("values", [
+        # replay_lossy's spread: about 1280 kept shots per round at p = 0.82
+        np.random.default_rng(1).binomial(1280, 0.82, 2000) / 1280,
+        np.random.default_rng(2).normal(0.5, 0.008, 2000),
+        np.concatenate([np.full(500, 0.3), np.full(500, 0.9)]),  # two clusters
+        np.random.default_rng(3).random(2000),  # spread over the whole grid
+        np.array([0.75]),
+        np.full(300, 0.85),  # zero variance: the floored bandwidth
+        np.array([0.0, 1.0]),
+    ], ids=["replay-lossy", "clustered", "two-clusters", "spread", "1-round",
+            "zero-variance", "ends"])
+    def test_skipped_rows_equal_the_whole_matrix(self, values):
+        grid = np.linspace(0.0, 1.0, 1001)
+        assert np.array_equal(harness._gaussian_kde(values, grid),
+                              _whole_matrix_kde(values, grid))
+
+    def test_clustered_values_leave_rows_at_zero(self):
+        # the rows skipped are ones the whole matrix sums to exactly 0.0
+        values = np.random.default_rng(1).binomial(1280, 0.82, 2000) / 1280
+        dens = harness._gaussian_kde(values, np.linspace(0.0, 1.0, 1001))
+        assert 100 < np.count_nonzero(dens) < 500
+
     def test_working_memory_is_linear_in_rounds(self):
         values = np.random.default_rng(4).random(10_000)
         grid = np.linspace(0.0, 1.0, 1001)
@@ -805,3 +829,76 @@ class TestCanonicalIo:
         atomic_write_text(path, "payload")
         assert path.read_text() == "payload"
         assert os.listdir(tmp_path) == ["out.txt"]
+
+
+# ---------------------------------------------------------------------------
+# the counts-record writer
+# ---------------------------------------------------------------------------
+
+# metadata keys include non-ASCII text and a nested "memory", the key the
+# writer splices the memory block in at
+_METADATA = st.dictionaries(
+    st.sampled_from(["memory", "mode", "seed", "\u00e9t\u00e9", "\u4e2d"]) | st.text(),
+    _JSON_VALUES, max_size=4)
+
+
+def _record(width: int, shots: int, seed: int, *, memory: bool = True,
+            metadata: dict | None = None) -> CountsRecord:
+    idx = np.random.default_rng(seed).integers(0, 2 ** width, shots)
+    return record_from_indices(idx, width, memory=memory, metadata=metadata)
+
+
+class TestCountsRecordWriter:
+    @settings(deadline=None, max_examples=80,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(width=st.sampled_from([1, 2, 4, 12]), shots=st.integers(1, 40),
+           memory=st.booleans(), metadata=_METADATA, rows=st.integers(1, 9),
+           seed=st.integers(0, 2 ** 32))
+    @example(width=1, shots=1, memory=True, metadata={}, rows=1, seed=0)
+    @example(width=12, shots=1, memory=True, metadata={}, rows=1, seed=0)
+    @example(width=12, shots=1, memory=False, metadata={}, rows=1, seed=0)
+    @example(width=4, shots=7, memory=True, rows=3, seed=1, metadata={
+        "memory": {"memory": [" \"memory\": null", None]}, "\u00e9": "\u4e2d\n \"memory\": null",
+        "nested": {"a": [1, {"b": 1 / 3}], "memory": None}})
+    def test_bytes_equal_the_encoder(self, tmp_path, width, shots, memory, metadata, rows,
+                                     seed):
+        rec = _record(width, shots, seed, memory=memory, metadata=metadata)
+        got, want = tmp_path / "got.json", tmp_path / "want.json"
+        # a few lines per piece, so that the pieces' joins are crossed
+        with mock.patch.object(harness, "_MEMORY_ROWS", rows):
+            save_counts_record(got, rec)
+        atomic_write_json(want, rec.to_json_obj(), precise=True)
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("shots", [harness._MEMORY_ROWS, 2 * harness._MEMORY_ROWS + 1])
+    def test_bytes_equal_the_encoder_at_whole_pieces(self, tmp_path, shots):
+        rec = _record(4, shots, shots, metadata={"mode": "hadamard", "seed": 1})
+        save_counts_record(tmp_path / "got.json", rec)
+        atomic_write_json(tmp_path / "want.json", rec.to_json_obj(), precise=True)
+        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+    @pytest.mark.parametrize("memory, error", [
+        (["01", "0", "11"], DataFormatError),
+        (["01", "011", "1"], DataFormatError),
+        (["01", "0x", "11"], DataFormatError),
+        (["01", 1, "11"], DataFormatError),
+        (["01", "01", "11"], DataIntegrityError),
+        (["01", "11"], DataIntegrityError),
+    ], ids=["short", "long", "non-bit", "non-string", "tally", "length"])
+    def test_record_the_loader_refuses_writes_nothing(self, tmp_path, memory, error):
+        rec = CountsRecord(shots=3, counts={"01": 1, "11": 2}, memory=memory, metadata={})
+        path = tmp_path / "rec.json"
+        with pytest.raises(error):
+            save_counts_record(path, rec)
+        assert os.listdir(tmp_path) == []
+        path.write_text("earlier\n")
+        with pytest.raises(error):
+            save_counts_record(path, rec)
+        assert os.listdir(tmp_path) == ["rec.json"]
+        assert path.read_text() == "earlier\n"
+
+    def test_metadata_that_does_not_encode_writes_nothing(self, tmp_path):
+        rec = _record(2, 5, 0, metadata={"x": math.nan})
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_counts_record(tmp_path / "rec.json", rec)
+        assert os.listdir(tmp_path) == []

@@ -138,6 +138,34 @@ class TestVonNeumannPairs:
                     if bits[k] != bits[k + 1]]
             np.testing.assert_array_equal(_kernels.von_neumann_pairs(bits), want)
 
+    @staticmethod
+    def _pair_rule(bits):
+        return [int(bits[k]) for k in range(0, len(bits) - 1, 2) if bits[k] != bits[k + 1]]
+
+    # the last two cross one and two blocks of pairs
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 101, 2 * _kernels._PAIR_BLOCK + 1,
+                                   4 * _kernels._PAIR_BLOCK + 5])
+    def test_lengths_and_odd_tails(self, n):
+        bits = (np.random.default_rng(n).random(n) < 0.3).astype(np.uint8)
+        got = _kernels.von_neumann_pairs(bits)
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, np.array(self._pair_rule(bits), dtype=np.uint8))
+
+    @pytest.mark.parametrize("n", [0, 1, 10, 1001, 3 * _kernels._PAIR_BLOCK])
+    def test_strided_input(self, n):
+        whole = (np.random.default_rng(7 + n).random(3 * n) < 0.6).astype(np.uint8)
+        bits = whole[::3]
+        assert not bits.flags.c_contiguous or n <= 1
+        np.testing.assert_array_equal(_kernels.von_neumann_pairs(bits),
+                                      np.array(self._pair_rule(bits), dtype=np.uint8))
+
+    def test_output_owns_its_data(self):
+        bits = np.array([0, 1, 1, 0, 1, 1, 1, 0], dtype=np.uint8)
+        got = _kernels.von_neumann_pairs(bits)
+        assert got.flags.owndata and got.flags.c_contiguous
+        got[:] = 1
+        np.testing.assert_array_equal(bits, [0, 1, 1, 0, 1, 1, 1, 0])
+
 
 class TestToeplitzGf2:
     def _cases(self):

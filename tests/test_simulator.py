@@ -10,6 +10,7 @@ core correctness argument for the distributions the package samples.
 
 from __future__ import annotations
 
+import collections
 import json
 import math
 import re
@@ -274,6 +275,56 @@ class TestCountsRecord:
         assert rec.memory == [format(i, "04b") for i in idx.tolist()]
         assert rec.counts == {format(i, "04b"): 3 for i in range(16)}
         rec.validate()
+
+    @pytest.mark.parametrize("metadata", [[], 0, "", False, None, ["mode"], 1.5],
+                             ids=["empty-list", "zero", "empty-string", "false", "null",
+                                  "list", "float"])
+    def test_metadata_other_than_an_object_is_refused(self, metadata):
+        obj = {"shots": 1, "counts": {"0": 1}, "memory": ["0"], "metadata": metadata}
+        with pytest.raises(DataFormatError, match="metadata must be an object"):
+            CountsRecord.from_json_obj(obj)
+
+    def test_absent_metadata_reads_as_empty(self):
+        rec = CountsRecord.from_json_obj({"shots": 1, "counts": {"0": 1}})
+        assert rec.metadata == {} and rec.memory is None
+
+    @pytest.mark.parametrize("memory", [
+        ["00", "00", "11"],  # same length, one outcome too many and one too few
+        ["11", "00", "00"],
+        ["01", "00", "11"],  # an outcome counts does not hold
+    ])
+    def test_memory_multiset_that_disagrees_is_refused(self, memory):
+        obj = {"shots": 3, "counts": {"00": 1, "01": 0, "11": 2}, "memory": memory}
+        with pytest.raises(DataIntegrityError, match="memory tallies disagree with counts"):
+            CountsRecord.from_json_obj(obj)
+
+    @pytest.mark.parametrize("width", [1, 4, 12, 13, 20])
+    def test_memory_tally_matches_counter(self, width):
+        # 13 and 20 qubits are wider than the bincount tally and take Counter's
+        idx = np.random.default_rng(width).integers(0, 2 ** width, 300)
+        memory = [format(i, f"0{width}b") for i in idx.tolist()]
+        counts = dict(collections.Counter(memory))
+        rec = CountsRecord.from_json_obj({"shots": 300, "counts": counts, "memory": memory})
+        assert rec.memory_digits().tobytes().decode() == "".join(memory)
+        swapped = dict(counts)
+        first, second = sorted(swapped)[:2]
+        swapped[first] -= 1
+        swapped[second] += 1
+        with pytest.raises(DataIntegrityError, match="memory tallies disagree with counts"):
+            CountsRecord.from_json_obj({"shots": 300, "counts": swapped, "memory": memory})
+
+    @pytest.mark.parametrize("memory, named", [
+        (["01", "0", "11"], "'0'"),  # mixed widths, the joined length short
+        (["011", "0", "11"], "'011'"),  # mixed widths, the joined length right
+        (["01", "0,1"], "'0,1'"),  # a comma inside an entry
+        (["01", "0\u00e9"], "'0\u00e9'"),
+        (["01", "2 "], "'2 '"),
+        (["01", b"01"], "b'01'"),
+    ], ids=["short", "long-then-short", "comma", "non-ascii", "non-bit", "bytes"])
+    def test_joined_memory_check_names_the_bad_entry(self, memory, named):
+        obj = {"shots": len(memory), "counts": {"01": len(memory)}, "memory": memory}
+        with pytest.raises(DataFormatError, match=rf"memory entry {re.escape(named)} is not"):
+            CountsRecord.from_json_obj(obj)
 
     def test_validate_detects_inconsistency(self):
         rec = CountsRecord(shots=3, counts={"0": 1, "1": 1}, memory=None, metadata={})
