@@ -68,6 +68,9 @@ OUT_DIR_HELP = f"output directory (default ${ENV_OUT_DIR} or .)"
 
 # play's flags whose dest is the ExperimentConfig field they override
 _PLAY_FIELDS = ("rounds", "shots", "lam", "master_seed", "threshold_z", *LOOPHOLE_FIELDS)
+# extract's flags that only Toeplitz hashing reads, by dest
+_TOEPLITZ_FLAGS = ("out_len", "extractor_seed", "seed_file", "rate", "certificate",
+                   "security_margin")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -186,7 +189,9 @@ def build_parser() -> _Parser:
                    help="certified min-entropy rate bounding the output length")
     p.add_argument("--certificate", default=None,
                    help="certificate JSON supplying the min-entropy rate")
-    p.add_argument("--security-margin", type=int, default=DEFAULT_SECURITY_MARGIN)
+    p.add_argument("--security-margin", type=int, default=None,
+                   help=f"bits kept back from the toeplitz budget "
+                        f"(default {DEFAULT_SECURITY_MARGIN})")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("test",
@@ -314,10 +319,13 @@ def cmd_qrng(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    stream = _load_stream(args.infile, args.bits, whole=args.method == "von-neumann")
     if args.method == "von-neumann":
-        out = von_neumann(stream)
+        for name in _TOEPLITZ_FLAGS:
+            if getattr(args, name) is not None:
+                raise ConfigError(f"--{name.replace('_', '-')} applies only to --method toeplitz")
+        out = von_neumann(_load_stream(args.infile, args.bits))
     else:
+        stream = _load_stream(args.infile, args.bits, whole=False)
         if args.out_len is None:
             raise ConfigError("toeplitz extraction needs --out-len")
         if (args.extractor_seed is None) == (args.seed_file is None):
@@ -335,9 +343,11 @@ def cmd_extract(args) -> int:
         if seed_bits.size != need:
             raise DataFormatError(
                 f"seed bits: need {need} (in_len + out_len - 1), got {seed_bits.size}")
+        margin = args.security_margin
+        if margin is None:
+            margin = DEFAULT_SECURITY_MARGIN
         out = toeplitz_extract(stream, seed_bits, args.out_len,
-                               min_entropy_rate=rate,
-                               security_margin=args.security_margin)
+                               min_entropy_rate=rate, security_margin=margin)
     if len(out) == 0:
         # a stream from an earlier run must not pass for this one's output
         for path in (args.out + ".txt", args.out + ".bin"):

@@ -1,8 +1,8 @@
-"""The two-player binary nonlocal game and strategies for it.
+"""The two-player binary nonlocal game and the entangled strategy for it.
 
 Referee draws inputs x, y in {0,1}; players answer a, b; they win iff
-a XOR b = x AND y.  Deterministic classical strategies are exhaustively
-enumerable (16 of them) and top out at 3/4 exactly.  The entangled
+a XOR b = x AND y.  No classical strategy wins more than 3/4 of the input
+pairs (the tests enumerate all 16 deterministic ones).  The entangled
 strategy prepares (|00> + |11>)/sqrt(2) and rotates each side by twice
 its planar measurement angle, which makes P(a = b) = cos^2(alpha - beta)
 for effective angles alpha, beta.  With the standard angle table every
@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
@@ -42,57 +40,6 @@ class GameSetting:
     def __post_init__(self):
         if self.x not in (0, 1) or self.y not in (0, 1):
             raise ValueError(f"inputs must be bits, got x={self.x!r} y={self.y!r}")
-
-
-ALL_SETTINGS = tuple(GameSetting(x, y) for x, y in product((0, 1), repeat=2))
-
-
-def win_condition(setting: GameSetting, a: int, b: int) -> bool:
-    """a XOR b must equal x AND y."""
-    if a not in (0, 1) or b not in (0, 1):
-        raise ValueError(f"answers must be bits, got a={a!r} b={b!r}")
-    return (a ^ b) == (setting.x & setting.y)
-
-
-# ============================================================
-# classical strategies
-# ============================================================
-
-@dataclass(frozen=True)
-class ClassicalStrategy:
-    """Deterministic answer tables: a_table[x] and b_table[y]."""
-
-    a_table: tuple[int, int]
-    b_table: tuple[int, int]
-
-    def __post_init__(self):
-        for v in (*self.a_table, *self.b_table):
-            if v not in (0, 1):
-                raise ValueError("answer tables must contain bits")
-
-
-def all_classical_strategies() -> list[ClassicalStrategy]:
-    """All 16 deterministic strategies."""
-    bits = (0, 1)
-    return [
-        ClassicalStrategy((a0, a1), (b0, b1))
-        for a0, a1, b0, b1 in product(bits, bits, bits, bits)
-    ]
-
-
-def play_classical_round(setting: GameSetting, strategy: ClassicalStrategy) -> bool:
-    return win_condition(setting, strategy.a_table[setting.x], strategy.b_table[setting.y])
-
-
-def classical_win_value(strategy: ClassicalStrategy) -> Fraction:
-    """Win probability under uniform inputs, as an exact rational."""
-    wins = sum(play_classical_round(s, strategy) for s in ALL_SETTINGS)
-    return Fraction(wins, len(ALL_SETTINGS))
-
-
-def best_classical_win_probability() -> Fraction:
-    """Exact ceiling over all deterministic strategies: 3/4."""
-    return max(classical_win_value(s) for s in all_classical_strategies())
 
 
 # ============================================================
@@ -152,21 +99,6 @@ def round_distribution(setting: GameSetting, strategy: QuantumStrategy,
     if lam != 0.0:
         dist = depolarize(dist, lam)
     return dist
-
-
-def win_probability_from_dist(setting: GameSetting, dist: OutcomeDistribution) -> float:
-    """P(win) for a 2-qubit round distribution (outcomes 00,01,10,11)."""
-    p = dist.probs
-    same = float(p[0] + p[3])
-    return 1.0 - same if setting.x & setting.y else same
-
-
-def analytic_win_probability(setting: GameSetting,
-                             strategy: QuantumStrategy | None = None,
-                             lam: float = 0.0) -> float:
-    """Exact win probability of the entangled strategy at noise level lam."""
-    strategy = strategy or QuantumStrategy()
-    return win_probability_from_dist(setting, round_distribution(setting, strategy, lam))
 
 
 # ============================================================

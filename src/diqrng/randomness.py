@@ -1,12 +1,13 @@
 """Bit-stream generation, debiasing, extraction, and statistical testing.
 
-Two seeded pipelines produce raw bits: per-qubit superposition sampling
-(independent unbiased streams) and an even-parity entangled state whose
-per-shot bits always XOR to zero.  Downstream, von Neumann debiasing
-removes bias from independent bits, and Toeplitz hashing over GF(2)
-compresses a stream to its certified entropy budget.  The test battery
-is the monobit, block-frequency, and runs subset with the usual
-pass mark p >= 0.01.  Every bit stream is a 1-d uint8 array of 0s and 1s,
+Two seeded pipelines produce raw bits: `qrng_distribution` is the Born
+distribution of per-qubit superposition (independent unbiased streams) or
+of an even-parity entangled state whose per-shot bits always XOR to zero,
+and `indices_to_bits` turns its sampled outcomes into one row of bits per
+shot.  Downstream, von Neumann debiasing removes bias from independent
+bits, and Toeplitz hashing over GF(2) compresses a stream to its
+certified entropy budget.  The test battery is the monobit,
+block-frequency, and runs subset with the usual pass mark p >= 0.01.  Every bit stream is a 1-d uint8 array of 0s and 1s,
 except that Toeplitz extraction also takes a `BitSource`, which makes each
 slice on demand: a packed file read block by block, or seed bits drawn by
 range.  Streams are saved as text or packed files, each written from one
@@ -27,7 +28,7 @@ import numpy as np
 from . import _kernels
 from .io import DataFormatError, atomic_write_bytes, read_text
 from .rng import uniform_bits
-from .simulator import OutcomeDistribution, check_qubits, sample_indices
+from .simulator import OutcomeDistribution, check_qubits
 
 PASS_P = 0.01
 MONOBIT_MIN_LEN = 100
@@ -70,18 +71,6 @@ def indices_to_bits(idx: np.ndarray, n_qubits: int) -> np.ndarray:
     return ((idx[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
 
 
-def hadamard_qrng(n_qubits: int, shots: int, rng_seed: int) -> np.ndarray:
-    """(n_qubits, shots) array of independent unbiased bits, one row per qubit."""
-    idx = sample_indices(qrng_distribution("hadamard", n_qubits), shots, rng_seed)
-    return indices_to_bits(idx, n_qubits).T
-
-
-def parity_qrng(n_qubits: int, shots: int, rng_seed: int) -> np.ndarray:
-    """(n_qubits, shots) array, one row per qubit; each column XORs to zero."""
-    idx = sample_indices(qrng_distribution("parity", n_qubits), shots, rng_seed)
-    return indices_to_bits(idx, n_qubits).T
-
-
 # ============================================================
 # bit sources
 # ============================================================
@@ -101,20 +90,11 @@ class BitSource:
     def __len__(self) -> int:
         return self.size
 
-    @property
-    def shape(self) -> tuple[int]:
-        return (self.size,)
-
     def __getitem__(self, key: slice) -> np.ndarray:
         if not isinstance(key, slice) or key.step not in (None, 1):
             raise TypeError(f"{type(self).__name__} takes only contiguous slices")
         lo, hi, _ = key.indices(self.size)
         return self._read(lo, hi) if lo < hi else np.zeros(0, dtype=np.uint8)
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        if copy is False:
-            raise ValueError(f"{type(self).__name__} holds no array to share")
-        return self[:] if dtype is None else self[:].astype(dtype, copy=False)
 
     def _read(self, lo: int, hi: int) -> np.ndarray:
         raise NotImplementedError
@@ -163,19 +143,6 @@ def toeplitz_seed_bits(in_len: int, out_len: int, rng_seed: int) -> SeedBits:
     if n < 1:
         raise ValueError("seed length must be positive")
     return SeedBits(rng_seed, n)
-
-
-def toeplitz_matrix(seed_bits: np.ndarray, in_len: int, out_len: int) -> np.ndarray:
-    """Dense T with T[i, j] = seed[(in_len - 1) + i - j].
-
-    Row 0 is seed[0:in_len] reversed; column 0 is seed[in_len-1:].  The
-    kernels compute T @ x without materializing this matrix; it exists
-    for documentation and cross-checking.
-    """
-    seed_bits = np.asarray(seed_bits, dtype=np.uint8)
-    i = np.arange(out_len)[:, None]
-    j = np.arange(in_len)[None, :]
-    return seed_bits[(in_len - 1) + i - j]
 
 
 def _as_source(bits: BitSource | np.ndarray | Sequence[int]) -> BitSource | np.ndarray:

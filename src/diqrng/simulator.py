@@ -241,9 +241,3 @@ def record_from_indices(idx: np.ndarray, n_qubits: int, *, memory: bool = False,
     return CountsRecord(shots=int(idx.size), counts=counts, memory=mem,
                         metadata=dict(metadata or {}))
 
-
-def sample(dist: OutcomeDistribution, shots: int, rng_seed: int, *,
-           memory: bool = False, metadata: dict[str, Any] | None = None) -> CountsRecord:
-    """Draw shots from dist; same (dist, shots, seed) gives an identical record."""
-    idx = sample_indices(dist, shots, rng_seed)
-    return record_from_indices(idx, dist.n_qubits, memory=memory, metadata=metadata)

@@ -41,23 +41,21 @@ import pytest
 
 from diqrng.certify import TSIRELSON_S, Verdict, certify, min_entropy_rate, s_value
 from diqrng.cli import EXIT_OK, main
-from diqrng.game import (
-    ALL_SETTINGS,
-    GameSetting,
-    QuantumStrategy,
-    analytic_win_probability,
-    best_classical_win_probability,
-    round_distribution,
-)
+from diqrng.game import GameSetting, QuantumStrategy, round_distribution
 from diqrng.harness import ExperimentConfig, load_device_profiles, run_certified_experiment
 from diqrng.randomness import (
-    hadamard_qrng,
     monobit_test,
-    parity_qrng,
     runs_test,
     toeplitz_extract,
     toeplitz_seed_bits,
     von_neumann,
+)
+from oracles import (
+    ALL_SETTINGS,
+    analytic_win_probability,
+    best_classical_win_probability,
+    hadamard_qrng,
+    parity_qrng,
 )
 
 IDEAL = math.cos(math.pi / 8) ** 2

@@ -31,6 +31,15 @@ from diqrng.io import atomic_write_text, canonical_json
 
 PLAY_FILES = ("rounds.csv", "certificate.json", "summary.json",
               "alice_bits.txt", "alice_bits.bin")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _fresh_python(code: str) -> str:
+    """Stdout of `code` run in a new interpreter that imports diqrng from SRC."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
 
 
 def _read_all(directory) -> dict[str, bytes]:
@@ -422,6 +431,18 @@ class TestExtract:
         assert main(base + ["--out-len", "2", "--extractor-seed", "1",
                             "--seed-file", str(path)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--certificate", "nonexist.json"), ("--rate", "0.5"), ("--out-len", "3"),
+        ("--extractor-seed", "1"), ("--seed-file", "seed.txt"), ("--security-margin", "64"),
+    ])
+    def test_von_neumann_refuses_toeplitz_flags(self, tmp_path, capsys, flag, value):
+        path = self._bits_file(tmp_path, "01100110")
+        code = main(["extract", "--in", str(path), "--method", "von-neumann",
+                     "--out", str(tmp_path / "vn"), flag, value])
+        assert code == EXIT_USAGE
+        assert f"{flag} applies only to --method toeplitz" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["in.txt"]
+
     @pytest.mark.parametrize("seed", [-1, 2 ** 64], ids=["-1", "2**64"])
     def test_out_of_range_extractor_seed_exits_64(self, tmp_path, capsys, seed):
         path = self._bits_file(tmp_path, "10110010" * 4)
@@ -589,8 +610,9 @@ class TestExtract:
     def test_toeplitz_outputs_agree_across_stream_and_seed_forms(self, tmp_path, capsys,
                                                                   monkeypatch):
         from diqrng import _kernels
-        from diqrng.randomness import load_bits_text, save_bits_text, toeplitz_matrix
+        from diqrng.randomness import load_bits_text, save_bits_text
         from diqrng.rng import uniform_bits
+        from oracles import toeplitz_matrix
 
         monkeypatch.setattr(_kernels, "_MAX_BLOCK", 64)  # several blocks of each input
         run_dir = tmp_path / "run"
@@ -874,30 +896,29 @@ class TestMiscCommands:
         assert json.loads((out_dir / "summary.json").read_text())["label"] == "demo"
 
     def test_cli_import_loads_no_scipy(self):
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         code = ("import sys, diqrng, diqrng.cli\n"
                 "print(diqrng.__file__)\n"
                 "print([m for m in sys.modules if m.partition('.')[0] == 'scipy'])\n")
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, check=True)
-        loaded_from, scipy_modules = proc.stdout.splitlines()
-        assert loaded_from.startswith(src)
+        loaded_from, scipy_modules = _fresh_python(code).splitlines()
+        assert loaded_from.startswith(SRC)
         assert scipy_modules == "[]"
 
     def test_play_loads_no_numpy_ma(self, tmp_path):
         # numpy.ma costs about 8 ms to import; np.unique would load it
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         code = ("import sys\n"
                 "from diqrng.cli import main\n"
                 f"main(['play', '--rounds', '4', '--shots', '10', '--out-dir', {str(tmp_path)!r}])\n"
                 "print('numpy.ma' in sys.modules)\n")
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, check=True)
-        assert proc.stdout.splitlines()[-1] == "False"
+        assert _fresh_python(code).splitlines()[-1] == "False"
+
+    def test_startup_loads_no_unused_stdlib(self):
+        # fractions (which loads decimal) served only the classical strategy
+        # table; the Toeplitz kernel imports its thread pool when it runs
+        code = ("import sys, diqrng.cli\n"
+                "diqrng.cli.build_parser()\n"
+                "print([m for m in ('fractions', 'decimal', 'concurrent.futures')\n"
+                "       if m in sys.modules])\n")
+        assert _fresh_python(code).strip() == "[]"
 
     def test_version_and_usage(self, capsys):
         assert main(["--version"]) == EXIT_OK

@@ -2,7 +2,7 @@
 
 The classical ceiling is re-derived here with a brute-force enumeration
 written directly in the test (itertools + Fraction), independent of the
-package's strategy iterator, so the 3/4 bound is confirmed by two separate
+strategy table in ``oracles.py``, so the 3/4 bound is confirmed by two separate
 code paths in exact rational arithmetic.
 """
 
@@ -16,23 +16,25 @@ import numpy as np
 import pytest
 
 from diqrng.game import (
-    ALL_SETTINGS,
-    ClassicalStrategy,
     ExperimentResult,
     GameSetting,
     QuantumStrategy,
+    referee_inputs,
+    result_from_indices,
+    round_distribution,
+)
+from diqrng.harness import ExperimentConfig, run_certified_experiment
+from diqrng.rng import uniform_bits
+from oracles import (
+    ALL_SETTINGS,
+    ClassicalStrategy,
     all_classical_strategies,
     analytic_win_probability,
     best_classical_win_probability,
     classical_win_value,
-    referee_inputs,
-    result_from_indices,
-    round_distribution,
     win_condition,
     win_probability_from_dist,
 )
-from diqrng.harness import ExperimentConfig, run_certified_experiment
-from diqrng.rng import uniform_bits
 
 COS2_PI_8 = 0.8535533905932737  # cos^2(pi/8), ideal win probability
 COS2_3PI_8 = 0.1464466094067263  # cos^2(3pi/8), same-bit probability at (1,1)

@@ -48,7 +48,7 @@ from diqrng.harness import (
     save_counts_record,
     write_rounds_csv,
 )
-from diqrng.game import analytic_win_probability, round_distribution, win_probability_from_dist
+from diqrng.game import round_distribution
 from diqrng.io import (atomic_write_json, atomic_write_text, canonical_json, format_sig,
                        round_sig)
 from diqrng.rng import (
@@ -65,8 +65,8 @@ from diqrng.simulator import (
     DataIntegrityError,
     OutcomeDistribution,
     record_from_indices,
-    sample,
 )
+from oracles import sample, win_probability_from_dist
 
 # frozen: (cos^2(pi/8) - target) / (cos^2(pi/8) - 1/2)
 LAMBDA_BELEM = 0.1621633171076834    # target 0.79622

@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diqrng import _kernels
-from diqrng.randomness import PackedBits, save_bits_packed, toeplitz_matrix
+from diqrng.randomness import PackedBits, save_bits_packed
+from oracles import toeplitz_matrix
 
 
 def _reference_sample(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:

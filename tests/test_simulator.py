@@ -18,7 +18,7 @@ import re
 import numpy as np
 import pytest
 
-from diqrng.game import ALL_SETTINGS, QuantumStrategy, round_distribution
+from diqrng.game import QuantumStrategy, round_distribution
 from diqrng.randomness import qrng_distribution
 from diqrng.simulator import (
     CountsRecord,
@@ -28,9 +28,9 @@ from diqrng.simulator import (
     bitstring,
     depolarize,
     record_from_indices,
-    sample,
     sample_indices,
 )
+from oracles import ALL_SETTINGS, sample
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
