@@ -13,8 +13,8 @@ per-row sampling rows draw 1e5 rounds x 100 shots, each round from one of
 four tables, once by a binary search per table and once by the (rows, K)
 form of `sample_outcomes` that the round engine uses.  The round-loop row
 is the engine's per-round fixed cost: 1e4 rounds each take the next round
-seed from `derive_seeds`, `rekey` one generator and draw a 100-shot row;
-it is checked against rows from a fresh
+seed from `derive_seeds`, re-key one generator (`rekeyer`) and draw a
+100-shot row; it is checked against rows from a fresh
 `make_rng(derive_seed(seed, "round", i))` per round.  The `uniform_bits`
 row draws the 1.17e7 Toeplitz seed bits of a 1e7 -> 1 742 455 hash in
 chunks and is checked against one whole-length draw.  The Toeplitz rows
@@ -35,13 +35,13 @@ whole grid x values matrix (about 240 MB for 1e4), and the first also
 prints the estimate's peak memory as `tracemalloc` sees it.  The two writer
 rows save a 1e7-bit stream as text (`save_bits_text`) and a 1e5-shot
 4-qubit counts record with memory as JSON (`save_counts_record`, whose
-memory block is built from the digits, not encoded string by string); each
-file is first checked byte for byte against the whole file built as one
-string (the digits decoded to text, `json.dumps` of the record), and each
-row prints the write's peak memory as `tracemalloc` sees it.  The
-`load_counts_record` row reads that record back; the loaded record is
-first checked against the written one and its memory against a
-`collections.Counter` tally of the counts.
+memory block is built from the record's bit array, not encoded string by
+string); each file is first checked byte for byte against the whole file
+built as one string (the digits decoded to text, `json.dumps` of the
+record's JSON form), and each row prints the write's peak memory as
+`tracemalloc` sees it.  The `load_counts_record` row reads that record
+back; the loaded record is first checked against the written one and its
+memory, as bitstrings, against a `collections.Counter` tally of the counts.
 """
 
 from __future__ import annotations
@@ -58,11 +58,11 @@ import tracemalloc
 import numpy as np
 
 from diqrng import _kernels
-from diqrng.harness import _gaussian_kde, load_counts_record, save_counts_record
+from diqrng.harness import _gaussian_kde
 from diqrng.randomness import (PackedBits, save_bits_packed, save_bits_text, toeplitz_extract,
                                toeplitz_seed_bits)
-from diqrng.rng import derive_seed, derive_seeds, make_rng, rekey, uniform_bits
-from diqrng.simulator import record_from_indices
+from diqrng.rng import derive_seed, derive_seeds, make_rng, rekeyer, uniform_bits
+from diqrng.simulator import load_counts_record, record_from_indices, save_counts_record
 
 
 def _best_time(fn, args, repeats: int) -> float:
@@ -102,9 +102,10 @@ def _searchsorted_by_table(tables, table_of_row, u):
 def _round_loop(master_seed, rounds, shots):
     """The round engine's per-round steps: next seed, re-key, draw a row."""
     rng = make_rng(0)
+    rekey = rekeyer(rng)
     u = np.empty((rounds, shots))
     for row, seed in zip(u, derive_seeds(master_seed, "round")):
-        rekey(rng, seed)
+        rekey(seed)
         rng.random(out=row)
     return u
 
@@ -230,8 +231,9 @@ def main() -> int:
         path = os.path.join(tmp, "record.json")
         save_counts_record(path, record)
         loaded = load_counts_record(path)
-        if (loaded.memory != record.memory or loaded.counts != record.counts
-                or collections.Counter(loaded.memory) != loaded.counts):
+        memory = loaded.to_json_obj()["memory"]
+        if (not np.array_equal(loaded.memory, record.memory) or loaded.counts != record.counts
+                or collections.Counter(memory) != loaded.counts):
             raise AssertionError("load_counts_record: record differs from its reference")
         print(f"{'load_counts_record 1e5':<28} "
               f"{_best_time(load_counts_record, (path,), args.repeats) * 1e3:>10.2f}")

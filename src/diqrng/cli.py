@@ -33,7 +33,6 @@ from .harness import (
     read_rounds_csv,
     run_certified_experiment,
     run_summary,
-    save_counts_record,
     write_rounds_csv,
 )
 from .io import atomic_write_json, atomic_write_text, format_sig
@@ -42,7 +41,6 @@ from .randomness import (
     DEFAULT_BLOCK_LEN,
     DEFAULT_SECURITY_MARGIN,
     PackedBits,
-    indices_to_bits,
     load_bits_packed,
     load_bits_text,
     qrng_distribution,
@@ -54,7 +52,8 @@ from .randomness import (
     von_neumann,
 )
 from .rng import SourceDepleted
-from .simulator import DataFormatError, DataIntegrityError, record_from_indices, sample_indices
+from .simulator import (DataFormatError, DataIntegrityError, record_from_indices, sample_indices,
+                        save_counts_record)
 
 EXIT_OK = 0
 EXIT_TEST_FAIL = 1
@@ -306,12 +305,13 @@ def cmd_certify(args) -> int:
 def cmd_qrng(args) -> int:
     n = args.qubits
     idx = sample_indices(qrng_distribution(args.mode, n), args.shots, args.seed)
-    flat = indices_to_bits(idx, n).reshape(-1)
+    # the record's bit matrix is the one the two streams are written from
+    rec = record_from_indices(idx, n, memory=True,
+                              metadata={"mode": args.mode, "seed": args.seed})
+    flat = rec.memory.reshape(-1)
     save_bits_text(args.out + ".txt", flat, line_width=n)
     save_bits_packed(args.out + ".bin", flat)
     if args.counts_out:
-        rec = record_from_indices(idx, n, memory=True,
-                                  metadata={"mode": args.mode, "seed": args.seed})
         save_counts_record(args.counts_out, rec)
     print(f"wrote {flat.size} bits ({args.shots} shots x {n} qubits) to "
           f"{args.out}.txt and {args.out}.bin")

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources
 from typing import Any, Mapping, NamedTuple, Sequence
 
@@ -44,10 +44,10 @@ from .game import (
     round_distribution,
 )
 from .io import (DataFormatError, DataIntegrityError, _json_bool, _json_float, _json_int,
-                 _known_keys, atomic_write_json, atomic_write_pieces, atomic_write_text,
-                 canonical_json, format_sig, load_json, parse_json, read_text)
-from .rng import derive_seed, derive_seeds, make_rng, rekey, uniform_bits
-from .simulator import CountsRecord
+                 _known_keys, atomic_write_json, atomic_write_text, format_sig, load_json,
+                 parse_json, read_text)
+from .rng import derive_seed, derive_seeds, make_rng, rekeyer, uniform_bits
+from .simulator import load_counts_record
 
 IDEAL_WIN_PROBABILITY = math.cos(math.pi / 8) ** 2
 DEFAULT_ROUNDS = 100
@@ -252,53 +252,10 @@ class ExperimentConfig:
 # replay backend
 # ============================================================
 
-def load_counts_record(path: str | os.PathLike) -> CountsRecord:
-    return load_json(path, CountsRecord.from_json_obj)
-
-
-# rows of a counts record's memory block per write: 160 kB of text at 4 qubits
-_MEMORY_ROWS = 1 << 14
-
-
-def save_counts_record(path: str | os.PathLike, record: CountsRecord) -> None:
-    """Write the record; the bytes equal `atomic_write_json` of `record.to_json_obj()`.
-
-    The fields other than memory go through the one JSON encoder, at full
-    precision.  The memory block is built from the record's digits as
-    uint8 lines ``  "0101",`` and written a bounded number of lines at a
-    time.  A record the loader would refuse raises before anything is
-    written.
-    """
-    digits = record.memory_digits()
-    head = canonical_json(replace(record, memory=None).to_json_obj(), precise=True)
-    if digits is None:
-        atomic_write_text(path, head + "\n")
-        return
-    # a top-level key is the only line indented by one space: nested lines
-    # take more, and a newline inside a string is escaped
-    before, _, after = head.partition('\n "memory": null')
-    width = digits.shape[1]
-    line = np.frombuffer(b'  "' + b" " * width + b'",\n', dtype=np.uint8)
-
-    def pieces():
-        yield (before + '\n "memory": [\n').encode("ascii")
-        shots = digits.shape[0]
-        for lo in range(0, shots, _MEMORY_ROWS):
-            rows = digits[lo:lo + _MEMORY_ROWS]
-            lines = np.empty((rows.shape[0], line.size), dtype=np.uint8)
-            lines[:] = line
-            lines[:, 3:3 + width] = rows
-            # the last line ends without its ",\n", where the list closes
-            yield lines if lo + _MEMORY_ROWS < shots else lines.reshape(-1)[:-2]
-        yield f"\n ]{after}\n".encode("ascii")
-
-    atomic_write_pieces(path, pieces())
-
-
 def replay_backend(paths: Sequence[str | os.PathLike]) -> np.ndarray:
     """The bits of recorded per-shot outcomes, in file order.
 
-    Each file must be a CountsRecord with its memory list present (the
+    Each file must be a CountsRecord with its memory present (the
     counts alone cannot restore shot order).  Every outcome contributes
     its bits most-significant-qubit first.
     """
@@ -310,8 +267,7 @@ def replay_backend(paths: Sequence[str | os.PathLike]) -> np.ndarray:
         if rec.memory is None:
             raise DataFormatError(
                 f"{path}: record has no memory list; shot order is required for replay")
-        joined = "".join(rec.memory)
-        chunks.append(np.frombuffer(joined.encode("ascii"), dtype=np.uint8) - ord("0"))
+        chunks.append(rec.memory.reshape(-1))
     return np.concatenate(chunks)
 
 
@@ -365,6 +321,7 @@ def run_certified_experiment(config: ExperimentConfig) -> CertifiedRun:
     # one generator per run; with fresh state each round re-keys it to the
     # round's own seed, otherwise one stream runs through every round
     rng = make_rng(derive_seed(config.master_seed, "shared-stream"))
+    rekey = rekeyer(rng)
     round_seeds = (derive_seeds(config.master_seed, "round")
                    if config.fresh_state_per_round else None)
     # setting code 2x + y; each distribution present is built once
@@ -389,7 +346,7 @@ def run_certified_experiment(config: ExperimentConfig) -> CertifiedRun:
         else:
             # rows first: zip stops on them without pulling one seed too many
             for row, seed in zip(block, round_seeds):
-                rekey(rng, seed)
+                rekey(seed)
                 rng.random(out=row)
         idx = _kernels.sample_outcomes(cdfs[settings[lo:hi]], block[:, :shots])
         if not lossy:
@@ -420,10 +377,12 @@ def run_certified_experiment(config: ExperimentConfig) -> CertifiedRun:
 def rounds_csv_text(experiment: ExperimentResult) -> str:
     e = experiment
     lines = [f"# format_version={FORMAT_VERSION}", ",".join(ROUNDS_CSV_FIELDS)]
-    # tolist() hands back Python ints and floats, so repr is the plain float text
+    # each distinct fraction spelled once, by the repr of a Python float
+    fractions, which = np.unique(e.win_fractions, return_inverse=True)
+    spelled = [repr(f) for f in fractions.tolist()]
     rows = zip(range(e.x.size), e.x.tolist(), e.y.tolist(), e.same.tolist(), e.diff.tolist(),
-               e.win_fractions.tolist())
-    lines += [f"{i},{x},{y},{same},{diff},{f!r}" for i, x, y, same, diff, f in rows]
+               which.tolist())
+    lines += [f"{i},{x},{y},{same},{diff},{spelled[k]}" for i, x, y, same, diff, k in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from itertools import islice
 from typing import IO, Any, Callable, Iterable, Mapping
 
@@ -98,11 +97,6 @@ def format_sig(x: float) -> str:
     return f"{float(x):.6g}"
 
 
-# exact types the walk hands back unchanged, checked before the call so a
-# long list of strings or ints costs no call per element
-_LEAVES = frozenset({str, int, bool, type(None)})
-
-
 def _canonicalize(obj: Any, precise: bool) -> Any:
     """Floats rounded unless precise, infinities as strings, in one walk."""
     if isinstance(obj, float):
@@ -110,14 +104,9 @@ def _canonicalize(obj: Any, precise: bool) -> Any:
             return "inf" if obj > 0 else "-inf"
         return obj if precise else round_sig(obj)
     if isinstance(obj, dict):
-        return {k: v if type(v) in _LEAVES else _canonicalize(v, precise)
-                for k, v in obj.items()}
+        return {k: _canonicalize(v, precise) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        # a list of leaves, such as a counts record's memory, is not copied:
-        # the encoder writes a tuple as it writes a list
-        if all(type(v) in _LEAVES for v in obj):
-            return obj
-        return [v if type(v) in _LEAVES else _canonicalize(v, precise) for v in obj]
+        return [_canonicalize(v, precise) for v in obj]
     return obj
 
 
@@ -152,7 +141,10 @@ def _atomic_write(path: str | os.PathLike, write: Callable[[IO], Any], mode: str
     """`write(fh)` into a temp file renamed onto path; on any error the temp goes."""
     path = os.fspath(path)
     d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
+    # a random name, never an existing file; created as open() creates files,
+    # so the umask sets the mode the rename keeps (mkstemp's is 0600)
+    tmp = os.path.join(d, f".tmp-{os.urandom(8).hex()}~")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, mode, **open_kwargs) as fh:
             write(fh)

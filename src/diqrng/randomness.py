@@ -3,8 +3,8 @@
 Two seeded pipelines produce raw bits: `qrng_distribution` is the Born
 distribution of per-qubit superposition (independent unbiased streams) or
 of an even-parity entangled state whose per-shot bits always XOR to zero,
-and `indices_to_bits` turns its sampled outcomes into one row of bits per
-shot.  Downstream, von Neumann debiasing removes bias from independent
+and `simulator.indices_to_bits` turns its sampled outcomes into one row of
+bits per shot.  Downstream, von Neumann debiasing removes bias from independent
 bits, and Toeplitz hashing over GF(2) compresses a stream to its
 certified entropy budget.  The test battery is the monobit,
 block-frequency, and runs subset with the usual pass mark p >= 0.01.  Every bit stream is a 1-d uint8 array of 0s and 1s,
@@ -28,7 +28,7 @@ import numpy as np
 from . import _kernels
 from .io import DataFormatError, atomic_write_bytes, read_text
 from .rng import uniform_bits
-from .simulator import OutcomeDistribution, check_qubits
+from .simulator import OutcomeDistribution, check_qubits, indices_to_bits
 
 PASS_P = 0.01
 MONOBIT_MIN_LEN = 100
@@ -63,12 +63,6 @@ def qrng_distribution(mode: str, n_qubits: int) -> OutcomeDistribution:
         odd = indices_to_bits(np.arange(size), n_qubits).sum(axis=1) % 2
         return OutcomeDistribution(n_qubits, np.where(odd, 0.0, 2.0 / size))
     raise ValueError(f"unknown qrng mode {mode!r}")
-
-
-def indices_to_bits(idx: np.ndarray, n_qubits: int) -> np.ndarray:
-    """Shots x qubits bit matrix; qubit 0 is the most significant index bit."""
-    shifts = np.arange(n_qubits - 1, -1, -1, dtype=np.int64)
-    return ((idx[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
 
 
 # ============================================================

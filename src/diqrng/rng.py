@@ -9,14 +9,14 @@ round can be replayed in isolation from its own seed.
 A run hashes the shared "<scheme>::<master>::round::" prefix once and takes
 each round's seed from a copy of that hash state (`derive_seeds`).  It
 builds one generator and re-keys it to each round's seed before drawing
-the round's row (`rekey`), which draws exactly what a fresh `make_rng` of
+the round's row (`rekeyer`), which draws exactly what a fresh `make_rng` of
 that seed would.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from itertools import count
 
 import numpy as np
@@ -59,27 +59,27 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
-def rekey(rng: np.random.Generator, seed: int) -> None:
-    """Reset a Philox generator to the state `make_rng(seed)` starts in.
+def rekeyer(rng: np.random.Generator) -> Callable[[int], None]:
+    """`rekey(seed)`, which resets `rng` to the state `make_rng(seed)` starts in.
 
     The draws that follow equal `make_rng(seed)`'s: key, counter, buffer,
-    buffer position and the cached half-word are all reset.  Most of a fresh
-    `Philox(key=...)` is a SeedSequence drawn from OS entropy that the key
-    then overrides, and assigning a whole state skips reading the old one
-    back.  The state is spelled in plain ints: the setter reads each field
-    element by element, and indexing a uint64 array there builds a numpy
-    scalar per element.  10^4 re-keys took 11 ms from plain ints against
-    28 ms from uint64 arrays on a 2-vCPU x86 host (numpy 2.4, best of 15
-    interleaved runs).
+    buffer position (4: exhausted) and the cached half-word are all reset.
+    Assigning a whole state skips a fresh `Philox(key=...)`'s SeedSequence,
+    drawn from OS entropy that the key then overrides.  The state is plain
+    ints, as the setter reads it element by element, and one mapping serves
+    every re-key, as the setter copies it: 10^4 re-keys took 4.8 ms against
+    10.3 ms with a new mapping each and 28 ms from uint64 arrays (2-vCPU x86
+    host, numpy 2.4, best of 7).
     """
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": [seed, 0]},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,  # buffer exhausted: the next draw computes a block
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    key, bitgen = state["state"]["key"], rng.bit_generator
+
+    def rekey(seed: int) -> None:
+        key[0] = seed
+        bitgen.state = state
+
+    return rekey
 
 
 def uniform_bits(seed: int, n: int, start: int = 0) -> np.ndarray:

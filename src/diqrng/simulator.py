@@ -6,19 +6,23 @@ the leftmost bit of an outcome string, so basis index i spells the outcome
 closed form (`game.round_distribution`, `randomness.qrng_distribution`);
 this module checks, depolarizes and samples them.  Sampling is the only
 randomized step and is fully determined by its seed.
+
+The counts-record format (schema, checks, tally, reader, writer) lives
+here whole; a record's per-shot outcomes are one bit array.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import Counter
-from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+import os
+from dataclasses import dataclass, field, replace
+from typing import Any, Mapping
 
 import numpy as np
 
 from . import _kernels
-from .io import DataFormatError, DataIntegrityError, _json_int
+from .io import (DataFormatError, DataIntegrityError, _json_int, atomic_write_pieces,
+                 atomic_write_text, canonical_json, load_json)
 from .rng import make_rng
 
 MAX_QUBITS = 12
@@ -95,24 +99,32 @@ def sample_indices(dist: OutcomeDistribution, shots: int, rng_seed: int) -> np.n
     return _kernels.sample_outcomes(dist.cdf, make_rng(rng_seed).random(shots))
 
 
-@dataclass
-class CountsRecord:
-    """Counts (and optionally the per-shot outcome list) of one sampling run.
+def indices_to_bits(idx: np.ndarray, n_qubits: int) -> np.ndarray:
+    """Shots x qubits bit matrix; qubit 0 is the most significant index bit."""
+    shifts = np.arange(n_qubits - 1, -1, -1, dtype=np.int64)
+    return ((idx[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
 
-    JSON form: {"shots": int, "counts": {bitstring: int}, "memory":
-    [bitstring, ...] | null, "metadata": {...}}.
+
+@dataclass(eq=False)
+class CountsRecord:
+    """Counts (and optionally the per-shot outcomes) of one sampling run.
+
+    `memory` is None or a (shots, width) uint8 array of outcome bits, one
+    row per shot, qubit 0 in column 0.  JSON form: {"shots": int, "counts":
+    {bitstring: int}, "memory": [bitstring, ...] | null, "metadata": {...}};
+    bitstrings exist only there.
     """
 
     shots: int
     counts: dict[str, int]
-    memory: list[str] | None = None
+    memory: np.ndarray | None = None
     metadata: dict[str, Any] = field(default_factory=dict)
 
     def to_json_obj(self) -> dict[str, Any]:
         return {
             "shots": self.shots,
             "counts": dict(sorted(self.counts.items())),
-            "memory": list(self.memory) if self.memory is not None else None,
+            "memory": None if self.memory is None else _bitstrings(self.memory),
             "metadata": dict(self.metadata),
         }
 
@@ -124,27 +136,19 @@ class CountsRecord:
         if missing:
             raise DataFormatError(f"counts record missing fields: {sorted(missing)}")
         # a present "metadata" must be an object: null, [] or 0 is refused, not read as {}
-        rec = cls(shots=obj["shots"], counts=obj["counts"], memory=obj.get("memory"),
-                  metadata=obj.get("metadata", {}))
+        rec = cls(shots=obj["shots"], counts=obj["counts"], metadata=obj.get("metadata", {}))
+        memory = obj.get("memory")
+        if memory is not None:
+            if not isinstance(memory, list):
+                raise DataFormatError("memory must be a list or null")
+            rec.memory = _bit_rows(memory, rec._width())
         rec.validate()
         rec.counts, rec.metadata = dict(rec.counts), dict(rec.metadata)
         return rec
 
-    def validate(self) -> None:
-        """Check every field as the loader does.
-
-        Raises DataFormatError for a field outside the schema and
-        DataIntegrityError when the fields disagree with each other.
-        """
-        self.memory_digits()
-
-    def memory_digits(self) -> np.ndarray | None:
-        """`validate`, then the memory as a (shots, width) uint8 array of ASCII digits.
-
-        None for a record without memory.  The entries are checked and
-        tallied from one joined text, not one string at a time.
-        """
-        shots, counts, memory = self.shots, self.counts, self.memory
+    def _width(self) -> int:
+        """The width of the counts keys, after checking shots and counts."""
+        shots, counts = self.shots, self.counts
         if _json_int(shots, "shots") < 1:
             raise DataFormatError(f"shots must be a positive int, got {shots!r}")
         if not isinstance(counts, Mapping) or not counts:
@@ -158,86 +162,133 @@ class CountsRecord:
             widths.add(len(key))
         if len(widths) != 1:
             raise DataFormatError(f"counts keys have mixed widths {sorted(widths)}")
-        (width,) = widths
-        digits = None
-        if memory is not None:
-            if not isinstance(memory, (list, tuple)):
-                raise DataFormatError("memory must be a list or null")
-            digits = _bit_rows(memory, width)
-            if digits is None:
-                entry = next(e for e in memory if not (
-                    isinstance(e, str) and len(e) == width and not set(e) - {"0", "1"}))
-                raise DataFormatError(f"memory entry {entry!r} is not a width-{width} bitstring")
+        return widths.pop()
+
+    def validate(self) -> None:
+        """Check every field as the loader does.
+
+        Raises DataFormatError for a field outside the schema and
+        DataIntegrityError when the fields disagree with each other.
+        """
+        width, memory = self._width(), self.memory
+        if memory is not None and not (
+                isinstance(memory, np.ndarray) and memory.dtype == np.uint8
+                and memory.ndim == 2 and memory.shape[1] == width and not np.any(memory > 1)):
+            raise DataFormatError(f"memory must be None or a (shots, {width}) uint8 bit array")
         if not isinstance(self.metadata, Mapping):
             raise DataFormatError("metadata must be an object")
-        total = sum(counts.values())
-        if total != shots:
-            raise DataIntegrityError(f"counts sum to {total}, shots field says {shots}")
-        if digits is not None:
-            if len(memory) != shots:
-                raise DataIntegrityError(f"memory holds {len(memory)} entries for {shots} shots")
-            if _tally(digits, memory) != {k: v for k, v in counts.items() if v > 0}:
+        total = sum(self.counts.values())
+        if total != self.shots:
+            raise DataIntegrityError(f"counts sum to {total}, shots field says {self.shots}")
+        if memory is not None:
+            if memory.shape[0] != self.shots:
+                raise DataIntegrityError(
+                    f"memory holds {memory.shape[0]} entries for {self.shots} shots")
+            if _tally(memory) != {k: v for k, v in self.counts.items() if v > 0}:
                 raise DataIntegrityError("memory tallies disagree with counts")
-        return digits
 
 
-def _bit_rows(memory: Sequence[Any], width: int) -> np.ndarray | None:
-    """The entries as a (len, width) uint8 array of the ASCII digits "0" and "1".
+_ZERO = np.uint8(ord("0"))
 
-    None unless every entry is a str of `width` 0s and 1s.  The entries are
-    joined with "," between and after them: they are all such strings
-    exactly when the text is ASCII, len * (width + 1) characters long, with a
-    comma at every (width + 1)-th place and a 0 or 1 everywhere else.  The
-    array is a view of the joined text's bytes, the one copy made.
+
+def _bitstrings(bits: np.ndarray) -> list[str]:
+    """Each row of a 2-d bit array as a string of 0s and 1s."""
+    width = bits.shape[1]
+    text = (bits + _ZERO).tobytes().decode("ascii")
+    return [text[i:i + width] for i in range(0, len(text), width)]
+
+
+def _bit_rows(memory: list[Any], width: int) -> np.ndarray:
+    """The entries as a (len, width) uint8 array of bits.
+
+    Every entry must be a str of `width` 0s and 1s; DataFormatError names
+    the first that is not.  The entries are joined with "," between and
+    after them: they are all such strings exactly when the text is ASCII,
+    len * (width + 1) characters long, with a comma at every (width + 1)-th
+    place and a 0 or 1 everywhere else.
     """
+    n = len(memory)
     try:
         text = (",".join(memory) + "," if memory else "").encode("ascii")
     except (TypeError, UnicodeEncodeError):  # an entry that is not an ASCII str
-        return None
-    if len(text) != len(memory) * (width + 1):
-        return None
-    codes = np.frombuffer(text, dtype=np.uint8)
-    rows = codes.reshape(-1, width + 1)
-    # every comma column holds a ",", and no other byte is outside "0" and "1"
-    # (uint8 wraps, so codes below "0" exceed 1 too)
-    if (rows.shape[0] and (rows[:, width].min() != ord(",") or rows[:, width].max() != ord(","))
-            or np.count_nonzero(codes - np.uint8(ord("0")) > 1) != rows.shape[0]):
-        return None
-    return rows[:, :width]
+        text = b""
+    if (len(text) == n * (width + 1)
+            and np.all(np.frombuffer(text, dtype=np.uint8)[width::width + 1] == ord(","))):
+        # n * width bytes are left without the commas only if no other byte is one;
+        # uint8 wraps, so every byte but "0" and "1" exceeds 1
+        bits = np.frombuffer(text.translate(None, b","), dtype=np.uint8) - _ZERO
+        if bits.size == n * width and not np.any(bits > 1):
+            return bits.reshape(n, width)
+    entry = next(e for e in memory if not (
+        isinstance(e, str) and len(e) == width and not set(e) - {"0", "1"}))
+    raise DataFormatError(f"memory entry {entry!r} is not a width-{width} bitstring")
 
 
-# rows tallied per bincount, so that the int64 indices stay at 128 kB
-_TALLY_ROWS = 1 << 14
+def _tally(bits: np.ndarray) -> dict[str, int]:
+    """How often each outcome occurs, keyed by its bitstring.
 
-
-def _tally(digits: np.ndarray, memory: Sequence[str]) -> dict[str, int]:
-    """How often each outcome occurs, by bincounts of the rows' basis indices.
-
-    Rows wider than MAX_QUBITS, whose index range would not fit a bincount,
-    are tallied string by string.
+    Rows up to MAX_QUBITS wide are tallied by a bincount of their basis
+    indices; wider rows, whose index range would not fit a bincount, by
+    `np.unique` over the rows.
     """
-    shots, width = digits.shape
+    shots, width = bits.shape
     if width > MAX_QUBITS:
-        return dict(Counter(memory))
-    tally = np.zeros(1 << width, dtype=np.int64)
-    for lo in range(0, shots, _TALLY_ROWS):
-        block = digits[lo:lo + _TALLY_ROWS]
-        idx = np.zeros(block.shape[0], dtype=np.int64)
-        for k in range(width):
-            idx <<= 1
-            idx |= block[:, k] & 1  # the low bit of ASCII "0" and "1" is the digit
-        tally += np.bincount(idx, minlength=1 << width)
+        rows, tally = np.unique(bits, axis=0, return_counts=True)
+        return dict(zip(_bitstrings(rows), tally.tolist()))
+    idx = np.zeros(shots, dtype=np.int64)
+    for k in range(width):
+        idx <<= 1
+        idx |= bits[:, k]
+    tally = np.bincount(idx, minlength=1 << width)
     seen = np.flatnonzero(tally)
     return {bitstring(i, width): c for i, c in zip(seen.tolist(), tally[seen].tolist())}
 
 
 def record_from_indices(idx: np.ndarray, n_qubits: int, *, memory: bool = False,
                         metadata: dict[str, Any] | None = None) -> CountsRecord:
-    """Build a CountsRecord from sampled outcome indices."""
-    names = [bitstring(i, n_qubits) for i in range(2 ** n_qubits)]
-    raw = np.bincount(idx, minlength=len(names))
-    counts = {names[i]: int(c) for i, c in enumerate(raw.tolist()) if c > 0}
-    mem = [names[i] for i in idx.tolist()] if memory else None
-    return CountsRecord(shots=int(idx.size), counts=counts, memory=mem,
-                        metadata=dict(metadata or {}))
+    """Build a CountsRecord from sampled outcome indices; its counts are its bits' tally."""
+    bits = indices_to_bits(idx, n_qubits)
+    return CountsRecord(shots=int(idx.size), counts=_tally(bits),
+                        memory=bits if memory else None, metadata=dict(metadata or {}))
 
+
+def load_counts_record(path: str | os.PathLike) -> CountsRecord:
+    return load_json(path, CountsRecord.from_json_obj)
+
+
+# rows of a counts record's memory block per write: 160 kB of text at 4 qubits
+_MEMORY_ROWS = 1 << 14
+
+
+def save_counts_record(path: str | os.PathLike, record: CountsRecord) -> None:
+    """Write the record; the bytes equal `atomic_write_json` of `record.to_json_obj()`.
+
+    The fields other than memory go through the one JSON encoder, at full
+    precision.  The memory block is built from the record's bits as uint8
+    lines ``  "0101",`` and written a bounded number of lines at a time.
+    A record the loader would refuse raises before anything is written.
+    """
+    record.validate()
+    head = canonical_json(replace(record, memory=None).to_json_obj(), precise=True)
+    bits = record.memory
+    if bits is None:
+        atomic_write_text(path, head + "\n")
+        return
+    # a top-level key is the only line indented by one space: nested lines
+    # take more, and a newline inside a string is escaped
+    before, _, after = head.partition('\n "memory": null')
+    shots, width = bits.shape
+    line = np.frombuffer(b'  "' + b" " * width + b'",\n', dtype=np.uint8)
+
+    def pieces():
+        yield (before + '\n "memory": [\n').encode("ascii")
+        for lo in range(0, shots, _MEMORY_ROWS):
+            rows = bits[lo:lo + _MEMORY_ROWS]
+            lines = np.empty((rows.shape[0], line.size), dtype=np.uint8)
+            lines[:] = line
+            np.add(rows, _ZERO, out=lines[:, 3:3 + width])
+            # the last line ends without its ",\n", where the list closes
+            yield lines if lo + _MEMORY_ROWS < shots else lines.reshape(-1)[:-2]
+        yield f"\n ]{after}\n".encode("ascii")
+
+    atomic_write_pieces(path, pieces())

@@ -9,6 +9,7 @@
   calls the `qrng` command makes.
 - The dense Toeplitz matrix that the FFT kernel is checked against.
 - A counts record sampled straight from a distribution.
+- rounds.csv as first written, each row's win fraction by its own repr.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from typing import Any
 
 import numpy as np
 
-from diqrng.game import GameSetting, QuantumStrategy, round_distribution
-from diqrng.randomness import indices_to_bits, qrng_distribution
-from diqrng.simulator import (CountsRecord, OutcomeDistribution, record_from_indices,
-                              sample_indices)
+from diqrng.game import ExperimentResult, GameSetting, QuantumStrategy, round_distribution
+from diqrng.randomness import qrng_distribution
+from diqrng.simulator import (CountsRecord, OutcomeDistribution, indices_to_bits,
+                              record_from_indices, sample_indices)
 
 ALL_SETTINGS = tuple(GameSetting(x, y) for x, y in product((0, 1), repeat=2))
 
@@ -130,3 +131,17 @@ def sample(dist: OutcomeDistribution, shots: int, rng_seed: int, *,
     """Draw shots from dist; same (dist, shots, seed) gives an identical record."""
     return record_from_indices(sample_indices(dist, shots, rng_seed), dist.n_qubits,
                                memory=memory, metadata=metadata)
+
+
+# ============================================================
+# report files
+# ============================================================
+
+def rounds_csv_text_per_row(experiment: ExperimentResult) -> str:
+    """rounds.csv with each row's win fraction spelled by its own repr."""
+    e = experiment
+    lines = ["# format_version=1", "round_index,x,y,same_count,diff_count,win_fraction"]
+    rows = zip(range(e.x.size), e.x.tolist(), e.y.tolist(), e.same.tolist(), e.diff.tolist(),
+               e.win_fractions.tolist())
+    lines += [f"{i},{x},{y},{same},{diff},{f!r}" for i, x, y, same, diff, f in rows]
+    return "\n".join(lines) + "\n"

@@ -9,6 +9,7 @@ import dataclasses
 import json
 import math
 import os
+import stat
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from diqrng import _kernels, harness
+from diqrng import _kernels, harness, simulator
 from diqrng import rng as rng_module
 from diqrng.certify import Verdict
 from diqrng.game import (
@@ -39,24 +40,22 @@ from diqrng.harness import (
     emit_reports,
     fit_lambda,
     get_device_profile,
-    load_counts_record,
     load_device_profiles,
     read_rounds_csv,
     replay_backend,
     rounds_csv_text,
     run_certified_experiment,
-    save_counts_record,
     write_rounds_csv,
 )
 from diqrng.game import round_distribution
-from diqrng.io import (atomic_write_json, atomic_write_text, canonical_json, format_sig,
-                       round_sig)
+from diqrng.io import (atomic_write_bytes, atomic_write_json, atomic_write_pieces,
+                       atomic_write_text, canonical_json, format_sig, round_sig)
 from diqrng.rng import (
     SourceDepleted,
     derive_seed,
     derive_seeds,
     make_rng,
-    rekey,
+    rekeyer,
     uniform_bits,
 )
 from diqrng.simulator import (
@@ -64,9 +63,11 @@ from diqrng.simulator import (
     DataFormatError,
     DataIntegrityError,
     OutcomeDistribution,
+    load_counts_record,
     record_from_indices,
+    save_counts_record,
 )
-from oracles import sample, win_probability_from_dist
+from oracles import rounds_csv_text_per_row, sample, win_probability_from_dist
 
 # frozen: (cos^2(pi/8) - target) / (cos^2(pi/8) - 1/2)
 LAMBDA_BELEM = 0.1621633171076834    # target 0.79622
@@ -330,7 +331,7 @@ class TestCertifiedRuns:
         rng.integers(0, 2 ** 32, size=3, dtype=np.uint32)
         assert rng.bit_generator.state["has_uint32"] == 1
         seed = derive_seed(1, "round", 2)
-        rekey(rng, seed)
+        rekeyer(rng)(seed)
         fresh = make_rng(seed)
         np.testing.assert_array_equal(rng.integers(0, 2 ** 32, size=5, dtype=np.uint32),
                                       fresh.integers(0, 2 ** 32, size=5, dtype=np.uint32))
@@ -343,7 +344,7 @@ class TestCertifiedRuns:
         rng.random(3)
         rng.integers(0, 2 ** 32, size=3, dtype=np.uint32)
         assert rng.bit_generator.state["has_uint32"] == 1
-        rekey(rng, seed)
+        rekeyer(rng)(seed)
         fresh = make_rng(seed)
         np.testing.assert_array_equal(rng.integers(0, 2 ** 32, size=5, dtype=np.uint32),
                                       fresh.integers(0, 2 ** 32, size=5, dtype=np.uint32))
@@ -460,7 +461,7 @@ class TestReplayBackend:
         path = tmp_path / "rec.json"
         rec = self._write_record(path, seed=1, shots=16)
         bits = replay_backend([path])
-        want = np.array([int(m[0]) for m in rec.memory], dtype=np.uint8)
+        want = rec.memory[:, 0]
         np.testing.assert_array_equal(bits[:16], want)
 
     def test_multiple_files_concatenate(self, tmp_path):
@@ -468,7 +469,7 @@ class TestReplayBackend:
         r1 = self._write_record(p1, seed=1, shots=8)
         r2 = self._write_record(p2, seed=2, shots=8)
         got = replay_backend([p1, p2])[:16]
-        want = [int(m[0]) for m in r1.memory] + [int(m[0]) for m in r2.memory]
+        want = np.concatenate([r1.memory[:, 0], r2.memory[:, 0]])
         np.testing.assert_array_equal(got, want)
 
     def test_depletion_raises(self, tmp_path):
@@ -506,7 +507,7 @@ class TestReplayBackend:
         rec = self._write_record(path, seed=5)
         back = load_counts_record(path)
         assert back.counts == rec.counts
-        assert back.memory == rec.memory
+        np.testing.assert_array_equal(back.memory, rec.memory)
 
     def test_counts_record_writes_in_bounded_memory(self, tmp_path):
         idx = np.random.default_rng(16).integers(0, 16, 10 ** 5)
@@ -522,10 +523,10 @@ class TestReplayBackend:
         finally:
             if not was_tracing:
                 tracemalloc.stop()
-        # the file is about 1 MB; streamed, the peak is about 1.3 MB (the
-        # memory list copied once), where the whole text as one string read 8.9 MB
+        # the file is about 1 MB; streamed, the peak is about 0.8 MB (the
+        # check's tally indices), where the whole text as one string read 8.9 MB
         assert peak - before <= 3 * 2 ** 20
-        assert load_counts_record(path).memory == rec.memory
+        np.testing.assert_array_equal(load_counts_record(path).memory, rec.memory)
 
     def test_replayed_run_is_bit_reproducible(self, tmp_path):
         px, py = tmp_path / "x.json", tmp_path / "y.json"
@@ -543,6 +544,16 @@ class TestReplayBackend:
 # persistence: rounds CSV and reports
 # ---------------------------------------------------------------------------
 
+def _rounds_columns(rounds: int):
+    """x, y, same and diff columns of `rounds` rows; rounds with no shots included.
+
+    Tallies stay small, so that rounds share win fractions.
+    """
+    bits = st.lists(st.integers(0, 1), min_size=rounds, max_size=rounds)
+    tallies = st.lists(st.integers(0, 12), min_size=rounds, max_size=rounds)
+    return st.tuples(bits, bits, tallies, tallies)
+
+
 class TestRoundsCsv:
     def test_round_trip(self, tmp_path):
         run = run_certified_experiment(ExperimentConfig(rounds=9, shots=150))
@@ -556,6 +567,15 @@ class TestRoundsCsv:
         assert back.win_fractions.tolist() == run.experiment.win_fractions.tolist()
         assert back.p_avg == run.experiment.p_avg
         assert back.sigma == run.experiment.sigma
+
+    @settings(deadline=None, max_examples=100)
+    @given(columns=st.integers(1, 60).flatmap(_rounds_columns))
+    @example(columns=([0], [1], [0], [0]))
+    @example(columns=([0, 1, 1], [1, 1, 0], [0, 3, 0], [0, 4, 0]))
+    def test_text_equals_the_per_row_form(self, columns):
+        experiment = ExperimentResult.from_rounds(*(np.array(c, dtype=np.int64)
+                                                    for c in columns))
+        assert rounds_csv_text(experiment) == rounds_csv_text_per_row(experiment)
 
     def test_header_and_field_order(self):
         run = run_certified_experiment(ExperimentConfig(rounds=2, shots=50))
@@ -830,6 +850,21 @@ class TestCanonicalIo:
         assert path.read_text() == "payload"
         assert os.listdir(tmp_path) == ["out.txt"]
 
+    @pytest.mark.parametrize("write", [
+        lambda path: atomic_write_text(path, "payload"),
+        lambda path: atomic_write_bytes(path, np.zeros(3, dtype=np.uint8)),
+        lambda path: atomic_write_pieces(path, [b"a", b"b"]),
+        lambda path: atomic_write_json(path, {"a": 1}),
+    ], ids=["text", "bytes", "pieces", "json"])
+    def test_written_files_take_their_mode_from_the_umask(self, tmp_path, write):
+        old = os.umask(0o022)
+        try:
+            write(tmp_path / "out")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(os.stat(tmp_path / "out").st_mode) == 0o644
+        assert os.listdir(tmp_path) == ["out"]
+
 
 # ---------------------------------------------------------------------------
 # the counts-record writer
@@ -865,12 +900,12 @@ class TestCountsRecordWriter:
         rec = _record(width, shots, seed, memory=memory, metadata=metadata)
         got, want = tmp_path / "got.json", tmp_path / "want.json"
         # a few lines per piece, so that the pieces' joins are crossed
-        with mock.patch.object(harness, "_MEMORY_ROWS", rows):
+        with mock.patch.object(simulator, "_MEMORY_ROWS", rows):
             save_counts_record(got, rec)
         atomic_write_json(want, rec.to_json_obj(), precise=True)
         assert got.read_bytes() == want.read_bytes()
 
-    @pytest.mark.parametrize("shots", [harness._MEMORY_ROWS, 2 * harness._MEMORY_ROWS + 1])
+    @pytest.mark.parametrize("shots", [simulator._MEMORY_ROWS, 2 * simulator._MEMORY_ROWS + 1])
     def test_bytes_equal_the_encoder_at_whole_pieces(self, tmp_path, shots):
         rec = _record(4, shots, shots, metadata={"mode": "hadamard", "seed": 1})
         save_counts_record(tmp_path / "got.json", rec)
@@ -878,13 +913,16 @@ class TestCountsRecordWriter:
         assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
 
     @pytest.mark.parametrize("memory, error", [
-        (["01", "0", "11"], DataFormatError),
-        (["01", "011", "1"], DataFormatError),
-        (["01", "0x", "11"], DataFormatError),
-        (["01", 1, "11"], DataFormatError),
-        (["01", "01", "11"], DataIntegrityError),
-        (["01", "11"], DataIntegrityError),
-    ], ids=["short", "long", "non-bit", "non-string", "tally", "length"])
+        (np.array([[0], [0], [1]], dtype=np.uint8), DataFormatError),
+        (np.array([[0, 1, 1], [0, 1, 0], [1, 1, 1]], dtype=np.uint8), DataFormatError),
+        (np.array([[0, 1], [0, 2], [1, 1]], dtype=np.uint8), DataFormatError),
+        (np.array([[0, 1], [1, 1], [1, 1]]), DataFormatError),  # int64 entries
+        (["01", "11", "11"], DataFormatError),  # the JSON form, not the bit array
+        (np.array([0, 1, 1, 1, 1, 1], dtype=np.uint8), DataFormatError),
+        (np.array([[0, 1], [0, 1], [1, 1]], dtype=np.uint8), DataIntegrityError),
+        (np.array([[0, 1], [1, 1]], dtype=np.uint8), DataIntegrityError),
+    ], ids=["short", "long", "non-bit", "non-string", "non-array", "one-dimensional", "tally",
+            "length"])
     def test_record_the_loader_refuses_writes_nothing(self, tmp_path, memory, error):
         rec = CountsRecord(shots=3, counts={"01": 1, "11": 2}, memory=memory, metadata={})
         path = tmp_path / "rec.json"

@@ -28,7 +28,6 @@ from diqrng.randomness import (
     PackedBits,
     block_frequency_test,
     bits_to_text,
-    indices_to_bits,
     load_bits_packed,
     load_bits_text,
     monobit_test,
@@ -41,7 +40,7 @@ from diqrng.randomness import (
     von_neumann,
 )
 from diqrng.rng import _BITS_CHUNK, uniform_bits
-from diqrng.simulator import MAX_QUBITS, CapacityError, DataFormatError
+from diqrng.simulator import MAX_QUBITS, CapacityError, DataFormatError, indices_to_bits
 from oracles import hadamard_qrng, parity_qrng, toeplitz_matrix
 
 

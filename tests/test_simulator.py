@@ -219,7 +219,9 @@ class TestCountsRecord:
         rec = record_from_indices(idx, 2, memory=True)
         assert rec.shots == 6
         assert rec.counts == {"00": 2, "01": 1, "11": 3}
-        assert rec.memory == ["00", "11", "11", "01", "00", "11"]
+        np.testing.assert_array_equal(rec.memory, [[0, 0], [1, 1], [1, 1], [0, 1], [0, 0], [1, 1]])
+        assert rec.memory.dtype == np.uint8
+        assert rec.to_json_obj()["memory"] == ["00", "11", "11", "01", "00", "11"]
         rec.validate()
 
     def test_sample_produces_consistent_record(self):
@@ -236,8 +238,9 @@ class TestCountsRecord:
         back = CountsRecord.from_json_obj(json.loads(json.dumps(obj)))
         assert back.shots == rec.shots
         assert back.counts == rec.counts
-        assert back.memory == rec.memory
+        np.testing.assert_array_equal(back.memory, rec.memory)
         assert back.metadata == rec.metadata
+        assert back.to_json_obj() == obj
 
     def test_from_json_rejects_malformed(self):
         good = record_from_indices(np.array([0, 1]), 1, memory=True).to_json_obj()
@@ -272,7 +275,7 @@ class TestCountsRecord:
     def test_record_from_indices_names_every_outcome(self):
         idx = np.arange(16).repeat(3)
         rec = record_from_indices(idx, 4, memory=True)
-        assert rec.memory == [format(i, "04b") for i in idx.tolist()]
+        assert rec.to_json_obj()["memory"] == [format(i, "04b") for i in idx.tolist()]
         assert rec.counts == {format(i, "04b"): 3 for i in range(16)}
         rec.validate()
 
@@ -300,12 +303,12 @@ class TestCountsRecord:
 
     @pytest.mark.parametrize("width", [1, 4, 12, 13, 20])
     def test_memory_tally_matches_counter(self, width):
-        # 13 and 20 qubits are wider than the bincount tally and take Counter's
+        # 13 and 20 qubits are wider than the bincount tally and take np.unique's
         idx = np.random.default_rng(width).integers(0, 2 ** width, 300)
         memory = [format(i, f"0{width}b") for i in idx.tolist()]
         counts = dict(collections.Counter(memory))
         rec = CountsRecord.from_json_obj({"shots": 300, "counts": counts, "memory": memory})
-        assert rec.memory_digits().tobytes().decode() == "".join(memory)
+        assert rec.to_json_obj()["memory"] == memory
         swapped = dict(counts)
         first, second = sorted(swapped)[:2]
         swapped[first] -= 1
@@ -330,6 +333,7 @@ class TestCountsRecord:
         rec = CountsRecord(shots=3, counts={"0": 1, "1": 1}, memory=None, metadata={})
         with pytest.raises(DataIntegrityError, match="sum"):
             rec.validate()
-        rec = CountsRecord(shots=2, counts={"0": 1, "1": 1}, memory=["0", "0"], metadata={})
+        rec = CountsRecord(shots=2, counts={"0": 1, "1": 1},
+                           memory=np.array([[0], [0]], dtype=np.uint8), metadata={})
         with pytest.raises(DataIntegrityError, match="memory"):
             rec.validate()
