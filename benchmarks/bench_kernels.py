@@ -51,11 +51,15 @@ import collections
 import json
 import math
 import os
+import sys
 import tempfile
 import time
 import tracemalloc
 
 import numpy as np
+
+# this checkout's package first, whether or not one is installed
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
 from diqrng import _kernels
 from diqrng.harness import _gaussian_kde

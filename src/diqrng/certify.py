@@ -5,13 +5,14 @@ The chain is: pooled win probability -> correlation value s = 8*p - 4 ->
 binomial null, and (b) a certified min-entropy rate per output bit,
 max(0, 1 - log2(1 + sqrt(2 - s^2/4))).  The rate is 0 at or below the
 classical point s = 2 and reaches 1 at the maximal quantum value
-s = 2*sqrt(2).  A run is CERTIFIED only when z clears the threshold
-(default 5) and s exceeds 2, and only a CERTIFIED certificate carries that
-rate: any other verdict states rate 0.
+s = 2*sqrt(2).  A run is CERTIFIED only when z clears DEFAULT_THRESHOLD_Z
+and s exceeds 2, and only a CERTIFIED certificate carries that rate: any
+other verdict states rate 0.  Every certificate states the threshold it was
+issued at.
 
 certificate.json is written, read and gated here only.  Loading re-issues
-the certificate from its stored p_win, n and threshold_z and refuses the
-file unless every stored field agrees with the re-issued one.
+the certificate from its stored p_win and n and refuses the file unless
+every stored field, the threshold too, agrees with the re-issued one.
 """
 
 from __future__ import annotations
@@ -82,32 +83,28 @@ class Certificate:
     z: float | None
     min_entropy_rate: float | None
     verdict: Verdict
-    threshold_z: float
+    threshold_z: float = DEFAULT_THRESHOLD_Z
 
 
-def certify_pooled(p_win: float, n: int,
-                   threshold_z: float = DEFAULT_THRESHOLD_Z) -> Certificate:
+def certify_pooled(p_win: float, n: int) -> Certificate:
     """Certificate from an already-pooled win probability."""
     if n < 1:
         return Certificate(p_win=None, n=0, s=None, z=None, min_entropy_rate=None,
-                           verdict=Verdict.INSUFFICIENT_DATA, threshold_z=threshold_z)
+                           verdict=Verdict.INSUFFICIENT_DATA)
     s = s_value(p_win)
     z = violation_significance(p_win, n)
-    verdict = (Verdict.CERTIFIED if z >= threshold_z and s > CLASSICAL_S
+    verdict = (Verdict.CERTIFIED if z >= DEFAULT_THRESHOLD_Z and s > CLASSICAL_S
                else Verdict.NOT_VIOLATED)
     # only a certified run carries a rate; sampling noise can push s past
     # the quantum bound, so the rate is evaluated with s clipped to 2*sqrt(2)
     rate = (min_entropy_rate(min(s, TSIRELSON_S)) if verdict is Verdict.CERTIFIED
             else 0.0)
-    return Certificate(p_win=p_win, n=n, s=s, z=z, min_entropy_rate=rate,
-                       verdict=verdict, threshold_z=threshold_z)
+    return Certificate(p_win=p_win, n=n, s=s, z=z, min_entropy_rate=rate, verdict=verdict)
 
 
-def certify(experiment: ExperimentResult,
-            threshold_z: float = DEFAULT_THRESHOLD_Z) -> Certificate:
+def certify(experiment: ExperimentResult) -> Certificate:
     """Pool all shots of an experiment and certify the result."""
-    return certify_pooled(experiment.pooled_win_fraction(), experiment.total_shots(),
-                          threshold_z)
+    return certify_pooled(experiment.pooled_win_fraction(), experiment.total_shots())
 
 
 def certificate_text(cert: Certificate) -> str:
@@ -117,22 +114,21 @@ def certificate_text(cert: Certificate) -> str:
 
 
 def _certificate_from_obj(obj: Any) -> Certificate:
-    """Re-issue a stored certificate from its p_win, n and threshold_z.
+    """Re-issue a stored certificate from its p_win and n.
 
     The object is refused unless it holds exactly the re-issued certificate's
-    fields and values, so no field can be edited on its own.
+    fields and values, so no field can be edited on its own, and a stored
+    threshold_z other than DEFAULT_THRESHOLD_Z is refused.
     """
     try:
-        p_win, n, threshold_z = obj["p_win"], _json_int(obj["n"], "n"), obj["threshold_z"]
+        p_win, n = obj["p_win"], _json_int(obj["n"], "n")
         # checked, not converted: a stored int must re-issue as the same int
         if p_win is not None:
             _json_float(p_win, "p_win")
-        if not math.isfinite(_json_float(threshold_z, "threshold_z")):
-            raise ValueError(f"threshold_z must be finite, got {threshold_z!r}")
-        cert = certify_pooled(p_win, n, threshold_z)
+        cert = certify_pooled(p_win, n)
         if canonical_json(obj, precise=True) + "\n" != certificate_text(cert):
             raise ValueError("stored fields differ from the certificate that "
-                             "p_win, n and threshold_z give")
+                             f"p_win and n give at threshold_z {DEFAULT_THRESHOLD_Z:g}")
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise DataFormatError(f"bad certificate: {exc}") from exc
     return cert

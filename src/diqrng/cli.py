@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import math
 import os
 import sys
 from typing import Sequence
@@ -21,8 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .certify import (DEFAULT_THRESHOLD_Z, Certificate, Verdict, certificate_text,
-                      certified_rate, certify)
+from .certify import Certificate, Verdict, certificate_text, certified_rate, certify
 from .game import ConfigError
 from .harness import (
     LOOPHOLE_FIELDS,
@@ -39,7 +37,6 @@ from .io import atomic_write_json, atomic_write_text, format_sig
 from .randomness import (
     BATTERY_TESTS,
     DEFAULT_BLOCK_LEN,
-    DEFAULT_SECURITY_MARGIN,
     PackedBits,
     load_bits_packed,
     load_bits_text,
@@ -66,10 +63,9 @@ ENV_OUT_DIR = "DIQRNG_OUT_DIR"
 OUT_DIR_HELP = f"output directory (default ${ENV_OUT_DIR} or .)"
 
 # play's flags whose dest is the ExperimentConfig field they override
-_PLAY_FIELDS = ("rounds", "shots", "lam", "master_seed", "threshold_z", *LOOPHOLE_FIELDS)
+_PLAY_FIELDS = ("rounds", "shots", "lam", "master_seed", *LOOPHOLE_FIELDS)
 # extract's flags that only Toeplitz hashing reads, by dest
-_TOEPLITZ_FLAGS = ("out_len", "extractor_seed", "seed_file", "rate", "certificate",
-                   "security_margin")
+_TOEPLITZ_FLAGS = ("out_len", "extractor_seed", "seed_file", "certificate")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,13 +103,6 @@ def _seed64(text: str) -> int:
     return value
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
-    return value
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="diqrng", description=__doc__.splitlines()[0] if __doc__ else None)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -130,8 +119,6 @@ def build_parser() -> _Parser:
                    help="device profile name; sets lambda from its fitted value")
     p.add_argument("--seed", dest="master_seed", type=int, default=None, metavar="SEED",
                    help="master seed (default 0)")
-    p.add_argument("--threshold-z", type=_finite_float, default=None,
-                   help=f"certification z threshold (default {DEFAULT_THRESHOLD_Z:g})")
     p.add_argument("--config", default=None, help="experiment config JSON to start from")
     p.add_argument("--replay-x", nargs="+", default=None, metavar="FILE",
                    help="counts-record files replayed for Alice's inputs")
@@ -154,7 +141,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("certify",
                        help="recompute a certificate from a rounds table")
     p.add_argument("--rounds-csv", required=True, help="rounds.csv from a previous play")
-    p.add_argument("--threshold-z", type=_finite_float, default=DEFAULT_THRESHOLD_Z)
     p.add_argument("--out", default=None, help="certificate JSON path (default: print)")
     p.set_defaults(func=cmd_certify)
 
@@ -184,13 +170,8 @@ def build_parser() -> _Parser:
                    help="seed for generating the toeplitz seed bits")
     p.add_argument("--seed-file", default=None,
                    help="text file holding the toeplitz seed bits")
-    p.add_argument("--rate", type=_unit_float, default=None,
-                   help="certified min-entropy rate bounding the output length")
     p.add_argument("--certificate", default=None,
-                   help="certificate JSON supplying the min-entropy rate")
-    p.add_argument("--security-margin", type=int, default=None,
-                   help=f"bits kept back from the toeplitz budget "
-                        f"(default {DEFAULT_SECURITY_MARGIN})")
+                   help="CERTIFIED certificate JSON whose rate bounds the toeplitz output")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("test",
@@ -292,7 +273,7 @@ def _verdict_line(cert: Certificate) -> str:
 
 def cmd_certify(args) -> int:
     experiment = read_rounds_csv(args.rounds_csv)
-    cert = certify(experiment, args.threshold_z)
+    cert = certify(experiment)
     text = certificate_text(cert)
     if args.out:
         atomic_write_text(args.out, text)
@@ -330,11 +311,10 @@ def cmd_extract(args) -> int:
             raise ConfigError("toeplitz extraction needs --out-len")
         if (args.extractor_seed is None) == (args.seed_file is None):
             raise ConfigError("provide exactly one of --extractor-seed or --seed-file")
-        rate = args.rate
-        if args.certificate:
-            if rate is not None:
-                raise ConfigError("--rate and --certificate are mutually exclusive")
-            rate = certified_rate(args.certificate)
+        if args.certificate is None:
+            raise ConfigError("toeplitz extraction needs --certificate: only a CERTIFIED "
+                              "certificate's rate authorises output")
+        rate = certified_rate(args.certificate)
         need = len(stream) + args.out_len - 1
         if args.seed_file:
             seed_bits = load_bits_text(args.seed_file)
@@ -343,11 +323,7 @@ def cmd_extract(args) -> int:
         if seed_bits.size != need:
             raise DataFormatError(
                 f"seed bits: need {need} (in_len + out_len - 1), got {seed_bits.size}")
-        margin = args.security_margin
-        if margin is None:
-            margin = DEFAULT_SECURITY_MARGIN
-        out = toeplitz_extract(stream, seed_bits, args.out_len,
-                               min_entropy_rate=rate, security_margin=margin)
+        out = toeplitz_extract(stream, seed_bits, args.out_len, min_entropy_rate=rate)
     if len(out) == 0:
         # a stream from an earlier run must not pass for this one's output
         for path in (args.out + ".txt", args.out + ".bin"):

@@ -28,12 +28,13 @@ import os
 import warnings
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import product
 from typing import Any, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import _kernels
-from .certify import DEFAULT_THRESHOLD_Z, Certificate, certify
+from .certify import Certificate, certify
 from .game import (
     ConfigError,
     ExperimentResult,
@@ -143,14 +144,14 @@ LOOPHOLE_FIELDS = ("independent_inputs", "fresh_state_per_round", "detection_eff
                    "report_all_events")
 # the keys a config file may hold, at the top level and in its two sub-objects
 _CONFIG_KEYS = ("format_version", "rounds", "shots", "lambda", "master_seed", "strategy",
-                "input_source", "threshold_z", "loopholes")
+                "input_source", "loopholes")
 _STRATEGY_KEYS = ("alice_angles", "bob_angles", "global_offset")
 _INPUT_SOURCE_KEYS = ("mode", "x_files", "y_files")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to reproduce a run, serializable as JSON."""
+    """Everything needed to reproduce a run, as a config file states it."""
 
     rounds: int = DEFAULT_ROUNDS
     shots: int = DEFAULT_SHOTS
@@ -160,7 +161,6 @@ class ExperimentConfig:
     # a run replays recorded inputs exactly when both file lists are given
     replay_x: tuple[str, ...] = ()
     replay_y: tuple[str, ...] = ()
-    threshold_z: float = DEFAULT_THRESHOLD_Z
     independent_inputs: bool = True
     fresh_state_per_round: bool = True
     detection_efficiency: float = 1.0
@@ -175,32 +175,9 @@ class ExperimentConfig:
             raise ConfigError(f"lambda must be in [0, 1], got {self.lam!r}")
         if bool(self.replay_x) != bool(self.replay_y):
             raise ConfigError("replay needs both replay_x and replay_y file lists")
-        if not math.isfinite(self.threshold_z):
-            raise ConfigError(f"threshold_z must be finite, got {self.threshold_z!r}")
         eta = self.detection_efficiency
         if not (0.0 < eta <= 1.0):
             raise ConfigError(f"detection_efficiency must be in (0, 1], got {eta!r}")
-
-    def to_json_obj(self) -> dict[str, Any]:
-        return {
-            "format_version": FORMAT_VERSION,
-            "rounds": self.rounds,
-            "shots": self.shots,
-            "lambda": self.lam,
-            "master_seed": self.master_seed,
-            "strategy": {
-                "alice_angles": list(self.strategy.alice_angles),
-                "bob_angles": list(self.strategy.bob_angles),
-                "global_offset": self.strategy.global_offset,
-            },
-            "input_source": (
-                {"mode": "replay", "x_files": list(self.replay_x),
-                 "y_files": list(self.replay_y)} if self.replay_x else
-                {"mode": "seeded"}
-            ),
-            "threshold_z": self.threshold_z,
-            "loopholes": {name: getattr(self, name) for name in LOOPHOLE_FIELDS},
-        }
 
     @classmethod
     def from_json_obj(cls, obj: Mapping[str, Any]) -> "ExperimentConfig":
@@ -236,8 +213,6 @@ class ExperimentConfig:
                 strategy=strategy,
                 replay_x=replay_x,
                 replay_y=replay_y,
-                threshold_z=_json_float(obj.get("threshold_z", DEFAULT_THRESHOLD_Z),
-                                        "threshold_z"),
                 **loopholes,
             )
         except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
@@ -287,14 +262,17 @@ class CertifiedRun(NamedTuple):
 def _referee_columns(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     n = config.rounds
     if config.replay_x:
-        bits_x = replay_backend(config.replay_x)
-        bits_y = replay_backend(config.replay_y)
-        # resolved, so that q.json and ./q.json count as one source
-        shared = set(map(os.path.realpath, config.replay_x)) & set(
-            map(os.path.realpath, config.replay_y))
-        if config.independent_inputs and shared:
-            raise ConfigError("input sources must be independent "
-                              f"(file given on both sides: {sorted(shared)[0]})")
+        # one record at a time, so that each x record is checked against each y
+        # record: equal bits are one source, however the files are named
+        xs = [replay_backend([path]) for path in config.replay_x]
+        ys = [replay_backend([path]) for path in config.replay_y]
+        if config.independent_inputs:
+            for (path_x, bx), (path_y, by) in product(zip(config.replay_x, xs),
+                                                      zip(config.replay_y, ys)):
+                if np.array_equal(bx, by):
+                    raise ConfigError("input sources must be independent (x record "
+                                      f"{path_x} and y record {path_y} hold the same bits)")
+        bits_x, bits_y = np.concatenate(xs), np.concatenate(ys)
     else:
         # 2n Alice bits: the second n are y when the inputs are dependent
         bits_x = uniform_bits(derive_seed(config.master_seed, "alice-inputs"), 2 * n)
@@ -365,7 +343,7 @@ def run_certified_experiment(config: ExperimentConfig) -> CertifiedRun:
         # the kept shots in row order, which is round order
         alice_chunks.append(np.compress(kept.ravel(), idx.ravel()) >> 1)
     experiment = ExperimentResult.from_rounds(x, y, same, diff)
-    certificate = certify(experiment, config.threshold_z)
+    certificate = certify(experiment)
     return CertifiedRun(experiment, certificate, np.concatenate(alice_chunks),
                         np.concatenate(all_event) if all_event else np.zeros(0))
 

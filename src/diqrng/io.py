@@ -7,12 +7,11 @@ floats to 6 significant digits; files the package reads back (certificates,
 configs, counts records) are written with ``precise=True`` so every float
 survives the round trip exactly.  A file is written from a buffer the caller
 already holds (``atomic_write_bytes`` takes any contiguous buffer, such as a
-numpy array) or from buffers made one after another (``atomic_write_pieces``)
-or, for JSON, streamed from the encoder by ``atomic_write_json``, so no
-whole-file string is built; ``canonical_json`` is the same text as one
-string.  Every file the package reads goes through ``read_text`` and every
-JSON text through ``parse_json``, so the error names a file that does not
-decode or parse; the ``_json_*`` readers type-check values.
+numpy array) or from buffers made one after another (``atomic_write_pieces``),
+so no whole-file copy is built; ``atomic_write_json`` writes the text of
+``canonical_json``.  Every file the package reads goes through ``read_text``
+and every JSON text through ``parse_json``, so the error names a file that
+does not decode or parse; the ``_json_*`` readers type-check values.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from itertools import islice
 from typing import IO, Any, Callable, Iterable, Mapping
 
 
@@ -114,12 +112,6 @@ def _refuse(o: Any) -> Any:
     raise TypeError(f"not JSON-serializable: {type(o).__name__}")
 
 
-def _encoder() -> json.JSONEncoder:
-    """The one encoder behind `canonical_json` and `atomic_write_json`."""
-    return json.JSONEncoder(sort_keys=True, separators=(",", ": "), indent=1,
-                            allow_nan=False, default=_refuse)
-
-
 def canonical_json(obj: Any, *, precise: bool = False) -> str:
     """Serialize with sorted keys; floats at 6 significant digits by default.
 
@@ -128,12 +120,9 @@ def canonical_json(obj: Any, *, precise: bool = False) -> str:
     original values exactly.  Infinities serialize as the strings
     "inf"/"-inf" either way so the output stays within strict JSON.
     """
-    return _encoder().encode(_canonicalize(obj, precise))
-
-
-# encoder chunks joined per write: about one chunk per scalar, so a batch
-# is tens of kilobytes
-_JSON_BATCH = 1 << 12
+    encoder = json.JSONEncoder(sort_keys=True, separators=(",", ": "), indent=1,
+                               allow_nan=False, default=_refuse)
+    return encoder.encode(_canonicalize(obj, precise))
 
 
 def _atomic_write(path: str | os.PathLike, write: Callable[[IO], Any], mode: str,
@@ -182,17 +171,9 @@ def atomic_write_pieces(path: str | os.PathLike, pieces: Iterable[Any]) -> None:
 
 
 def atomic_write_json(path: str | os.PathLike, obj: Any, *, precise: bool = False) -> None:
-    """Write `canonical_json(obj, precise=precise) + "\n"` to path, streamed.
+    """Write `canonical_json(obj, precise=precise) + "\n"` to path.
 
-    The encoder's chunks go to the temp file a batch at a time, so the
-    whole text never exists as one string.  An encoding error (a NaN, a
-    value that is not JSON) raises as `canonical_json` would and leaves the
-    target untouched.
+    An encoding error (a NaN, a value that is not JSON) raises before the
+    temp file is made and leaves the target untouched.
     """
-    def write(fh: IO) -> None:
-        chunks = _encoder().iterencode(_canonicalize(obj, precise))
-        while batch := list(islice(chunks, _JSON_BATCH)):
-            fh.write("".join(batch))
-        fh.write("\n")
-
-    _atomic_write(path, write, "w", encoding="utf-8", newline="\n")
+    atomic_write_text(path, canonical_json(obj, precise=precise) + "\n")

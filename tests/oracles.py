@@ -10,6 +10,7 @@
 - The dense Toeplitz matrix that the FFT kernel is checked against.
 - A counts record sampled straight from a distribution.
 - rounds.csv as first written, each row's win fraction by its own repr.
+- An experiment config as the JSON object a config file holds.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import Any
 import numpy as np
 
 from diqrng.game import ExperimentResult, GameSetting, QuantumStrategy, round_distribution
+from diqrng.harness import FORMAT_VERSION, LOOPHOLE_FIELDS, ExperimentConfig
 from diqrng.randomness import qrng_distribution
 from diqrng.simulator import (CountsRecord, OutcomeDistribution, indices_to_bits,
                               record_from_indices, sample_indices)
@@ -145,3 +147,29 @@ def rounds_csv_text_per_row(experiment: ExperimentResult) -> str:
                e.win_fractions.tolist())
     lines += [f"{i},{x},{y},{same},{diff},{f!r}" for i, x, y, same, diff, f in rows]
     return "\n".join(lines) + "\n"
+
+
+# ============================================================
+# config files
+# ============================================================
+
+def config_json_obj(config: ExperimentConfig) -> dict[str, Any]:
+    """The config-file object that `ExperimentConfig.from_json_obj` reads back as config."""
+    return {
+        "format_version": FORMAT_VERSION,
+        "rounds": config.rounds,
+        "shots": config.shots,
+        "lambda": config.lam,
+        "master_seed": config.master_seed,
+        "strategy": {
+            "alice_angles": list(config.strategy.alice_angles),
+            "bob_angles": list(config.strategy.bob_angles),
+            "global_offset": config.strategy.global_offset,
+        },
+        "input_source": (
+            {"mode": "replay", "x_files": list(config.replay_x),
+             "y_files": list(config.replay_y)} if config.replay_x else
+            {"mode": "seeded"}
+        ),
+        "loopholes": {name: getattr(config, name) for name in LOOPHOLE_FIELDS},
+    }

@@ -143,9 +143,13 @@ class TestCertifyPooled:
         assert cert.z == pytest.approx(Z_MARGINAL, abs=1e-12)
 
     def test_classical_point_fails_even_at_zero_threshold(self):
-        # s = 2 exactly does not violate; z >= 0 alone must not certify
-        cert = certify_pooled(0.75, 10**6, threshold_z=0.0)
-        assert cert.verdict is Verdict.NOT_VIOLATED
+        # s = 2 exactly does not violate at any n: its z is 0, which only a
+        # threshold of 0 would let through, and the threshold is fixed at 5
+        for n in (1, 10**6, 10**12):
+            cert = certify_pooled(0.75, n)
+            assert cert.z == 0.0 and cert.s == CLASSICAL_S
+            assert cert.verdict is Verdict.NOT_VIOLATED
+            assert cert.min_entropy_rate == 0.0
 
     def test_losing_run_rate_is_zero(self):
         cert = certify_pooled(0.3, 1000)
@@ -169,10 +173,13 @@ class TestCertifyPooled:
         assert cert.n == 0
 
     def test_threshold_is_respected(self):
-        p, n = 0.78, 400  # z ~ 1.45
-        z = violation_significance(p, n)
-        assert certify_pooled(p, n, threshold_z=z + 0.01).verdict is Verdict.NOT_VIOLATED
-        assert certify_pooled(p, n, threshold_z=z - 0.01).verdict is Verdict.CERTIFIED
+        # at p = 0.8, z = 0.125 * sqrt(n): 1599 shots fall just short of 5, 1601 clear it
+        below, above = certify_pooled(0.8, 1599), certify_pooled(0.8, 1601)
+        z = DEFAULT_THRESHOLD_Z
+        assert z - 0.01 < below.z < z < above.z < z + 0.01
+        assert below.verdict is Verdict.NOT_VIOLATED and below.min_entropy_rate == 0.0
+        assert above.verdict is Verdict.CERTIFIED and above.min_entropy_rate > 0.0
+        assert below.threshold_z == above.threshold_z == DEFAULT_THRESHOLD_Z
 
 
 def _save(path, cert: Certificate):
@@ -212,21 +219,19 @@ class TestCertificate:
 
     @settings(deadline=None, max_examples=200)
     @given(p=st.one_of(st.sampled_from([0.0, 0.75, 1.0]), st.floats(0.0, 1.0)),
-           n=st.one_of(st.just(0), st.integers(1, 10**12)),
-           threshold_z=st.floats(allow_nan=False, allow_infinity=False))
-    def test_save_then_load_gives_back_the_certificate(self, p, n, threshold_z):
-        cert = certify_pooled(p, n, threshold_z)
+           n=st.one_of(st.just(0), st.integers(1, 10**12)))
+    def test_save_then_load_gives_back_the_certificate(self, p, n):
+        cert = certify_pooled(p, n)
         with tempfile.TemporaryDirectory() as d:
             assert load_certificate(_save(os.path.join(d, "c.json"), cert)) == cert
 
     @settings(deadline=None, max_examples=300)
     @given(p=st.one_of(st.sampled_from([0.0, 0.75, 1.0]), st.floats(0.0, 1.0)),
            n=st.one_of(st.just(0), st.integers(1, 10**12)),
-           threshold_z=st.floats(-10.0, 10.0),
-           field=st.sampled_from(["s", "z", "min_entropy_rate", "verdict"]),
+           field=st.sampled_from(["s", "z", "min_entropy_rate", "verdict", "threshold_z"]),
            value=_json_values)
-    def test_any_one_forged_field_is_refused(self, p, n, threshold_z, field, value):
-        cert = certify_pooled(p, n, threshold_z)
+    def test_any_one_forged_field_is_refused(self, p, n, field, value):
+        cert = certify_pooled(p, n)
         obj = json.loads(certificate_text(cert))
         assume(type(value) is not type(obj[field]) or value != obj[field])
         obj[field] = value
@@ -238,9 +243,10 @@ class TestCertificate:
 
     @pytest.mark.parametrize("field", [
         {"n": 1000.0}, {"n": True}, {"threshold_z": math.inf}, {"threshold_z": "5"},
-        {"p_win": "0.8"}, {"p_win": None}, {"extra": 1},
+        {"threshold_z": 0.0}, {"threshold_z": 5}, {"p_win": "0.8"}, {"p_win": None},
+        {"extra": 1},
     ], ids=["n-float", "n-bool", "threshold-infinite", "threshold-string",
-            "p-string", "p-null", "extra-field"])
+            "threshold-zero", "threshold-int", "p-string", "p-null", "extra-field"])
     def test_malformed_inputs_are_refused(self, tmp_path, field):
         obj = {**json.loads(certificate_text(certify_pooled(0.85, 1000))), **field}
         path = tmp_path / "c.json"

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from diqrng.certify import certificate_text, certify_pooled
 from diqrng.cli import (
     EXIT_DATA,
     EXIT_IO,
@@ -28,6 +29,7 @@ from diqrng.cli import (
 )
 from diqrng.harness import ExperimentConfig
 from diqrng.io import atomic_write_text, canonical_json
+from oracles import config_json_obj
 
 PLAY_FILES = ("rounds.csv", "certificate.json", "summary.json",
               "alice_bits.txt", "alice_bits.bin")
@@ -45,6 +47,16 @@ def _fresh_python(code: str) -> str:
 def _read_all(directory) -> dict[str, bytes]:
     return {name: Path(directory, name).read_bytes()
             for name in sorted(os.listdir(directory))}
+
+
+def _certified(directory) -> str:
+    """A CERTIFIED certificate file: p_win 0.85 over 10^4 shots gives rate 0.73697.
+
+    Its Toeplitz budget on an n-bit stream is floor(0.73697 n) - 64 bits.
+    """
+    path = os.path.join(directory, "certified.json")
+    atomic_write_text(path, certificate_text(certify_pooled(0.85, 10_000)))
+    return path
 
 
 class TestPlay:
@@ -104,16 +116,13 @@ class TestPlay:
         assert main(["play", "--lambda", "2", "--out-dir", str(tmp_path)]) == EXIT_USAGE
         assert main(["play", "--efficiency", "0", "--rounds", "2", "--shots", "10",
                      "--out-dir", str(tmp_path)]) == EXIT_USAGE
-        for value in ("nan", "inf", "-inf"):
-            assert main(["play", "--rounds", "2", "--shots", "10", f"--threshold-z={value}",
-                         "--out-dir", str(tmp_path)]) == EXIT_USAGE
         # every value is refused before a round is played
         assert not (tmp_path / "rounds.csv").exists()
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         config = ExperimentConfig(rounds=3, shots=150, master_seed=21)
         config_path = tmp_path / "config.json"
-        atomic_write_text(config_path, canonical_json(config.to_json_obj(), precise=True))
+        atomic_write_text(config_path, canonical_json(config_json_obj(config), precise=True))
         out_dir = tmp_path / "out"
         code = main(["play", "--config", str(config_path), "--rounds", "6",
                      "--out-dir", str(out_dir)])
@@ -135,12 +144,14 @@ class TestPlay:
         {"master_seed": 1.5},
         {"rounds": 2.0},
         {"master_seed": "3"},
+        # threshold_z is no setting: a config holding it is refused whatever its value
         {"threshold_z": math.nan},
         {"threshold_z": math.inf},
         {"lambda": "0.3"},
         {"lambda": True},
         {"threshold_z": True},
         {"threshold_z": "3"},
+        {"threshold_z": 5.0},
         {"strategy": {"global_offset": "0.1"}},
         {"loopholes": {"detection_efficiency": "0.8"}},
         {"loopholes": {"detection_efficiency": True}},
@@ -159,6 +170,7 @@ class TestPlay:
             "rounds-infinite", "angles-nan", "offset-nan", "rounds-fraction", "shots-bool",
             "seed-fraction", "rounds-float", "seed-string", "threshold-nan", "threshold-inf",
             "lambda-string", "lambda-bool", "threshold-bool", "threshold-string",
+            "threshold-key-unknown",
             "offset-string", "efficiency-string", "efficiency-bool", "efficiency-zero",
             "switch-int", "switch-string", "switch-null", "switch-unknown",
             "loopholes-not-an-object", "key-unknown", "strategy-key-unknown",
@@ -310,6 +322,28 @@ class TestReplayFlow:
         assert "independent" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("sides", [(["a.json"], ["b.json"]),
+                                       (["a.json", "c.json"], ["d.json", "b.json"])],
+                             ids=["copy", "copy-second-in-lists"])
+    def test_record_copy_on_both_sides_is_rejected(self, tmp_path, capsys, monkeypatch, sides):
+        monkeypatch.chdir(tmp_path)
+        for name, seed in (("a", 5), ("c", 6), ("d", 7)):
+            assert main(["qrng", "--mode", "hadamard", "--qubits", "1", "--shots", "400",
+                         "--seed", str(seed), "--out", name,
+                         "--counts-out", f"{name}.json"]) == EXIT_OK
+        (tmp_path / "b.json").write_bytes((tmp_path / "a.json").read_bytes())
+        x_files, y_files = sides
+        code = main(["play", "--rounds", "200", "--shots", "1000", "--seed", "1",
+                     "--replay-x", *x_files, "--replay-y", *y_files, "--out-dir", "out"])
+        assert code == EXIT_USAGE
+        assert ("input sources must be independent (x record a.json and y record b.json "
+                "hold the same bits)") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        # the loophole left open on purpose still plays
+        assert main(["play", "--rounds", "200", "--shots", "10", "--seed", "1",
+                     "--replay-x", *x_files, "--replay-y", *y_files, "--dependent-inputs",
+                     "--out-dir", "out"]) in (EXIT_OK, EXIT_NOT_VIOLATED)
+
     def test_replay_needs_both_sides(self, tmp_path, capsys):
         xa, _ = self._make_inputs(tmp_path)
         code = main(["play", "--rounds", "5", "--replay-x", str(xa),
@@ -399,28 +433,29 @@ class TestExtract:
         assert not (tmp_path / "vn.bin").exists()
 
     def test_toeplitz_with_generated_seed(self, tmp_path, capsys):
-        path = self._bits_file(tmp_path, "10110010" * 16)  # 128 bits
+        path = self._bits_file(tmp_path, "10110010" * 32)  # 256 bits: budget 124
         code = main(["extract", "--in", str(path), "--method", "toeplitz",
                      "--out-len", "32", "--extractor-seed", "4",
-                     "--out", str(tmp_path / "tp")])
+                     "--certificate", _certified(tmp_path), "--out", str(tmp_path / "tp")])
         assert code == EXIT_OK
         assert len((tmp_path / "tp.txt").read_text().strip()) == 32
 
     def test_toeplitz_with_seed_file(self, tmp_path, capsys):
-        path = self._bits_file(tmp_path, "1011")
-        seed = self._bits_file(tmp_path, "0110010", name="seed.txt")  # 4 + 4 - 1
+        path = self._bits_file(tmp_path, "1011" * 25)  # 100 bits: budget 9
+        seed = self._bits_file(tmp_path, "0110010" * 14 + "01110", name="seed.txt")  # 100 + 4 - 1
         code = main(["extract", "--in", str(path), "--method", "toeplitz",
                      "--out-len", "4", "--seed-file", str(seed),
-                     "--out", str(tmp_path / "tp")])
+                     "--certificate", _certified(tmp_path), "--out", str(tmp_path / "tp")])
         assert code == EXIT_OK
 
     def test_toeplitz_seed_file_length_mismatch(self, tmp_path, capsys):
-        path = self._bits_file(tmp_path, "1011")
+        path = self._bits_file(tmp_path, "1011" * 25)
         seed = self._bits_file(tmp_path, "0110", name="seed.txt")
         code = main(["extract", "--in", str(path), "--method", "toeplitz",
                      "--out-len", "4", "--seed-file", str(seed),
-                     "--out", str(tmp_path / "tp")])
+                     "--certificate", _certified(tmp_path), "--out", str(tmp_path / "tp")])
         assert code == EXIT_DATA
+        assert "need 103" in capsys.readouterr().err
 
     def test_toeplitz_flag_validation(self, tmp_path, capsys):
         path = self._bits_file(tmp_path, "1011")
@@ -431,9 +466,21 @@ class TestExtract:
         assert main(base + ["--out-len", "2", "--extractor-seed", "1",
                             "--seed-file", str(path)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("seed_flag", ["--extractor-seed", "--seed-file"])
+    def test_toeplitz_without_a_certificate_exits_64(self, tmp_path, capsys, seed_flag):
+        # 2000 bits hashed to 5000 with no rate: more bits out than in
+        path = self._bits_file(tmp_path, "10110010" * 250)
+        seed = self._bits_file(tmp_path, "01" * 3499 + "0", name="seed.txt")
+        code = main(["extract", "--in", str(path), "--method", "toeplitz", "--out-len", "5000",
+                     seed_flag, "1" if seed_flag == "--extractor-seed" else str(seed),
+                     "--out", str(tmp_path / "tp")])
+        assert code == EXIT_USAGE
+        assert "needs --certificate" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["in.txt", "seed.txt"]
+
     @pytest.mark.parametrize("flag, value", [
-        ("--certificate", "nonexist.json"), ("--rate", "0.5"), ("--out-len", "3"),
-        ("--extractor-seed", "1"), ("--seed-file", "seed.txt"), ("--security-margin", "64"),
+        ("--certificate", "nonexist.json"), ("--out-len", "3"),
+        ("--extractor-seed", "1"), ("--seed-file", "seed.txt"),
     ])
     def test_von_neumann_refuses_toeplitz_flags(self, tmp_path, capsys, flag, value):
         path = self._bits_file(tmp_path, "01100110")
@@ -460,26 +507,13 @@ class TestExtract:
             raise FloatingPointError("convolution drifted off integer lattice")
 
         monkeypatch.setattr(_kernels, "toeplitz_gf2", drifted)
-        path = self._bits_file(tmp_path, "10110010" * 16)
+        path = self._bits_file(tmp_path, "10110010" * 32)
         code = main(["extract", "--in", str(path), "--method", "toeplitz",
                      "--out-len", "32", "--extractor-seed", "4",
-                     "--out", str(tmp_path / "tp")])
+                     "--certificate", _certified(tmp_path), "--out", str(tmp_path / "tp")])
         assert code == EXIT_DATA
         assert "drifted" in capsys.readouterr().err
         assert not (tmp_path / "tp.txt").exists()
-
-    def test_budget_enforcement_via_rate(self, tmp_path, capsys):
-        path = self._bits_file(tmp_path, "10" * 100)  # 200 bits
-        base = ["extract", "--in", str(path), "--method", "toeplitz",
-                "--extractor-seed", "2", "--rate", "0.5",
-                "--out", str(tmp_path / "tp")]
-        # floor(200 * 0.5 - 64) = 36
-        assert main(base + ["--out-len", "36"]) == EXIT_OK
-        assert main(base + ["--out-len", "37"]) == EXIT_USAGE
-        assert "budget" in capsys.readouterr().err
-        # a negative margin would lift the budget to 200 * 0.5 + 100 = 200 bits
-        assert main(base + ["--out-len", "200", "--security-margin", "-100"]) == EXIT_USAGE
-        assert "security_margin" in capsys.readouterr().err
 
     def test_budget_from_certificate(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
@@ -577,6 +611,20 @@ class TestExtract:
         assert not (tmp_path / "hashed.txt").exists()
         assert not (tmp_path / "hashed.bin").exists()
 
+    def test_certificate_issued_at_another_threshold_exits_65(self, tmp_path, capsys):
+        # one shot at p_win 0.85 (z = 0.28) certifies at rate 0.737 under threshold 0
+        stored = tmp_path / "threshold-0.json"
+        stored.write_text(json.dumps({
+            "min_entropy_rate": 0.7369655941662054, "n": 1, "p_win": 0.85, "s": 2.8,
+            "threshold_z": 0.0, "verdict": "CERTIFIED", "z": 0.2800560168056019}))
+        path = self._bits_file(tmp_path, "10110010" * 250)  # 2000 bits
+        code = main(["extract", "--in", str(path), "--method", "toeplitz",
+                     "--out-len", "1409", "--extractor-seed", "1",
+                     "--certificate", str(stored), "--out", str(tmp_path / "hashed")])
+        assert code == EXIT_DATA
+        assert "bad certificate" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["in.txt", "threshold-0.json"]
+
     def test_undecodable_certificate_is_named(self, tmp_path, capsys):
         path = self._bits_file(tmp_path, "10" * 100)
         cert_path = tmp_path / "certificate.json"
@@ -588,12 +636,14 @@ class TestExtract:
         assert f"data error: {cert_path}: 'utf-8' codec" in capsys.readouterr().err
 
     def test_rate_and_certificate_conflict(self, tmp_path, capsys):
+        # the rate comes only from --certificate: --rate beside it is an unknown flag
         path = self._bits_file(tmp_path, "10" * 100)
         code = main(["extract", "--in", str(path), "--method", "toeplitz",
                      "--out-len", "8", "--extractor-seed", "1", "--rate", "0.5",
                      "--certificate", "whatever.json",
                      "--out", str(tmp_path / "tp")])
         assert code == EXIT_USAGE
+        assert "unrecognized arguments: --rate" in capsys.readouterr().err
 
     def test_bits_flag_trims_packed_padding(self, tmp_path, capsys):
         base = tmp_path / "src"
@@ -622,13 +672,14 @@ class TestExtract:
         seed_file = tmp_path / "seed.txt"
         save_bits_text(seed_file, uniform_bits(seed, n_bits + out_len - 1))
         bin_in, txt_in = str(run_dir / "alice_bits.bin"), str(run_dir / "alice_bits.txt")
+        certificate = ["--certificate", str(run_dir / "certificate.json")]
         outputs = []
         for name, source in (("bin", [bin_in, "--extractor-seed", str(seed)]),
                              ("txt", [txt_in, "--extractor-seed", str(seed)]),
                              ("seed-file", [bin_in, "--seed-file", str(seed_file)])):
             out = tmp_path / name
             assert main(["extract", "--in", *source, "--bits", str(n_bits),
-                         "--method", "toeplitz", "--out-len", str(out_len),
+                         "--method", "toeplitz", "--out-len", str(out_len), *certificate,
                          "--out", str(out)]) == EXIT_OK
             outputs.append((Path(f"{out}.txt").read_bytes(), Path(f"{out}.bin").read_bytes()))
         assert outputs[0] == outputs[1] == outputs[2]
@@ -639,7 +690,7 @@ class TestExtract:
         past_end = str(8 * (run_dir / "alice_bits.bin").stat().st_size + 1)
         capsys.readouterr()
         assert main(["extract", "--in", bin_in, "--bits", past_end, "--method", "toeplitz",
-                     "--out-len", "8", "--extractor-seed", str(seed),
+                     "--out-len", "8", "--extractor-seed", str(seed), *certificate,
                      "--out", str(tmp_path / "past")]) == EXIT_DATA
         assert f"requested {past_end} bits" in capsys.readouterr().err
         assert not (tmp_path / "past.txt").exists()
@@ -775,23 +826,6 @@ class TestCertifyCommand:
         assert "malformed row" in capsys.readouterr().err.split(f"{csv_path}: ", 1)[1]
         assert not (tmp_path / "reports").exists()
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_non_finite_threshold_exits_64(self, tmp_path, capsys, value):
-        run_dir = tmp_path / "run"
-        main(["play", "--rounds", "3", "--shots", "64", "--out-dir", str(run_dir)])
-        capsys.readouterr()
-        cert_path = tmp_path / "cert.json"
-        code = main(["certify", "--rounds-csv", str(run_dir / "rounds.csv"),
-                     f"--threshold-z={value}", "--out", str(cert_path)])
-        assert code == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert "--threshold-z" in captured.err and "finite" in captured.err
-        assert "verdict" not in captured.out
-        assert not cert_path.exists()
-        # refused before the table is read: a missing table would exit 74
-        assert main(["certify", "--rounds-csv", str(tmp_path / "absent.csv"),
-                     f"--threshold-z={value}"]) == EXIT_USAGE
-
     def test_undecodable_table_exits_65(self, tmp_path, capsys):
         csv_path = tmp_path / "rounds.csv"
         csv_path.write_bytes(b"# format_version=1\n"
@@ -837,7 +871,8 @@ class TestRefusedInputIsNamed:
                               "--replay-x", str(tmp_path / "x.json"), str(bad),
                               "--replay-y", str(tmp_path / "y.json"), "--out-dir", out],
             "extract-certificate": [*toeplitz, "--extractor-seed", "6", "--certificate", str(bad)],
-            "extract-seed-file": [*toeplitz, "--seed-file", str(bad)],
+            "extract-seed-file": [*toeplitz, "--seed-file", str(bad),
+                                  "--certificate", _certified(tmp_path)],
             "test": ["test", "--in", str(bad)],
             "test-9-bits": ["test", "--in", str(bad), "--bits", "9"],
         }[reader]
@@ -877,6 +912,20 @@ class TestRefusedInputIsNamed:
 
 
 class TestMiscCommands:
+    @pytest.mark.parametrize("argv", [
+        ["play", "--threshold-z", "0"],
+        ["certify", "--rounds-csv", "rounds.csv", "--threshold-z", "0"],
+        ["extract", "--in", "in.txt", "--method", "toeplitz", "--out", "tp", "--out-len", "8",
+         "--extractor-seed", "1", "--rate", "0.5"],
+        ["extract", "--in", "in.txt", "--method", "toeplitz", "--out", "tp", "--out-len", "8",
+         "--extractor-seed", "1", "--certificate", "c.json", "--security-margin", "0"],
+    ], ids=["play-threshold-z", "certify-threshold-z", "extract-rate", "extract-margin"])
+    def test_security_settings_are_not_flags(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == EXIT_USAGE
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     def test_fit_noise_prints_lambda(self, capsys):
         assert main(["fit-noise", "--target", "0.79622"]) == EXIT_OK
         assert capsys.readouterr().out.strip() == "0.162163"

@@ -29,6 +29,7 @@ from diqrng import cli
 from diqrng.cli import EXIT_NOT_VIOLATED, EXIT_OK, main
 from diqrng.harness import run_certified_experiment
 from diqrng.io import atomic_write_text, canonical_json
+from oracles import config_json_obj
 
 SIZE = ["--rounds", "20", "--shots", "50"]
 
@@ -176,7 +177,7 @@ def test_config_file_reproduces_the_flag_driven_run(name, tmp_path, monkeypatch)
     flags.mkdir()
     RUNS[name](str(flags))
     config_path = tmp_path / "config.json"
-    atomic_write_text(config_path, canonical_json(played[-1].to_json_obj(), precise=True))
+    atomic_write_text(config_path, canonical_json(config_json_obj(played[-1]), precise=True))
     out = tmp_path / "config"
     assert main(["play", "--config", str(config_path), "--out-dir", str(out)]) in (
         EXIT_OK, EXIT_NOT_VIOLATED)

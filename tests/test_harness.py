@@ -67,7 +67,7 @@ from diqrng.simulator import (
     record_from_indices,
     save_counts_record,
 )
-from oracles import rounds_csv_text_per_row, sample, win_probability_from_dist
+from oracles import config_json_obj, rounds_csv_text_per_row, sample, win_probability_from_dist
 
 # frozen: (cos^2(pi/8) - target) / (cos^2(pi/8) - 1/2)
 LAMBDA_BELEM = 0.1621633171076834    # target 0.79622
@@ -178,33 +178,32 @@ class TestDeviceProfiles:
 class TestExperimentConfig:
     def test_json_round_trip(self, tmp_path):
         config = ExperimentConfig(rounds=7, shots=123, lam=0.25, master_seed=42,
-                                  threshold_z=3.5, independent_inputs=False,
+                                  independent_inputs=False,
                                   fresh_state_per_round=False, detection_efficiency=0.7,
                                   report_all_events=True)
         path = tmp_path / "config.json"
-        atomic_write_text(path, canonical_json(config.to_json_obj(), precise=True))
+        atomic_write_text(path, canonical_json(config_json_obj(config), precise=True))
         back = ExperimentConfig.from_file(path)
         assert back == config  # exact: the default strategy angles round-trip
         # a file without the loopholes object (as every file written before it
         # existed) means every switch at its default
-        obj = config.to_json_obj()
+        obj = config_json_obj(config)
         del obj["loopholes"]
         assert ExperimentConfig.from_json_obj(obj) == dataclasses.replace(
             config, independent_inputs=True, fresh_state_per_round=True,
             detection_efficiency=1.0, report_all_events=False)
 
     def test_json_integers_become_floats(self):
-        obj = {"format_version": 1, "rounds": 2, "shots": 10, "lambda": 0, "threshold_z": 3,
+        obj = {"format_version": 1, "rounds": 2, "shots": 10, "lambda": 0,
                "strategy": {"global_offset": 0}, "loopholes": {"detection_efficiency": 1}}
         config = ExperimentConfig.from_json_obj(obj)
         # so summary.json and certificate.json bytes do not depend on the spelling
-        for value in (config.lam, config.threshold_z, config.strategy.global_offset,
-                      config.detection_efficiency):
+        for value in (config.lam, config.strategy.global_offset, config.detection_efficiency):
             assert type(value) is float
 
     def test_replay_round_trip(self):
         config = ExperimentConfig(replay_x=("a.json",), replay_y=("b.json",))
-        obj = config.to_json_obj()
+        obj = config_json_obj(config)
         back = ExperimentConfig.from_json_obj(obj)
         assert back.replay_x == ("a.json",)
         assert obj["input_source"]["mode"] == "replay"
