@@ -6,11 +6,13 @@ sampling, von Neumann pair scanning, and the GF(2) Toeplitz product
 naively).  The Toeplitz product is an integer convolution computed with
 block-partitioned FFTs, so its working memory grows with the block size
 and the shorter of input and output, not with one whole-stream transform.
-It slices its input and seed one block at a time and requests each seed
-bit once, so a stream read from a packed file and seed bits drawn by range
-(``randomness.BitSource``) are never held whole.  Its seed segments are
-sliced and transformed on one helper thread, overlapped with the rest of
-the product on the calling thread; ``numpy.fft`` releases the GIL.
+Each block product is computed as two half-size residues, one pass each,
+so only half-size spectra are alive.  It slices its input and seed 2**15
+bits at a time and requests each seed bit once per pass, so a stream read
+from a packed file and seed bits drawn by range (``randomness.BitSource``)
+are never held whole.  Its seed segments are sliced and transformed on one
+helper thread, overlapped with the rest of the product on the calling
+thread; ``numpy.fft`` releases the GIL.
 ``benchmarks/bench_kernels.py`` checks each kernel against a reference and
 times it.
 """
@@ -75,42 +77,62 @@ def von_neumann_pairs(bits: np.ndarray) -> np.ndarray:
 #
 # Uniformly partitioned overlap-save: x and the output are cut into
 # blocks of p bits.  Output block o gets a contribution from every input
-# block b through the seed segment of length 2p-1 that starts at
-# n + (o-b-1)*p, so segments depend only on d = o - b.  A 2p-point
-# circular convolution of a segment with a zero-padded input block holds
-# the p wanted outputs at positions p-1 .. 2p-2, clear of wrap-around.
-# Products are summed in the frequency domain and each output block is
-# inverted once.  The sums are exact integers (at most n), far inside
-# float64's exact range, and the rounding check still guards them.
+# block b through the 2p seed bits s that start at n + (o-b-1)*p - 1, so
+# segments depend only on d = o - b.  The 2p-point circular product c of
+# s with a zero-padded input block x holds the p wanted outputs at
+# c[p .. 2p-1], clear of wrap-around.
 #
-# Segments are visited in increasing d, each transformed once.  Input
-# block b is needed for d in [-b, n_out-1-b] and output block o is
-# complete after d = o, so at most min(n_in, n_out) input spectra and
-# open sums are alive at once: a short output keeps the working memory
-# at a few blocks however long the input is.
+# c is never formed.  By the CRT over z**2p - 1 = (z**p - 1)(z**p + 1),
+#   cyc = cyclic product of s[:p] + s[p:] with x       (mod z**p - 1)
+#   neg = negacyclic product of s[:p] - s[p:] with x   (mod z**p + 1)
+# give c[j + p] = (cyc[j] - neg[j]) / 2.  cyc takes a p-point rfft.  neg
+# packs a[j] + i*a[j+p/2], weights it by exp(i*pi*j/p) and takes a
+# p/2-point fft, whose unweighted inverse holds neg[:p/2] + i*neg[p/2:]
+# (the right-angle convolution of Crandall and Fagin, Math. Comp. 62, 305,
+# 1994).  Each residue is summed over the input blocks in the frequency
+# domain, into C and N, and inverted once per output block.  C and N are
+# exact integers (|.| at most 2n), far inside float64's exact range.
+#
+# One pass per residue keeps only half-size spectra and sums alive, for
+# the same transformed points as one 2p-point pass.  The cyclic pass
+# leaves C mod 4 in the output; the negacyclic pass turns it into the bit
+# ((C - N) mod 4) >> 1.  A drift past 0.25 from an integer, or an odd
+# C - N, means a transform left the integer lattice, and raises.
+#
+# Within a pass segments are visited in increasing d, each transformed
+# once.  Input block b is needed for d in [-b, n_out-1-b] and output block
+# o is complete after d = o, so at most min(n_in, n_out) input spectra and
+# open sums are alive at once: a short output keeps the working memory at
+# a few blocks however long the input is.
 #
 # Segment d+1 depends on nothing the loop computes, so a helper thread
 # transforms it while the calling thread does step d's input transform,
-# products and output inversion.  That puts one segment and its spectrum
-# in flight beyond the serial schedule.  One helper, not a pool: it
-# takes about half of the transforms, which keeps both cores of a 2-vCPU
-# host busy, and each further worker would hold one more spectrum in
-# flight.  Consecutive segments overlap by p-1 bits, so the helper carries
-# the last p-1 bits of one segment into the next and slices only the p new
-# ones: a seed drawn by range is drawn once, on the helper.  Beyond numpy
-# the helper runs only that slice (`rng.uniform_bits` for a drawn seed),
-# so wrappers around the other package functions always see one thread.
+# products and output inversion.  One helper, not a pool: it takes about
+# half of the transforms, which keeps both cores of a 2-vCPU host busy,
+# and each further worker would hold one more spectrum in flight.
+# Consecutive segments share p bits, so the helper carries one segment's
+# upper half into the next and slices only the p new bits: a seed drawn by
+# range is drawn once per pass, on the helper.  Beyond numpy the helper
+# runs only that slice (`rng.uniform_bits` for a drawn seed), so wrappers
+# around the other package functions always see one thread.
 
-# 2**18-bit blocks take 2**19-point transforms.  Hashing 1e7 bits to
-# 1.74e6 with the helper took 0.94 / 0.74 / 0.82 / 0.89 s at 2**17 /
-# 2**18 / 2**19 / 2**20 on a 2-vCPU x86 host (serial at 2**19: 1.34 s),
-# and to 9e6 bits 4.72 / 2.89 / 2.32 / 2.15 s (serial at 2**19: 3.00 s).
-# 2**18 wins at the certified budget.  A fresh `extract` of many_shots'
-# .bin at that budget (stream read and seed drawn per block, 33 MB of it
-# the imported program) peaked at 108 / 124 / 163 / 233 MB RSS at
-# 2**17 / 2**18 / 2**19 / 2**20, against 129 / 144 / 182 / 242 MB when
-# the stream and seed were whole arrays.
+# 2**18-bit blocks take 2**18-point rffts and 2**17-point ffts.  On a
+# 2-vCPU x86 host whose speed drifted between sets (best of 3-5, lowest and
+# highest of three sets), hashing 1e7 bits to 1.74e6 took 0.53-0.81 /
+# 0.50-0.67 / 0.51-0.53 s at 2**17 / 2**18 / 2**19, and to 9e6 bits
+# 3.58 / 2.07 / 1.52 s in one set; one 2p-point pass at 2**18 took 0.76 s
+# and 2.37 s in that set.  A fresh `extract` of many_shots' stream at that
+# budget (33 MB of it the imported program) peaked at 78 / 89 / 116 MB RSS
+# from .bin and 81 / 92 / 118 MB from .txt, against 123 and 135 MB for one
+# 2p-point pass at 2**18.  At the certified budget the three times are
+# within the host's drift, and 2**18 peaks 27 MB below 2**19.
 _MAX_BLOCK = 1 << 18
+# bits per slice of an input: a slice read from a file or drawn (8 bytes a
+# bit while drawn) then stays far smaller than a spectrum
+_SLICE = 1 << 15
+# spectrum bins per product step: 256 kB of complex128, so a chunk of the
+# seed spectrum stays in cache while every open sum takes its term
+_CHUNK = 1 << 14
 
 
 def _block_size(n: int, out_len: int) -> int:
@@ -123,56 +145,107 @@ def toeplitz_gf2(seed_bits: np.ndarray, x_bits: np.ndarray, out_len: int) -> np.
 
     Either input may be any object with a `size` whose contiguous slices
     are uint8 bit arrays, such as a `randomness.BitSource`; it is sliced
-    one block at a time, and each seed bit is requested once, in order.
+    at most _SLICE bits at a time, and in each of the two residue passes
+    every seed bit is requested once, in order.
     """
     from concurrent.futures import ThreadPoolExecutor  # only extraction needs it
 
     n = x_bits.size
-    p = _block_size(n, out_len)
-    size = 2 * p
+    p = max(_block_size(n, out_len), 2)  # the negacyclic residue pairs bit j with j + p/2
+    h = p // 2
     n_in = -(-n // p)
     n_out = -(-out_len // p)
-    tail = None  # the last p - 1 bits of the previous seed segment
-
-    def seed_spectrum(d: int) -> np.ndarray:
-        # segment d's first p - 1 bits are segment d-1's last p - 1: carry them
-        nonlocal tail
-        start = n + (d - 1) * p
-        segment = np.zeros(size)
-        first = start
-        if tail is not None:
-            segment[:p - 1] = tail
-            first += p - 1
-        lo, hi = max(first, 0), min(start + size - 1, seed_bits.size)
-        if lo < hi:
-            segment[lo - start:hi - start] = seed_bits[lo:hi]
-        tail = segment[p:size - 1].astype(np.uint8)
-        return np.fft.rfft(segment)
-
+    live = min(n_in, n_out)
+    spectra = np.empty((live, h + 1), dtype=np.complex128)  # input block b in row b % live
+    sums = np.empty((live, h + 1), dtype=np.complex128)  # open output block o in row o % live
+    term = np.empty(min(_CHUNK, h + 1), dtype=np.complex128)
+    buf = np.empty(h + 1, dtype=np.complex128)  # the calling thread's transform input
+    helper_buf = np.empty(h + 1, dtype=np.complex128)
+    segment = np.empty(2 * p, dtype=np.uint8)  # on the helper
+    twist = np.exp(1j * np.pi / p * np.arange(h))
     out = np.empty(out_len, dtype=np.uint8)
-    spectra: dict[int, np.ndarray] = {}  # input blocks a later segment still needs
-    sums: dict[int, np.ndarray] = {}  # output blocks still collecting terms
+
+    def halves(dst: np.ndarray, cyclic: bool) -> tuple[np.ndarray, np.ndarray]:
+        # where a pass's transform input takes the two halves of its p reals
+        flat = dst.view(np.float64)
+        return (flat[:h], flat[h:p]) if cyclic else (dst.real[:h], dst.imag[:h])
+
+    def put(bits, lo: int, dst: np.ndarray) -> None:
+        # bits lo .. lo + dst.size - 1, with 0 where there are none
+        first, last = max(lo, 0), min(lo + dst.size, bits.size)
+        dst[:] = 0
+        for at in range(first, last, _SLICE):
+            dst[at - lo:min(at + _SLICE, last) - lo] = bits[at:min(at + _SLICE, last)]
+
+    def forward(src: np.ndarray, cyclic: bool) -> np.ndarray:
+        if cyclic:
+            return np.fft.rfft(src.view(np.float64)[:p])
+        packed = src[:h]
+        packed *= twist
+        return np.fft.fft(packed)
+
+    def inverse(spectrum: np.ndarray, cyclic: bool) -> np.ndarray:
+        # the p reals of a summed residue; the negacyclic ones in `buf`
+        if cyclic:
+            return np.fft.irfft(spectrum, p)
+        packed = np.fft.ifft(spectrum)
+        packed /= twist
+        return np.concatenate((packed.real, packed.imag), out=buf.view(np.float64)[:p])
+
+    def input_spectrum(cyclic: bool, b: int) -> np.ndarray:
+        for at, dst in zip((0, h), halves(buf, cyclic)):
+            put(x_bits, b * p + at, dst)
+        return forward(buf, cyclic)
+
+    def seed_spectrum(cyclic: bool, d: int) -> np.ndarray:
+        start = n + (d - 1) * p - 1
+        if d == 1 - n_in:
+            put(seed_bits, start, segment[:p])
+        else:
+            segment[:p] = segment[p:]  # segment d-1's upper half
+        put(seed_bits, start + p, segment[p:])
+        fold = np.add if cyclic else np.subtract
+        for at, dst in zip((0, h), halves(helper_buf, cyclic)):
+            fold(segment[at:at + h], segment[p + at:p + at + h], out=dst, dtype=np.float64)
+        return forward(helper_buf, cyclic)
+
+    # the cyclic pass, then the negacyclic one; the helper runs one step ahead
+    steps = [(cyclic, d) for cyclic in (True, False) for d in range(1 - n_in, n_out)]
     with ThreadPoolExecutor(max_workers=1) as helper:
-        ahead = helper.submit(seed_spectrum, 1 - n_in)
-        for d in range(1 - n_in, n_out):
+        ahead = helper.submit(seed_spectrum, *steps[0])
+        for k, (cyclic, d) in enumerate(steps):
             fs = ahead.result()
-            if d + 1 < n_out:
-                ahead = helper.submit(seed_spectrum, d + 1)
-            for b in range(max(0, -d), min(n_in, n_out - d)):
-                if b not in spectra:
-                    spectra[b] = np.fft.rfft(x_bits[b * p:(b + 1) * p], size)
-                if b + d in sums:
-                    sums[b + d] += fs * spectra[b]
-                else:
-                    sums[b + d] = fs * spectra[b]
-            spectra.pop(n_out - 1 - d, None)  # its last segment was this one
+            if k + 1 < len(steps):
+                ahead = helper.submit(seed_spectrum, *steps[k + 1])
+            width = h + 1 if cyclic else h
+            if d <= 0:  # input block -d is first needed now
+                spectra[-d % live, :width] = input_spectrum(cyclic, -d)
+            for lo in range(0, width, _CHUNK):
+                hi = min(lo + _CHUNK, width)
+                for b in range(max(0, -d), min(n_in, n_out - d)):
+                    acc = sums[(b + d) % live, lo:hi]
+                    if b == n_in - 1:  # the first term of output block b + d
+                        np.multiply(fs[lo:hi], spectra[b % live, lo:hi], out=acc)
+                    else:
+                        acc += np.multiply(fs[lo:hi], spectra[b % live, lo:hi],
+                                           out=term[:hi - lo])
             if d < 0:
                 continue
-            start = d * p
-            conv = np.fft.irfft(sums.pop(d), size)[p - 1:p - 1 + min(p, out_len - start)]
-            ints = np.rint(conv)
+            bits = out[d * p:(d + 1) * p]
+            v = inverse(sums[d % live, :width], cyclic)[:bits.size]
+            counts = np.rint(v, out=sums[d % live].view(np.float64)[:bits.size])  # a spent sum
+            v -= counts
             # counts are small integers; drift past 0.25 means the transform failed
-            if np.max(np.abs(conv - ints)) > 0.25:
+            if np.abs(v, out=v).max() > 0.25:
                 raise FloatingPointError("convolution drifted off integer lattice")
-            out[start:start + ints.size] = ints.astype(np.int64) & 1
+            ints = buf.view(np.int64)[:bits.size]  # float mod is some 40 times slower
+            np.copyto(ints, counts, casting="unsafe")
+            if cyclic:
+                np.bitwise_and(ints, 3, out=bits, casting="unsafe")  # C mod 4
+                continue
+            np.subtract(bits, ints, out=ints)  # (C mod 4) - N
+            if np.bitwise_and(ints, 1, out=counts.view(np.int64)).any():
+                raise FloatingPointError("residues differ by an odd count: off the "
+                                         "integer lattice")
+            np.right_shift(np.bitwise_and(ints, 3, out=ints), 1, out=bits, casting="unsafe")
     return out

@@ -37,6 +37,8 @@ from .io import atomic_write_json, atomic_write_text, format_sig
 from .randomness import (
     BATTERY_TESTS,
     DEFAULT_BLOCK_LEN,
+    BitSource,
+    PackedArray,
     PackedBits,
     load_bits_packed,
     load_bits_text,
@@ -205,10 +207,12 @@ def build_parser() -> _Parser:
 # ============================================================
 
 def _load_stream(path: str, n_bits: int | None, *,
-                 whole: bool = True) -> np.ndarray | PackedBits:
-    """The stream's bits; unless `whole`, a .bin stays a view read block by block."""
+                 whole: bool = True) -> np.ndarray | BitSource:
+    """The stream's bits; unless `whole`, a .bin stays a view read block by block
+    and a .txt is kept packed."""
     if path.endswith(".txt"):
-        return load_bits_text(path, n_bits)
+        bits = load_bits_text(path, n_bits)
+        return bits if whole else PackedArray(bits)
     if path.endswith(".bin"):
         return load_bits_packed(path, n_bits) if whole else PackedBits(path, n_bits)
     raise DataFormatError(f"{path}: expected a .txt or .bin bit stream")
@@ -306,7 +310,6 @@ def cmd_extract(args) -> int:
                 raise ConfigError(f"--{name.replace('_', '-')} applies only to --method toeplitz")
         out = von_neumann(_load_stream(args.infile, args.bits))
     else:
-        stream = _load_stream(args.infile, args.bits, whole=False)
         if args.out_len is None:
             raise ConfigError("toeplitz extraction needs --out-len")
         if (args.extractor_seed is None) == (args.seed_file is None):
@@ -315,9 +318,10 @@ def cmd_extract(args) -> int:
             raise ConfigError("toeplitz extraction needs --certificate: only a CERTIFIED "
                               "certificate's rate authorises output")
         rate = certified_rate(args.certificate)
+        stream = _load_stream(args.infile, args.bits, whole=False)
         need = len(stream) + args.out_len - 1
         if args.seed_file:
-            seed_bits = load_bits_text(args.seed_file)
+            seed_bits = PackedArray(load_bits_text(args.seed_file))
         else:
             seed_bits = toeplitz_seed_bits(len(stream), args.out_len, args.extractor_seed)
         if seed_bits.size != need:

@@ -9,10 +9,10 @@ bits, and Toeplitz hashing over GF(2) compresses a stream to its
 certified entropy budget.  The test battery is the monobit,
 block-frequency, and runs subset with the usual pass mark p >= 0.01.  Every bit stream is a 1-d uint8 array of 0s and 1s,
 except that Toeplitz extraction also takes a `BitSource`, which makes each
-slice on demand: a packed file read block by block, or seed bits drawn by
-range.  Streams are saved as text or packed files, each written from one
-uint8 array of the file's bytes (`bits_to_text`, `np.packbits`) with no
-string or bytes copy of the file.
+slice on demand: a packed file read block by block, a stream kept packed in
+memory, or seed bits drawn by range.  Streams are saved as text or packed
+files, each written from one uint8 array of the file's bytes
+(`bits_to_text`, `np.packbits`) with no string or bytes copy of the file.
 """
 
 from __future__ import annotations
@@ -366,11 +366,22 @@ def save_bits_packed(path, bits) -> None:
     atomic_write_bytes(path, np.packbits(_as_bits(bits)))
 
 
-class PackedBits(BitSource):
-    """The first `n_bits` of a packed .bin file (all of it by default).
+class _Packed(BitSource):
+    """Bits stored 8 to a byte; a slice unpacks only the bytes that hold it.
 
-    A slice reads and unpacks only the bytes that hold it.
+    Subclasses set `size` and define `_bytes(first, last)`, bytes first .. last-1.
     """
+
+    def _bytes(self, first: int, last: int) -> np.ndarray:
+        raise NotImplementedError
+
+    def _read(self, lo: int, hi: int) -> np.ndarray:
+        first, last = lo // 8, -(-hi // 8)
+        return np.unpackbits(self._bytes(first, last), count=hi - 8 * first)[lo - 8 * first:]
+
+
+class PackedBits(_Packed):
+    """The first `n_bits` of a packed .bin file (all of it by default), read by range."""
 
     def __init__(self, path, n_bits: int | None = None):
         with open(path, "rb") as fh:
@@ -381,13 +392,23 @@ class PackedBits(BitSource):
         self.path = path
         self.size = 8 * n_bytes if n_bits is None else n_bits
 
-    def _read(self, lo: int, hi: int) -> np.ndarray:
-        first, last = lo // 8, -(-hi // 8)
+    def _bytes(self, first: int, last: int) -> np.ndarray:
         data = np.fromfile(self.path, dtype=np.uint8, count=last - first, offset=first)
         if data.size != last - first:
             raise DataFormatError(f"{self.path}: file shrank to {first + data.size} bytes "
                                   f"while being read")
-        return np.unpackbits(data, count=hi - 8 * first)[lo - 8 * first:]
+        return data
+
+
+class PackedArray(_Packed):
+    """A bit array kept packed in memory, in an eighth of its size."""
+
+    def __init__(self, bits: np.ndarray):
+        self.size = bits.size
+        self.data = np.packbits(bits)
+
+    def _bytes(self, first: int, last: int) -> np.ndarray:
+        return self.data[first:last]
 
 
 def load_bits_packed(path, n_bits: int | None = None) -> np.ndarray:

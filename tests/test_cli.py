@@ -466,6 +466,26 @@ class TestExtract:
         assert main(base + ["--out-len", "2", "--extractor-seed", "1",
                             "--seed-file", str(path)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("stream", ["missing.bin", "bad.txt", "in.txt"])
+    def test_toeplitz_flags_are_checked_before_the_stream_is_read(self, tmp_path, capsys,
+                                                                  monkeypatch, stream):
+        from diqrng import cli
+
+        self._bits_file(tmp_path, "1011")
+        self._bits_file(tmp_path, "01x1", name="bad.txt")
+        loads, load_stream = [], cli._load_stream
+        monkeypatch.setattr(cli, "_load_stream",
+                            lambda *args, **kw: loads.append(args) or load_stream(*args, **kw))
+        base = ["extract", "--in", str(tmp_path / stream), "--method", "toeplitz",
+                "--out", str(tmp_path / "tp")]
+        certificate = ["--certificate", _certified(tmp_path)]
+        for flags in (["--extractor-seed", "1", *certificate],  # no --out-len
+                      ["--out-len", "2", *certificate],  # no seed source
+                      ["--out-len", "2", "--extractor-seed", "1"]):  # no certificate
+            assert main(base + flags) == EXIT_USAGE
+        assert loads == []
+        assert "tp.txt" not in os.listdir(tmp_path)
+
     @pytest.mark.parametrize("seed_flag", ["--extractor-seed", "--seed-file"])
     def test_toeplitz_without_a_certificate_exits_64(self, tmp_path, capsys, seed_flag):
         # 2000 bits hashed to 5000 with no rate: more bits out than in
@@ -694,6 +714,17 @@ class TestExtract:
                      "--out", str(tmp_path / "past")]) == EXIT_DATA
         assert f"requested {past_end} bits" in capsys.readouterr().err
         assert not (tmp_path / "past.txt").exists()
+
+    def test_toeplitz_text_stream_is_kept_packed(self, tmp_path):
+        from diqrng import cli
+        from diqrng.randomness import PackedArray, save_bits_text
+
+        bits = (np.random.default_rng(17).random(1003) < 0.5).astype(np.uint8)
+        path = tmp_path / "in.txt"
+        save_bits_text(path, bits, line_width=10)
+        stream = cli._load_stream(str(path), 1001, whole=False)
+        assert isinstance(stream, PackedArray) and stream.data.size == 126
+        np.testing.assert_array_equal(stream[:], bits[:1001])
 
     def test_unrecognized_extension(self, tmp_path, capsys):
         path = tmp_path / "bits.csv"

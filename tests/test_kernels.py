@@ -205,6 +205,13 @@ class TestToeplitzGf2:
         assert _kernels._block_size(10_000_000, 1) == _kernels._MAX_BLOCK
 
 
+def _at_blocks(sizes, blocks):
+    """(in_len, out_len, block) cases; the first block keeps the plain in-out ids."""
+    return [pytest.param(n, m, block,
+                         id=f"{n}-{m}" if block == blocks[0] else f"{n}-{m}-p{block}")
+            for block in blocks for n, m in sizes]
+
+
 class TestToeplitzPartitioned:
     """Small inputs under a patched block size of 8 bits."""
 
@@ -218,8 +225,10 @@ class TestToeplitzPartitioned:
     def _small_blocks(self, monkeypatch):
         monkeypatch.setattr(_kernels, "_MAX_BLOCK", self.BLOCK)
 
-    @pytest.mark.parametrize("in_len, out_len", SIZES)
-    def test_matches_reference_and_dense_matrix(self, in_len, out_len):
+    # p = 2 and 4 leave one and two bits to each half of a residue
+    @pytest.mark.parametrize("in_len, out_len, block", _at_blocks(SIZES, (BLOCK, 4, 2)))
+    def test_matches_reference_and_dense_matrix(self, monkeypatch, in_len, out_len, block):
+        monkeypatch.setattr(_kernels, "_MAX_BLOCK", block)
         rng = np.random.default_rng(704 + in_len * 1000 + out_len)
         seed = (rng.random(in_len + out_len - 1) < 0.5).astype(np.uint8)
         x = (rng.random(in_len) < 0.5).astype(np.uint8)
@@ -236,10 +245,14 @@ class TestToeplitzPartitioned:
         seed = _CountingSeed(bits)
         np.testing.assert_array_equal(_kernels.toeplitz_gf2(seed, x, out_len),
                                       _reference_toeplitz(bits, x, out_len))
-        starts = [lo for lo, _, _ in seed.requests]
-        stops = [hi for _, hi, _ in seed.requests]
-        assert starts == [0] + stops[:-1] and stops[-1] == bits.size
-        assert all(lo < hi for lo, hi in zip(starts, stops))
+        # one sweep per residue pass; only a sweep's first request starts at 0
+        firsts = [k for k, (lo, _, _) in enumerate(seed.requests) if lo == 0]
+        assert len(firsts) == 2
+        for sweep in (seed.requests[:firsts[1]], seed.requests[firsts[1]:]):
+            starts = [lo for lo, _, _ in sweep]
+            stops = [hi for _, hi, _ in sweep]
+            assert starts == [0] + stops[:-1] and stops[-1] == bits.size
+            assert all(lo < hi for lo, hi in zip(starts, stops))
         # drawn where the segments are transformed, off the calling thread
         assert threading.main_thread() not in {t for _, _, t in seed.requests}
 
@@ -274,13 +287,38 @@ def test_peak_memory_is_bounded_by_the_block(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # One 2p-point float64 array; a block spectrum is as large.  Four
-    # output blocks keep up to four input spectra and four open sums
-    # alive, plus the segment and product in flight and the next seed
-    # segment and its spectrum on the helper thread.  A whole-stream
-    # transform needs 2**20-point arrays, each 128 times this.
+    # One 2p-point float64 array; a residue spectrum is half as large.
+    # Four output blocks keep four input spectra and four open sums alive
+    # (four arrays), beside the twist, two transform buffers, a seed
+    # spectrum on each thread and an output block's inversion.  A
+    # whole-stream transform needs 2**20-point arrays, each 128 times this.
     block_array = 2 * block * 8
-    assert peak <= 16 * block_array
+    assert peak <= 10 * block_array
+
+
+class TestLatticeGuards:
+    """A transform off the integer lattice raises in either pass."""
+
+    @pytest.mark.parametrize("pass_, shift, message", [
+        ("cyclic", 0.3, "drifted off integer lattice"),
+        ("negacyclic", 0.3, "drifted off integer lattice"),
+        ("negacyclic", 1.0, "odd count"),  # on the lattice, but C - N is odd
+    ])
+    def test_shifted_inverse_raises(self, monkeypatch, pass_, shift, message):
+        monkeypatch.setattr(_kernels, "_MAX_BLOCK", 8)
+        rng = np.random.default_rng(709)
+        seed = (rng.random(37 + 21 - 1) < 0.5).astype(np.uint8)
+        x = (rng.random(37) < 0.5).astype(np.uint8)
+        if pass_ == "cyclic":
+            irfft = np.fft.irfft
+            monkeypatch.setattr(np.fft, "irfft", lambda a, n: irfft(a, n) + shift)
+        else:
+            # the negacyclic inverse is the only ifft; shift * twist added to
+            # its output adds shift to the first half of N once unweighted
+            ifft, twist = np.fft.ifft, np.exp(1j * np.pi / 8 * np.arange(4))
+            monkeypatch.setattr(np.fft, "ifft", lambda a: ifft(a) + shift * twist)
+        with pytest.raises(FloatingPointError, match=message):
+            _kernels.toeplitz_gf2(seed, x, 21)
 
 
 class TestHelperThread:

@@ -25,6 +25,7 @@ from diqrng.randomness import (
     _gammaincc,
     DEFAULT_SECURITY_MARGIN,
     ExtractionBudgetError,
+    PackedArray,
     PackedBits,
     block_frequency_test,
     bits_to_text,
@@ -285,7 +286,8 @@ class TestToeplitz:
 
 
 class TestBitSources:
-    """Seed bits drawn by range and a packed file read by slice equal the whole arrays."""
+    """Seed bits drawn by range, and packed bits sliced from a file or an array,
+    equal the whole arrays."""
 
     # small offsets and lengths, and ones around the draw's chunk size
     EDGES = st.one_of(st.integers(0, 12), st.integers(_BITS_CHUNK - 6, _BITS_CHUNK + 6))
@@ -318,17 +320,18 @@ class TestBitSources:
         full = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
         if n_bits is not None:
             n_bits = min(n_bits, full.size)
-        view = PackedBits(path, n_bits)
         want = full[:n_bits]
-        assert view.size == len(view) == want.size
-        np.testing.assert_array_equal(view[lo:hi], want[lo:hi])
-        np.testing.assert_array_equal(view[:], want)
+        for view in (PackedBits(path, n_bits), PackedArray(want)):
+            assert view.size == len(view) == want.size
+            np.testing.assert_array_equal(view[lo:hi], want[lo:hi])
+            np.testing.assert_array_equal(view[:], want)
         np.testing.assert_array_equal(load_bits_packed(path, n_bits), want)
 
     def test_sources_take_only_contiguous_slices(self, tmp_path):
         path = tmp_path / "bits.bin"
         path.write_bytes(b"\x0f")
-        for source in (PackedBits(path), toeplitz_seed_bits(4, 5, rng_seed=1)):
+        for source in (PackedBits(path), PackedArray(np.ones(8, dtype=np.uint8)),
+                       toeplitz_seed_bits(4, 5, rng_seed=1)):
             with pytest.raises(TypeError, match="contiguous"):
                 source[::2]
             with pytest.raises(TypeError, match="contiguous"):
