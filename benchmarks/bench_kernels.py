@@ -3,7 +3,7 @@
 Usage:
     python3 benchmarks/bench_kernels.py [--repeats N]
 
-With `--repeats 1` a run takes about 25 s and 1.1 GB on a 2-vCPU x86 host.
+With `--repeats 1` a run takes about 35 s and 1.3 GB on a 2-vCPU x86 host.
 
 Each kernel is first checked against a reference on the benchmark
 inputs (a benchmark of wrong answers is worthless), then runs
@@ -21,14 +21,17 @@ seed from `derive_seeds`, re-key one generator (`rekeyer`) and draw a
 row draws the 1.17e7 Toeplitz seed bits of a 1e7 -> 1 742 455 hash in
 chunks and is checked against one whole-length draw.  The Toeplitz rows
 are checked against one FFT convolution over the whole stream.
-The two large rows hash a 1e7-bit stream to 1 742 455 bits (the
-budget-sized output of a 1e3 x 1e4-shot run) and to 9e6 bits; their
+The three large rows hash a 1e7-bit stream to 1 742 455 bits (the
+budget-sized output of a 1e3 x 1e4-shot run), to 3 570 000 bits (about
+the certified budget at `ibmq_lima`'s win rate) and to 9e6 bits, which
+the kernel cuts into blocks of 2**17, 2**18 and 2**18 bits; their
 reference needs about 1.1 GB.  The `extract .bin` row runs the first of
 them as `extract --method toeplitz --extractor-seed` does: the stream is
 read from a packed file and the seed bits drawn, one block at a time.
-It and the two large `toeplitz_gf2` rows also print their peak memory as
-`tracemalloc` sees it; the kernel rows' inputs are allocated before the
-call, the `extract .bin` row holds no whole input.  The two
+It and the `toeplitz_gf2` rows also print their peak memory as
+`tracemalloc` sees it, and the kernel rows their block size and how many
+output sums are open at once; the kernel rows' inputs are allocated
+before the call, the `extract .bin` row holds no whole input.  The two
 `gaussian_kde` rows are `report`'s density estimate on its 1001-point grid:
 of 1e4 win fractions spread over the grid, and of 2e3 clustered as
 `replay_lossy`'s are (1280 kept shots a round at p = 0.82), where most grid
@@ -247,6 +250,7 @@ def main() -> int:
 
     for label, in_len, out_len in (("1e6->4096", 1_000_000, 4096),
                                    ("1e7->1742455", 10_000_000, 1_742_455),
+                                   ("1e7->3.57e6", 10_000_000, 3_570_000),
                                    ("1e7->9e6", 10_000_000, 9_000_000)):
         seed_bits = uniform_bits(7, in_len + out_len - 1)
         x_bits = (rng.random(in_len) < 0.5).astype(np.uint8)
@@ -254,11 +258,11 @@ def main() -> int:
         want = _whole_stream_toeplitz(*toeplitz_args)
         row = _row(f"toeplitz_gf2 {label}", _kernels.toeplitz_gf2, toeplitz_args, want,
                    args.repeats)
-        if label == "1e6->4096":
-            print(row)
-            continue
         kernel_peak = _traced_peak_mb(_kernels.toeplitz_gf2, toeplitz_args)
-        print(row + f"   traced peak {kernel_peak:.1f} MB")
+        block = _kernels._block_size(in_len, out_len)
+        open_sums = min(-(-in_len // block), -(-out_len // block))
+        print(row + f"   traced peak {kernel_peak:.1f} MB"
+              f"   block 2**{block.bit_length() - 1}, {open_sums} open sums")
         if label != "1e7->1742455":
             continue
         with tempfile.TemporaryDirectory() as tmp:

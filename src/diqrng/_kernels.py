@@ -5,14 +5,15 @@ sampling, von Neumann pair scanning, and the GF(2) Toeplitz product
 (~1e13 bit operations for a 1e7-bit stream hashed to 1e6 bits if done
 naively).  The Toeplitz product is an integer convolution computed with
 block-partitioned FFTs, so its working memory grows with the block size
-and the shorter of input and output, not with one whole-stream transform.
-Each block product is computed as two half-size residues, one pass each,
-so only half-size spectra are alive.  It slices its input and seed 2**15
-bits at a time and requests each seed bit once per pass, so a stream read
-from a packed file and seed bits drawn by range (``randomness.BitSource``)
-are never held whole.  Its seed segments are sliced and transformed on one
-helper thread, overlapped with the rest of the product on the calling
-thread; ``numpy.fft`` releases the GIL.
+and the shorter of input and output, not with one whole-stream transform;
+the block follows the output, from 2**15 to 2**18 bits, or one block for
+short inputs.  Each block product is computed as two half-size residues,
+one pass each, so only half-size spectra are alive.  It slices its input and seed 2**15 bits at a
+time and requests each seed bit once, keeping it packed for the second
+pass, so a stream read from a packed file and seed bits drawn by range
+(``randomness.BitSource``) are never held whole.  Its seed segments are
+sliced and transformed on one helper thread, overlapped with the rest of
+the product on the calling thread; ``numpy.fft`` releases the GIL.
 ``benchmarks/bench_kernels.py`` checks each kernel against a reference and
 times it.
 """
@@ -111,21 +112,23 @@ def von_neumann_pairs(bits: np.ndarray) -> np.ndarray:
 # half of the transforms, which keeps both cores of a 2-vCPU host busy,
 # and each further worker would hold one more spectrum in flight.
 # Consecutive segments share p bits, so the helper carries one segment's
-# upper half into the next and slices only the p new bits: a seed drawn by
-# range is drawn once per pass, on the helper.  Beyond numpy the helper
-# runs only that slice (`rng.uniform_bits` for a drawn seed), so wrappers
-# around the other package functions always see one thread.
+# upper half into the next and slices only the p new bits.  The cyclic
+# pass packs them into a store of (n_in + n_out) * p / 8 bytes, about
+# (n + out_len) / 8, and the negacyclic pass unpacks them from it: a seed
+# drawn by range is drawn once per hash, on the helper.  Beyond numpy the
+# helper runs only that slice (`rng.uniform_bits` for a drawn seed), so
+# wrappers around the other package functions always see one thread.
 
-# 2**18-bit blocks take 2**18-point rffts and 2**17-point ffts.  On a
-# 2-vCPU x86 host whose speed drifted between sets (best of 3-5, lowest and
-# highest of three sets), hashing 1e7 bits to 1.74e6 took 0.53-0.81 /
-# 0.50-0.67 / 0.51-0.53 s at 2**17 / 2**18 / 2**19, and to 9e6 bits
-# 3.58 / 2.07 / 1.52 s in one set; one 2p-point pass at 2**18 took 0.76 s
-# and 2.37 s in that set.  A fresh `extract` of many_shots' stream at that
-# budget (33 MB of it the imported program) peaked at 78 / 89 / 116 MB RSS
-# from .bin and 81 / 92 / 118 MB from .txt, against 123 and 135 MB for one
-# 2p-point pass at 2**18.  At the certified budget the three times are
-# within the host's drift, and 2**18 peaks 27 MB below 2**19.
+# p-bit blocks take p-point rffts and p/2-point ffts.  Hashing a packed
+# 1e7-bit file with drawn seed bits, as `extract` does, on a 2-vCPU x86
+# host (best of 3, and the RSS rise of a fresh process past its 32 MB after
+# import) at p = 2**15 / 2**16 / 2**17 / 2**18 / 2**19 took
+#   to 1.74e6 bits   1.82 / 1.28 / 0.70 / 0.69 / 0.78 s,  37 / 40 / 46 / 58 / 84 MB
+#   to 3.57e6 bits   2.91 / 1.92 / 1.57 / 1.08 / 1.02 s,  67 / 70 / 76 / 88 / 110 MB
+#   to 9e6 bits     11.25 / 5.15 / 2.98 / 2.00 / 1.52 s,  155 / 159 / 164 / 177 / 204 MB
+# so the largest power of two <= out_len / 8 is within 6 % of the best time
+# and 11 MB or more below the next size up, and half of it takes 45-85 %
+# longer.  Above 2**18 only the longest output gains (24 % for 27 MB).
 _MAX_BLOCK = 1 << 18
 # bits per slice of an input: a slice read from a file or drawn (8 bytes a
 # bit while drawn) then stays far smaller than a spectrum
@@ -136,8 +139,10 @@ _CHUNK = 1 << 14
 
 
 def _block_size(n: int, out_len: int) -> int:
-    """Block length p: _MAX_BLOCK, or the next power of two for small inputs."""
-    return min(_MAX_BLOCK, 1 << (max(n, out_len) - 1).bit_length())
+    """Block length p: the largest power of two <= out_len / 8 within
+    [_SLICE, _MAX_BLOCK], and no more than one block for small inputs."""
+    by_output = max(_SLICE, 1 << (max(out_len // 8, 1).bit_length() - 1))
+    return min(_MAX_BLOCK, by_output, 1 << (max(n, out_len) - 1).bit_length())
 
 
 def toeplitz_gf2(seed_bits: np.ndarray, x_bits: np.ndarray, out_len: int) -> np.ndarray:
@@ -145,8 +150,8 @@ def toeplitz_gf2(seed_bits: np.ndarray, x_bits: np.ndarray, out_len: int) -> np.
 
     Either input may be any object with a `size` whose contiguous slices
     are uint8 bit arrays, such as a `randomness.BitSource`; it is sliced
-    at most _SLICE bits at a time, and in each of the two residue passes
-    every seed bit is requested once, in order.
+    at most _SLICE bits at a time, and every seed bit is requested once, in
+    order, by the cyclic residue pass, which keeps it packed for the other.
     """
     from concurrent.futures import ThreadPoolExecutor  # only extraction needs it
 
@@ -162,6 +167,7 @@ def toeplitz_gf2(seed_bits: np.ndarray, x_bits: np.ndarray, out_len: int) -> np.
     buf = np.empty(h + 1, dtype=np.complex128)  # the calling thread's transform input
     helper_buf = np.empty(h + 1, dtype=np.complex128)
     segment = np.empty(2 * p, dtype=np.uint8)  # on the helper
+    store = np.empty((n_in + n_out, -(-p // 8)), dtype=np.uint8)  # the seed, p bits a row
     twist = np.exp(1j * np.pi / p * np.arange(h))
     out = np.empty(out_len, dtype=np.uint8)
 
@@ -197,13 +203,21 @@ def toeplitz_gf2(seed_bits: np.ndarray, x_bits: np.ndarray, out_len: int) -> np.
             put(x_bits, b * p + at, dst)
         return forward(buf, cyclic)
 
+    def seed_half(lo: int, row: int, dst: np.ndarray, cyclic: bool) -> None:
+        # seed bits lo .. lo + p - 1: read in the cyclic pass, kept packed for the other
+        if cyclic:
+            put(seed_bits, lo, dst)
+            store[row] = np.packbits(dst)
+        else:
+            dst[:] = np.unpackbits(store[row], count=p)
+
     def seed_spectrum(cyclic: bool, d: int) -> np.ndarray:
         start = n + (d - 1) * p - 1
         if d == 1 - n_in:
-            put(seed_bits, start, segment[:p])
+            seed_half(start, 0, segment[:p], cyclic)
         else:
             segment[:p] = segment[p:]  # segment d-1's upper half
-        put(seed_bits, start + p, segment[p:])
+        seed_half(start + p, d + n_in, segment[p:], cyclic)
         fold = np.add if cyclic else np.subtract
         for at, dst in zip((0, h), halves(helper_buf, cyclic)):
             fold(segment[at:at + h], segment[p + at:p + at + h], out=dst, dtype=np.float64)

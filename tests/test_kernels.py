@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diqrng import _kernels
-from diqrng.randomness import PackedBits, save_bits_packed
+from diqrng.randomness import PackedArray, PackedBits, SeedBits, save_bits_packed
 from oracles import toeplitz_matrix
 
 
@@ -52,6 +52,21 @@ class _CountingSeed:
 
     def __getitem__(self, key: slice) -> np.ndarray:
         self.requests.append((key.start, key.stop, threading.current_thread()))
+        return self.bits[key]
+
+
+class _OneSweepSeed:
+    """Seed bits that refuse every request after the one that reaches their end."""
+
+    def __init__(self, bits):
+        self.bits = bits
+        self.size = bits.size
+        self.swept = False
+
+    def __getitem__(self, key: slice) -> np.ndarray:
+        if self.swept:
+            raise AssertionError(f"seed bits {key.start}..{key.stop} requested again")
+        self.swept = key.stop == self.size
         return self.bits[key]
 
 
@@ -202,7 +217,30 @@ class TestToeplitzGf2:
         assert _kernels._block_size(5, 3) == 8
         assert _kernels._block_size(8, 8) == 8
         assert _kernels._block_size(9, 1) == 16
-        assert _kernels._block_size(10_000_000, 1) == _kernels._MAX_BLOCK
+        assert _kernels._block_size(10_000_000, 1) == _kernels._SLICE
+
+    @pytest.mark.parametrize("n, out_len, block", [
+        (37, 21, 64),  # the next power of two of a short input
+        (10_000_000, 1_742_455, 1 << 17),  # many_shots' certified budget
+        (10_000_000, 3_570_000, 1 << 18),
+        (10_000_000, 9_000_000, 1 << 18),  # out_len / 8 above _MAX_BLOCK
+        (10_000_000, 1000, 1 << 15),  # out_len / 8 below _SLICE
+    ])
+    def test_block_size_follows_the_output(self, n, out_len, block):
+        assert _kernels._block_size(n, out_len) == block
+
+    @settings(deadline=None, max_examples=60)
+    @given(n=st.integers(1, 200), out_len=st.integers(1, 200))
+    def test_matches_reference_at_every_block_size(self, n, out_len):
+        # clamped to [2, 16], the rule picks every block from 2 to 16 bits
+        rng = np.random.default_rng(n * 1000 + out_len)
+        seed = (rng.random(n + out_len - 1) < 0.5).astype(np.uint8)
+        x = (rng.random(n) < 0.5).astype(np.uint8)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "_SLICE", 2)
+            mp.setattr(_kernels, "_MAX_BLOCK", 16)
+            got = _kernels.toeplitz_gf2(seed, x, out_len)
+        np.testing.assert_array_equal(got, _reference_toeplitz(seed, x, out_len))
 
 
 def _at_blocks(sizes, blocks):
@@ -245,16 +283,31 @@ class TestToeplitzPartitioned:
         seed = _CountingSeed(bits)
         np.testing.assert_array_equal(_kernels.toeplitz_gf2(seed, x, out_len),
                                       _reference_toeplitz(bits, x, out_len))
-        # one sweep per residue pass; only a sweep's first request starts at 0
-        firsts = [k for k, (lo, _, _) in enumerate(seed.requests) if lo == 0]
-        assert len(firsts) == 2
-        for sweep in (seed.requests[:firsts[1]], seed.requests[firsts[1]:]):
-            starts = [lo for lo, _, _ in sweep]
-            stops = [hi for _, hi, _ in sweep]
-            assert starts == [0] + stops[:-1] and stops[-1] == bits.size
-            assert all(lo < hi for lo, hi in zip(starts, stops))
+        # one sweep per hash: the negacyclic pass reads the bits the cyclic one kept
+        starts = [lo for lo, _, _ in seed.requests]
+        stops = [hi for _, hi, _ in seed.requests]
+        assert starts == [0] + stops[:-1] and stops[-1] == bits.size
+        assert all(lo < hi for lo, hi in zip(starts, stops))
         # drawn where the segments are transformed, off the calling thread
         assert threading.main_thread() not in {t for _, _, t in seed.requests}
+
+    @pytest.mark.parametrize("kind", ["SeedBits", "PackedArray", "array"])
+    @pytest.mark.parametrize("in_len, out_len", [(37, 21), (21, 37), (100, 3), (3, 100),
+                                                 (1, 1)])
+    def test_seed_is_read_in_one_sweep(self, kind, in_len, out_len):
+        rng = np.random.default_rng(710 + in_len * 1000 + out_len)
+        size = in_len + out_len - 1
+        if kind == "SeedBits":
+            source = SeedBits(711, size)
+            bits = source[:]
+        else:
+            bits = (rng.random(size) < 0.5).astype(np.uint8)
+            source = PackedArray(bits) if kind == "PackedArray" else bits
+        x = (rng.random(in_len) < 0.5).astype(np.uint8)
+        seed = _OneSweepSeed(source)
+        np.testing.assert_array_equal(_kernels.toeplitz_gf2(seed, x, out_len),
+                                      _reference_toeplitz(bits, x, out_len))
+        assert seed.swept
 
     @pytest.mark.parametrize("in_len, out_len", [(37, 21), (21, 37), (9, 17), (100, 3),
                                                  (1, 20), (3, 100)])
@@ -290,7 +343,8 @@ def test_peak_memory_is_bounded_by_the_block(monkeypatch):
     # One 2p-point float64 array; a residue spectrum is half as large.
     # Four output blocks keep four input spectra and four open sums alive
     # (four arrays), beside the twist, two transform buffers, a seed
-    # spectrum on each thread and an output block's inversion.  A
+    # spectrum on each thread, an output block's inversion and the packed
+    # seed store (68 rows of p/8 bytes, about half an array).  A
     # whole-stream transform needs 2**20-point arrays, each 128 times this.
     block_array = 2 * block * 8
     assert peak <= 10 * block_array
