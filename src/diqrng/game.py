@@ -5,8 +5,9 @@ a XOR b = x AND y.  No classical strategy wins more than 3/4 of the input
 pairs (the tests enumerate all 16 deterministic ones).  The entangled
 strategy prepares (|00> + |11>)/sqrt(2) and rotates each side by twice
 its planar measurement angle, which makes P(a = b) = cos^2(alpha - beta)
-for effective angles alpha, beta.  With the standard angle table every
-input pair wins with probability cos^2(pi/8).
+for angles alpha, beta.  The angles are fixed at the optimal CHSH layout,
+ALICE_ANGLES and BOB_ANGLES, where every input pair wins with probability
+cos^2(pi/8).
 """
 
 from __future__ import annotations
@@ -19,11 +20,10 @@ import numpy as np
 from .rng import SourceDepleted
 from .simulator import OutcomeDistribution, depolarize
 
-_ANGLE_TOL = 1e-12
-
-# relative planar angles that define the optimal measurement layout
-_REL_NEAR = math.pi / 8
-_REL_FAR = 3 * math.pi / 8
+# planar measurement angles per input: the three winning-aligned pairs sit
+# pi/8 apart and the (1,1) pair 3*pi/8 apart
+ALICE_ANGLES = (0.0, math.pi / 4)
+BOB_ANGLES = (math.pi / 8, -math.pi / 8)
 
 
 class ConfigError(ValueError):
@@ -42,58 +42,16 @@ class GameSetting:
             raise ValueError(f"inputs must be bits, got x={self.x!r} y={self.y!r}")
 
 
-# ============================================================
-# the entangled strategy
-# ============================================================
-
-@dataclass(frozen=True)
-class QuantumStrategy:
-    """Planar measurement angles per input, plus a free global offset.
-
-    The relative layout is fixed: the three winning-aligned pairs sit
-    pi/8 apart and the (1,1) pair 3*pi/8 apart.  A global offset shifts
-    every angle together and cancels in all win probabilities.
-    """
-
-    alice_angles: tuple[float, float] = (0.0, math.pi / 4)
-    bob_angles: tuple[float, float] = (math.pi / 8, -math.pi / 8)
-    global_offset: float = 0.0
-
-    def __post_init__(self):
-        a0, a1 = self.alice_angles
-        b0, b1 = self.bob_angles
-        if not math.isfinite(self.global_offset):
-            raise ValueError(f"global offset must be finite, got {self.global_offset!r}")
-        checks = (
-            (abs(a0 - b0), _REL_NEAR),
-            (abs(a1 - b0), _REL_NEAR),
-            (abs(a0 - b1), _REL_NEAR),
-            (abs(a1 - b1), _REL_FAR),
-        )
-        for got, want in checks:
-            # written so that a NaN (or infinite) angle fails it
-            if not abs(got - want) <= _ANGLE_TOL:
-                raise ValueError(
-                    f"angle layout broken: relative angle {got!r}, expected {want!r}")
-
-    def angle_a(self, x: int) -> float:
-        return self.alice_angles[x] + self.global_offset
-
-    def angle_b(self, y: int) -> float:
-        return self.bob_angles[y] + self.global_offset
-
-
-def round_distribution(setting: GameSetting, strategy: QuantumStrategy,
-                       lam: float = 0.0) -> OutcomeDistribution:
-    """Outcome distribution of one round, optionally depolarized.
+def round_distribution(setting: GameSetting, lam: float = 0.0) -> OutcomeDistribution:
+    """Outcome distribution of one round at the fixed layout, optionally depolarized.
 
     The round's circuit is H on qubit 0 and CNOT(0, 1), which prepare
-    (|00> + |11>)/sqrt(2), then Ry(2*angle_a(x)) on qubit 0 and
-    Ry(2*angle_b(y)) on qubit 1: planar angles double on the sphere.  Its
-    Born probabilities, with d = angle_a(x) - angle_b(y), are
+    (|00> + |11>)/sqrt(2), then Ry(2*ALICE_ANGLES[x]) on qubit 0 and
+    Ry(2*BOB_ANGLES[y]) on qubit 1: planar angles double on the sphere.
+    Its Born probabilities, with d = ALICE_ANGLES[x] - BOB_ANGLES[y], are
     P(00) = P(11) = cos^2(d)/2 and P(01) = P(10) = sin^2(d)/2.
     """
-    d = strategy.angle_a(setting.x) - strategy.angle_b(setting.y)
+    d = ALICE_ANGLES[setting.x] - BOB_ANGLES[setting.y]
     same, diff = math.cos(d) ** 2 / 2.0, math.sin(d) ** 2 / 2.0
     dist = OutcomeDistribution(2, np.array([same, diff, diff, same]))
     if lam != 0.0:

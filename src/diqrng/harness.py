@@ -39,7 +39,6 @@ from .game import (
     ConfigError,
     ExperimentResult,
     GameSetting,
-    QuantumStrategy,
     referee_inputs,
     result_from_indices,
     round_distribution,
@@ -143,9 +142,8 @@ def _json_names(value: Any, name: str) -> tuple[str, ...]:
 LOOPHOLE_FIELDS = ("independent_inputs", "fresh_state_per_round", "detection_efficiency",
                    "report_all_events")
 # the keys a config file may hold, at the top level and in its two sub-objects
-_CONFIG_KEYS = ("format_version", "rounds", "shots", "lambda", "master_seed", "strategy",
-                "input_source", "loopholes")
-_STRATEGY_KEYS = ("alice_angles", "bob_angles", "global_offset")
+_CONFIG_KEYS = ("format_version", "rounds", "shots", "lambda", "master_seed", "input_source",
+                "loopholes")
 _INPUT_SOURCE_KEYS = ("mode", "x_files", "y_files")
 
 
@@ -157,7 +155,6 @@ class ExperimentConfig:
     shots: int = DEFAULT_SHOTS
     lam: float = 0.0
     master_seed: int = 0
-    strategy: QuantumStrategy = field(default_factory=QuantumStrategy)
     # a run replays recorded inputs exactly when both file lists are given
     replay_x: tuple[str, ...] = ()
     replay_y: tuple[str, ...] = ()
@@ -186,13 +183,6 @@ class ExperimentConfig:
             _known_keys(obj, _CONFIG_KEYS, "experiment config")
             if obj.get("format_version") != FORMAT_VERSION:
                 raise ValueError("missing a supported format_version")
-            strat = obj.get("strategy", {})
-            _known_keys(strat, _STRATEGY_KEYS, "strategy")
-            strategy = QuantumStrategy(
-                alice_angles=tuple(strat.get("alice_angles", (0.0, math.pi / 4))),
-                bob_angles=tuple(strat.get("bob_angles", (math.pi / 8, -math.pi / 8))),
-                global_offset=_json_float(strat.get("global_offset", 0.0), "global_offset"),
-            )
             source = obj.get("input_source", {"mode": "seeded"})
             _known_keys(source, _INPUT_SOURCE_KEYS, "input_source")
             replay_x = _json_names(source.get("x_files", []), "x_files")
@@ -210,7 +200,6 @@ class ExperimentConfig:
                 shots=_json_int(obj["shots"], "shots"),
                 lam=_json_float(obj.get("lambda", 0.0), "lambda"),
                 master_seed=_json_int(obj.get("master_seed", 0), "master_seed"),
-                strategy=strategy,
                 replay_x=replay_x,
                 replay_y=replay_y,
                 **loopholes,
@@ -306,8 +295,7 @@ def run_certified_experiment(config: ExperimentConfig) -> CertifiedRun:
     settings = 2 * x + y
     cdfs = np.zeros((4, 4))
     for s in np.flatnonzero(np.bincount(settings, minlength=4)).tolist():
-        cdfs[s] = round_distribution(GameSetting(s >> 1, s & 1), config.strategy,
-                                     config.lam).cdf
+        cdfs[s] = round_distribution(GameSetting(s >> 1, s & 1), config.lam).cdf
     width = 3 * shots if lossy else shots
     chunk_rows = max(1, _CHUNK_DRAWS // width)
     u = np.empty((min(chunk_rows, n), width))

@@ -78,9 +78,12 @@ def _json_bool(value: Any, name: str) -> bool:
 
 
 def _known_keys(value: Any, keys: tuple[str, ...], name: str) -> None:
-    """Refuse a non-object or an unknown key, such as a misspelt "lambd"."""
-    if not isinstance(value, Mapping) or not set(value) <= set(keys):
+    """Refuse a non-object, or name the unknown keys, such as a misspelt "lambd"."""
+    if not isinstance(value, Mapping):
         raise DataFormatError(f"{name} must be an object keyed by {keys}")
+    unknown = [key for key in value if key not in keys]
+    if unknown:
+        raise DataFormatError(f"{name} holds unknown keys {unknown}; allowed keys are {keys}")
 
 
 def round_sig(x: float, digits: int = 6) -> float:

@@ -22,7 +22,7 @@ from typing import Any
 
 import numpy as np
 
-from diqrng.game import ExperimentResult, GameSetting, QuantumStrategy, round_distribution
+from diqrng.game import ExperimentResult, GameSetting, round_distribution
 from diqrng.harness import FORMAT_VERSION, LOOPHOLE_FIELDS, ExperimentConfig
 from diqrng.randomness import qrng_distribution
 from diqrng.simulator import (CountsRecord, OutcomeDistribution, indices_to_bits,
@@ -90,12 +90,9 @@ def win_probability_from_dist(setting: GameSetting, dist: OutcomeDistribution) -
     return 1.0 - same if setting.x & setting.y else same
 
 
-def analytic_win_probability(setting: GameSetting,
-                             strategy: QuantumStrategy | None = None,
-                             lam: float = 0.0) -> float:
+def analytic_win_probability(setting: GameSetting, lam: float = 0.0) -> float:
     """Exact win probability of the entangled strategy at noise level lam."""
-    strategy = strategy or QuantumStrategy()
-    return win_probability_from_dist(setting, round_distribution(setting, strategy, lam))
+    return win_probability_from_dist(setting, round_distribution(setting, lam))
 
 
 # ============================================================
@@ -161,11 +158,6 @@ def config_json_obj(config: ExperimentConfig) -> dict[str, Any]:
         "shots": config.shots,
         "lambda": config.lam,
         "master_seed": config.master_seed,
-        "strategy": {
-            "alice_angles": list(config.strategy.alice_angles),
-            "bob_angles": list(config.strategy.bob_angles),
-            "global_offset": config.strategy.global_offset,
-        },
         "input_source": (
             {"mode": "replay", "x_files": list(config.replay_x),
              "y_files": list(config.replay_y)} if config.replay_x else

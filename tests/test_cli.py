@@ -166,6 +166,10 @@ class TestPlay:
         {"input_source": {"mode": "seeded", "xfiles": ["x.json"]}},
         {"strategy": False},
         {"input_source": ""},
+        # the measurement layout is fixed: a strategy object is refused, even the default one
+        {"strategy": {}},
+        {"strategy": {"alice_angles": [0.0, math.pi / 4], "bob_angles": [math.pi / 8, -math.pi / 8],
+                      "global_offset": 0.0}},
     ], ids=["angles-not-a-list", "strategy-not-an-object", "source-not-an-object",
             "rounds-infinite", "angles-nan", "offset-nan", "rounds-fraction", "shots-bool",
             "seed-fraction", "rounds-float", "seed-string", "threshold-nan", "threshold-inf",
@@ -174,14 +178,19 @@ class TestPlay:
             "offset-string", "efficiency-string", "efficiency-bool", "efficiency-zero",
             "switch-int", "switch-string", "switch-null", "switch-unknown",
             "loopholes-not-an-object", "key-unknown", "strategy-key-unknown",
-            "source-key-unknown", "strategy-false", "source-empty-string"])
+            "source-key-unknown", "strategy-false", "source-empty-string", "strategy-empty",
+            "strategy-default"])
     def test_malformed_config_file_exits_65(self, tmp_path, capsys, field):
         config = {"format_version": 1, "rounds": 2, "shots": 10, **field}
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config))
         code = main(["play", "--config", str(config_path), "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_DATA
-        assert "malformed experiment config" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "malformed experiment config" in err
+        (key,) = field
+        if key in ("strategy", "threshold_z", "lambd"):  # no config key: refused by name
+            assert f"unknown keys [{key!r}]" in err
         assert not (tmp_path / "out" / "rounds.csv").exists()
 
     @pytest.mark.parametrize("files", ["abc", [1], [0]],

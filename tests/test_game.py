@@ -18,7 +18,6 @@ import pytest
 from diqrng.game import (
     ExperimentResult,
     GameSetting,
-    QuantumStrategy,
     referee_inputs,
     result_from_indices,
     round_distribution,
@@ -108,49 +107,21 @@ class TestClassicalCeiling:
 # quantum strategy
 # ---------------------------------------------------------------------------
 
-class TestQuantumStrategy:
-    def test_default_angles(self):
-        strategy = QuantumStrategy()
-        assert strategy.alice_angles == (0.0, math.pi / 4)
-        assert strategy.bob_angles == (math.pi / 8, -math.pi / 8)
-
-    def test_rejects_broken_angle_layout(self):
-        with pytest.raises(ValueError, match="angle layout"):
-            QuantumStrategy(alice_angles=(0.0, 0.5), bob_angles=(math.pi / 8, -math.pi / 8))
-        with pytest.raises(ValueError, match="angle layout"):
-            QuantumStrategy(alice_angles=(math.nan, math.nan), bob_angles=(math.nan, math.nan))
-        for offset in (math.nan, -math.inf):
-            with pytest.raises(ValueError, match="finite"):
-                QuantumStrategy(global_offset=offset)
-
-    def test_offset_shifts_both_parties(self):
-        strategy = QuantumStrategy(global_offset=0.3)
-        assert strategy.angle_a(0) == pytest.approx(0.3)
-        assert strategy.angle_b(1) == pytest.approx(-math.pi / 8 + 0.3)
-
-
 class TestAnalyticValue:
     def test_each_setting_hits_ideal_value(self):
-        strategy = QuantumStrategy()
         for setting in ALL_SETTINGS:
-            p = analytic_win_probability(setting, strategy)
+            p = analytic_win_probability(setting)
             assert abs(p - COS2_PI_8) < 1e-12
 
     def test_offset_invariance_and_same_bit_probability(self):
-        rng = np.random.default_rng(11)
-        base = [analytic_win_probability(s, QuantumStrategy()) for s in ALL_SETTINGS]
-        for _ in range(20):
-            strategy = QuantumStrategy(global_offset=float(rng.uniform(-2 * math.pi, 2 * math.pi)))
-            shifted = [analytic_win_probability(s, strategy) for s in ALL_SETTINGS]
-            np.testing.assert_allclose(shifted, base, atol=1e-9)
-            dist = round_distribution(GameSetting(1, 1), strategy)
-            p_same = float(dist.probs[0] + dist.probs[3])
-            assert abs(p_same - COS2_3PI_8) < 1e-9
+        # the (1,1) pair sits 3*pi/8 apart, so matching bits have probability cos^2(3pi/8)
+        dist = round_distribution(GameSetting(1, 1))
+        p_same = float(dist.probs[0] + dist.probs[3])
+        assert abs(p_same - COS2_3PI_8) < 1e-9
 
     def test_depolarized_value_interpolates_to_half(self):
-        strategy = QuantumStrategy()
         for lam in (0.0, 0.25, 0.5, 1.0):
-            dist = round_distribution(GameSetting(0, 0), strategy, lam=lam)
+            dist = round_distribution(GameSetting(0, 0), lam=lam)
             p = win_probability_from_dist(GameSetting(0, 0), dist)
             expected = (1 - lam) * COS2_PI_8 + lam * 0.5
             assert abs(p - expected) < 1e-12

@@ -26,7 +26,6 @@ from diqrng.game import (
     ConfigError,
     ExperimentResult,
     GameSetting,
-    QuantumStrategy,
     referee_inputs,
     result_from_indices,
 )
@@ -99,7 +98,7 @@ class TestFitLambda:
         """Fitted lambda reproduces the target analytically, not just nearby."""
         for target in DEVICE_TARGETS.values():
             lam = fit_lambda(target)
-            dist = round_distribution(GameSetting(0, 0), QuantumStrategy(), lam=lam)
+            dist = round_distribution(GameSetting(0, 0), lam=lam)
             got = win_probability_from_dist(GameSetting(0, 0), dist)
             assert abs(got - target) < 1e-12
 
@@ -184,7 +183,7 @@ class TestExperimentConfig:
         path = tmp_path / "config.json"
         atomic_write_text(path, canonical_json(config_json_obj(config), precise=True))
         back = ExperimentConfig.from_file(path)
-        assert back == config  # exact: the default strategy angles round-trip
+        assert back == config
         # a file without the loopholes object (as every file written before it
         # existed) means every switch at its default
         obj = config_json_obj(config)
@@ -195,10 +194,10 @@ class TestExperimentConfig:
 
     def test_json_integers_become_floats(self):
         obj = {"format_version": 1, "rounds": 2, "shots": 10, "lambda": 0,
-               "strategy": {"global_offset": 0}, "loopholes": {"detection_efficiency": 1}}
+               "loopholes": {"detection_efficiency": 1}}
         config = ExperimentConfig.from_json_obj(obj)
         # so summary.json and certificate.json bytes do not depend on the spelling
-        for value in (config.lam, config.strategy.global_offset, config.detection_efficiency):
+        for value in (config.lam, config.detection_efficiency):
             assert type(value) is float
 
     def test_replay_round_trip(self):
@@ -305,7 +304,7 @@ class TestCertifiedRuns:
             if fresh:
                 rng = make_rng(derive_seed(config.master_seed, "round", i))
             setting = GameSetting(int(e.x[i]), int(e.y[i]))
-            dist = round_distribution(setting, config.strategy, config.lam)
+            dist = round_distribution(setting, config.lam)
             emitted = _kernels.sample_outcomes(dist.cdf, rng.random(config.shots))
             idx = emitted
             if eta < 1.0:

@@ -18,7 +18,7 @@ import re
 import numpy as np
 import pytest
 
-from diqrng.game import QuantumStrategy, round_distribution
+from diqrng.game import round_distribution
 from diqrng.randomness import qrng_distribution
 from diqrng.simulator import (
     CountsRecord,
@@ -101,17 +101,14 @@ class TestOracle:
     @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
     def test_round_distribution_matches_oracle(self, lam):
         """H, CNOT, then Ry(2*angle) on each side, as a 4 x 4 Kronecker product."""
-        rng = np.random.default_rng(404)
         bell = _oracle_run([("H", (0,)), ("CNOT", (0, 1))], 2)
-        offsets = [0.0, *rng.uniform(-2 * math.pi, 2 * math.pi, 5)]
-        for offset in offsets:
-            strategy = QuantumStrategy(global_offset=float(offset))
-            for setting in ALL_SETTINGS:
-                rotate = np.kron(_gate_matrix(("RY", (0,), 2 * strategy.angle_a(setting.x))),
-                                 _gate_matrix(("RY", (1,), 2 * strategy.angle_b(setting.y))))
-                want = (1 - lam) * np.abs(rotate @ bell) ** 2 + lam / 4
-                got = round_distribution(setting, strategy, lam).probs
-                np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        alice, bob = (0.0, math.pi / 4), (math.pi / 8, -math.pi / 8)
+        for setting in ALL_SETTINGS:
+            rotate = np.kron(_gate_matrix(("RY", (0,), 2 * alice[setting.x])),
+                             _gate_matrix(("RY", (1,), 2 * bob[setting.y])))
+            want = (1 - lam) * np.abs(rotate @ bell) ** 2 + lam / 4
+            got = round_distribution(setting, lam).probs
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("mode, n_qubits", [
         *(("hadamard", n) for n in range(1, 6)),
