@@ -19,19 +19,23 @@ seed from `derive_seeds`, re-key one generator (`rekeyer`) and draw a
 100-shot row; it is checked against rows from a fresh
 `make_rng(derive_seed(seed, "round", i))` per round.  The `uniform_bits`
 row draws the 1.17e7 Toeplitz seed bits of a 1e7 -> 1 742 455 hash in
-chunks and is checked against one whole-length draw.  The Toeplitz rows
-are checked against one FFT convolution over the whole stream.
+chunks and is checked against one whole-length draw; the
+`toeplitz_seed_bits` row draws the same bits packed, chunk by chunk, as
+`extract --extractor-seed` does, and is checked against that draw packed.
+The Toeplitz rows are checked against one FFT convolution over the whole
+stream.
 The three large rows hash a 1e7-bit stream to 1 742 455 bits (the
 budget-sized output of a 1e3 x 1e4-shot run), to 3 570 000 bits (about
 the certified budget at `ibmq_lima`'s win rate) and to 9e6 bits, which
 the kernel cuts into blocks of 2**17, 2**18 and 2**18 bits; their
 reference needs about 1.1 GB.  The `extract .bin` row runs the first of
 them as `extract --method toeplitz --extractor-seed` does: the stream is
-read from a packed file and the seed bits drawn, one block at a time.
-It and the `toeplitz_gf2` rows also print their peak memory as
-`tracemalloc` sees it, and the kernel rows their block size and how many
-output sums are open at once; the kernel rows' inputs are allocated
-before the call, the `extract .bin` row holds no whole input.  The two
+read from a packed file and the seed bits drawn packed, and the kernel
+unpacks each one slice at a time.  It and the `toeplitz_gf2` rows also
+print their peak memory as `tracemalloc` sees it, and the kernel rows
+their block size and how many output sums are open at once; the kernel
+rows' inputs are allocated before the call, the `extract .bin` row holds
+both inputs packed, in an eighth of a byte a bit.  The two
 `gaussian_kde` rows are `report`'s density estimate on its 1001-point grid:
 of 1e4 win fractions spread over the grid, and of 2e3 clustered as
 `replay_lossy`'s are (1280 kept shots a round at p = 0.82), where most grid
@@ -95,8 +99,13 @@ def _whole_stream_toeplitz(seed_bits, x_bits, out_len):
 
 def _extract_from_file(path, in_len, out_len, seed):
     """Toeplitz extraction of a packed file's first in_len bits with drawn seed bits."""
-    return toeplitz_extract(PackedBits(path, in_len), toeplitz_seed_bits(in_len, out_len, seed),
-                            out_len)
+    return toeplitz_extract(PackedBits.read(path, in_len),
+                            toeplitz_seed_bits(in_len, out_len, seed), out_len)
+
+
+def _packed_seed(in_len, out_len, seed):
+    """The bytes of the packed Toeplitz seed that `extract --extractor-seed` draws."""
+    return toeplitz_seed_bits(in_len, out_len, seed).data
 
 
 def _searchsorted_by_table(tables, table_of_row, u):
@@ -211,6 +220,8 @@ def main() -> int:
     n_seed = 10_000_000 + 1_742_455 - 1
     want_seed = (make_rng(7).random(n_seed) < 0.5).astype(np.uint8)
     print(_row("uniform_bits 1.17e7", uniform_bits, (7, n_seed), want_seed, args.repeats))
+    print(_row("toeplitz_seed_bits 1.17e7", _packed_seed, (10_000_000, 1_742_455, 7),
+               np.packbits(want_seed), args.repeats))
     del want_seed
 
     fractions = rng.binomial(100, 0.85, 10_000) / 100

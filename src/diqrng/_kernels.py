@@ -8,12 +8,13 @@ block-partitioned FFTs, so its working memory grows with the block size
 and the shorter of input and output, not with one whole-stream transform;
 the block follows the output, from 2**15 to 2**18 bits, or one block for
 short inputs.  Each block product is computed as two half-size residues,
-one pass each, so only half-size spectra are alive.  It slices its input and seed 2**15 bits at a
-time and requests each seed bit once, keeping it packed for the second
-pass, so a stream read from a packed file and seed bits drawn by range
-(``randomness.BitSource``) are never held whole.  Its seed segments are
-sliced and transformed on one helper thread, overlapped with the rest of
-the product on the calling thread; ``numpy.fft`` releases the GIL.
+one pass each, so only half-size spectra are alive.  It slices its input
+and seed 2**15 bits at a time, so either may be held packed
+(``randomness.PackedBits``): `extract` passes an n-bit input in n/8 bytes
+and its n + m - 1 seed bits in (n + m - 1)/8, drawn before the call.  Its
+seed segments are sliced and transformed on one helper thread, overlapped
+with the rest of the product on the calling thread; ``numpy.fft`` releases
+the GIL.
 ``benchmarks/bench_kernels.py`` checks each kernel against a reference and
 times it.
 """
@@ -112,12 +113,10 @@ def von_neumann_pairs(bits: np.ndarray) -> np.ndarray:
 # half of the transforms, which keeps both cores of a 2-vCPU host busy,
 # and each further worker would hold one more spectrum in flight.
 # Consecutive segments share p bits, so the helper carries one segment's
-# upper half into the next and slices only the p new bits.  The cyclic
-# pass packs them into a store of (n_in + n_out) * p / 8 bytes, about
-# (n + out_len) / 8, and the negacyclic pass unpacks them from it: a seed
-# drawn by range is drawn once per hash, on the helper.  Beyond numpy the
-# helper runs only that slice (`rng.uniform_bits` for a drawn seed), so
-# wrappers around the other package functions always see one thread.
+# upper half into the next and slices only the p new bits; both passes
+# slice the same seed.  Beyond numpy the helper runs only those slices of
+# an array or of `randomness.PackedBits`, so wrappers around the package's
+# functions always see one thread.
 
 # p-bit blocks take p-point rffts and p/2-point ffts.  Hashing a packed
 # 1e7-bit file with drawn seed bits, as `extract` does, on a 2-vCPU x86
@@ -130,8 +129,8 @@ def von_neumann_pairs(bits: np.ndarray) -> np.ndarray:
 # and 11 MB or more below the next size up, and half of it takes 45-85 %
 # longer.  Above 2**18 only the longest output gains (24 % for 27 MB).
 _MAX_BLOCK = 1 << 18
-# bits per slice of an input: a slice read from a file or drawn (8 bytes a
-# bit while drawn) then stays far smaller than a spectrum
+# bits per slice of an input: a slice unpacked from packed bits then stays
+# far smaller than a spectrum
 _SLICE = 1 << 15
 # spectrum bins per product step: 256 kB of complex128, so a chunk of the
 # seed spectrum stays in cache while every open sum takes its term
@@ -149,9 +148,10 @@ def toeplitz_gf2(seed_bits: np.ndarray, x_bits: np.ndarray, out_len: int) -> np.
     """T @ x mod 2 by block-partitioned FFT convolution, rounded to exact integers.
 
     Either input may be any object with a `size` whose contiguous slices
-    are uint8 bit arrays, such as a `randomness.BitSource`; it is sliced
-    at most _SLICE bits at a time, and every seed bit is requested once, in
-    order, by the cyclic residue pass, which keeps it packed for the other.
+    are uint8 bit arrays, such as `randomness.PackedBits`; it is sliced at
+    most _SLICE bits at a time, so a packed input of n bits and a packed
+    seed of n + out_len - 1 bits are unpacked one slice at a time, each seed
+    slice once per pass.
     """
     from concurrent.futures import ThreadPoolExecutor  # only extraction needs it
 
@@ -167,7 +167,6 @@ def toeplitz_gf2(seed_bits: np.ndarray, x_bits: np.ndarray, out_len: int) -> np.
     buf = np.empty(h + 1, dtype=np.complex128)  # the calling thread's transform input
     helper_buf = np.empty(h + 1, dtype=np.complex128)
     segment = np.empty(2 * p, dtype=np.uint8)  # on the helper
-    store = np.empty((n_in + n_out, -(-p // 8)), dtype=np.uint8)  # the seed, p bits a row
     twist = np.exp(1j * np.pi / p * np.arange(h))
     out = np.empty(out_len, dtype=np.uint8)
 
@@ -203,21 +202,13 @@ def toeplitz_gf2(seed_bits: np.ndarray, x_bits: np.ndarray, out_len: int) -> np.
             put(x_bits, b * p + at, dst)
         return forward(buf, cyclic)
 
-    def seed_half(lo: int, row: int, dst: np.ndarray, cyclic: bool) -> None:
-        # seed bits lo .. lo + p - 1: read in the cyclic pass, kept packed for the other
-        if cyclic:
-            put(seed_bits, lo, dst)
-            store[row] = np.packbits(dst)
-        else:
-            dst[:] = np.unpackbits(store[row], count=p)
-
     def seed_spectrum(cyclic: bool, d: int) -> np.ndarray:
         start = n + (d - 1) * p - 1
         if d == 1 - n_in:
-            seed_half(start, 0, segment[:p], cyclic)
+            put(seed_bits, start, segment[:p])
         else:
             segment[:p] = segment[p:]  # segment d-1's upper half
-        seed_half(start + p, d + n_in, segment[p:], cyclic)
+        put(seed_bits, start + p, segment[p:])
         fold = np.add if cyclic else np.subtract
         for at, dst in zip((0, h), halves(helper_buf, cyclic)):
             fold(segment[at:at + h], segment[p + at:p + at + h], out=dst, dtype=np.float64)

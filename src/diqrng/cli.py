@@ -37,9 +37,8 @@ from .io import atomic_write_json, atomic_write_text, format_sig
 from .randomness import (
     BATTERY_TESTS,
     DEFAULT_BLOCK_LEN,
-    BitSource,
-    PackedArray,
     PackedBits,
+    check_budget,
     load_bits_packed,
     load_bits_text,
     qrng_distribution,
@@ -206,16 +205,19 @@ def build_parser() -> _Parser:
 # command bodies
 # ============================================================
 
-def _load_stream(path: str, n_bits: int | None, *,
-                 whole: bool = True) -> np.ndarray | BitSource:
-    """The stream's bits; unless `whole`, a .bin stays a view read block by block
-    and a .txt is kept packed."""
+def _load_stream(path: str, n_bits: int | None) -> np.ndarray:
     if path.endswith(".txt"):
-        bits = load_bits_text(path, n_bits)
-        return bits if whole else PackedArray(bits)
+        return load_bits_text(path, n_bits)
     if path.endswith(".bin"):
-        return load_bits_packed(path, n_bits) if whole else PackedBits(path, n_bits)
+        return load_bits_packed(path, n_bits)
     raise DataFormatError(f"{path}: expected a .txt or .bin bit stream")
+
+
+def _load_packed(path: str, n_bits: int | None) -> PackedBits:
+    """The stream's bits held packed: a .bin as read, any other stream packed once loaded."""
+    if path.endswith(".bin"):
+        return PackedBits.read(path, n_bits)
+    return PackedBits.pack(_load_stream(path, n_bits))
 
 
 def cmd_play(args) -> int:
@@ -318,12 +320,13 @@ def cmd_extract(args) -> int:
             raise ConfigError("toeplitz extraction needs --certificate: only a CERTIFIED "
                               "certificate's rate authorises output")
         rate = certified_rate(args.certificate)
-        stream = _load_stream(args.infile, args.bits, whole=False)
-        need = len(stream) + args.out_len - 1
+        stream = _load_packed(args.infile, args.bits)
+        need = stream.size + args.out_len - 1
         if args.seed_file:
-            seed_bits = PackedArray(load_bits_text(args.seed_file))
+            seed_bits = PackedBits.pack(load_bits_text(args.seed_file))
         else:
-            seed_bits = toeplitz_seed_bits(len(stream), args.out_len, args.extractor_seed)
+            check_budget(stream.size, args.out_len, rate)  # before a draw of that size
+            seed_bits = toeplitz_seed_bits(stream.size, args.out_len, args.extractor_seed)
         if seed_bits.size != need:
             raise DataFormatError(
                 f"seed bits: need {need} (in_len + out_len - 1), got {seed_bits.size}")

@@ -7,18 +7,21 @@ and `simulator.indices_to_bits` turns its sampled outcomes into one row of
 bits per shot.  Downstream, von Neumann debiasing removes bias from independent
 bits, and Toeplitz hashing over GF(2) compresses a stream to its
 certified entropy budget.  The test battery is the monobit,
-block-frequency, and runs subset with the usual pass mark p >= 0.01.  Every bit stream is a 1-d uint8 array of 0s and 1s,
-except that Toeplitz extraction also takes a `BitSource`, which makes each
-slice on demand: a packed file read block by block, a stream kept packed in
-memory, or seed bits drawn by range.  Streams are saved as text or packed
-files, each written from one uint8 array of the file's bytes
-(`bits_to_text`, `np.packbits`) with no string or bytes copy of the file.
+block-frequency, and runs subset with the usual pass mark p >= 0.01.
+Every bit stream is a 1-d uint8 array of 0s and 1s, except that Toeplitz
+extraction also takes `PackedBits`, bits held 8 to a byte and unpacked one
+slice at a time.  `extract` holds its input that way (n/8 bytes: a .bin
+file read with one `np.fromfile`, a .txt stream packed after loading) and
+its seed ((n + m - 1)/8 bytes: a `--seed-file` packed after loading, or
+`toeplitz_seed_bits` drawn and packed chunk by chunk before the hash, on
+the calling thread).  Streams are saved as text or packed files, each
+written from one uint8 array of the file's bytes (`bits_to_text`,
+`np.packbits`) with no string or bytes copy of the file.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -27,7 +30,7 @@ import numpy as np
 
 from . import _kernels
 from .io import DataFormatError, atomic_write_bytes, read_text
-from .rng import uniform_bits
+from .rng import bit_chunks
 from .simulator import OutcomeDistribution, check_qubits, indices_to_bits
 
 PASS_P = 0.01
@@ -66,46 +69,6 @@ def qrng_distribution(mode: str, n_qubits: int) -> OutcomeDistribution:
 
 
 # ============================================================
-# bit sources
-# ============================================================
-# The Toeplitz kernel reads its input and seed one block at a time, so
-# neither needs to exist as a whole array.
-
-class BitSource:
-    """A read-only stream of `size` bits whose slices are made on demand.
-
-    `source[lo:hi]` is a new uint8 array of bits lo .. hi-1 and `source[:]`
-    is the whole stream.  Subclasses set `size` and define `_read(lo, hi)`
-    for 0 <= lo < hi <= size, producing only 0s and 1s.
-    """
-
-    size: int
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __getitem__(self, key: slice) -> np.ndarray:
-        if not isinstance(key, slice) or key.step not in (None, 1):
-            raise TypeError(f"{type(self).__name__} takes only contiguous slices")
-        lo, hi, _ = key.indices(self.size)
-        return self._read(lo, hi) if lo < hi else np.zeros(0, dtype=np.uint8)
-
-    def _read(self, lo: int, hi: int) -> np.ndarray:
-        raise NotImplementedError
-
-
-class SeedBits(BitSource):
-    """The first `size` bits of `rng.uniform_bits(seed, ...)`, drawn per slice."""
-
-    def __init__(self, seed: int, size: int):
-        self.seed = seed
-        self.size = size
-
-    def _read(self, lo: int, hi: int) -> np.ndarray:
-        return uniform_bits(self.seed, hi - lo, lo)
-
-
-# ============================================================
 # debiasing and extraction
 # ============================================================
 
@@ -128,23 +91,34 @@ def von_neumann(stream: np.ndarray) -> np.ndarray:
     return _kernels.von_neumann_pairs(_as_bits(stream))
 
 
-def toeplitz_seed_bits(in_len: int, out_len: int, rng_seed: int) -> SeedBits:
-    """Seed bits of the required length in_len + out_len - 1, from a seed.
+def toeplitz_seed_bits(in_len: int, out_len: int, rng_seed: int) -> PackedBits:
+    """The in_len + out_len - 1 seed bits `rng.uniform_bits(rng_seed, ...)` gives.
 
-    Nothing is drawn here: the extractor draws each block as it needs it.
+    They are drawn here, before the hash, and packed chunk by chunk as they
+    are drawn, so they are never held unpacked whole.
     """
     n = in_len + out_len - 1
     if n < 1:
         raise ValueError("seed length must be positive")
-    return SeedBits(rng_seed, n)
+    data = np.empty(-(-n // 8), dtype=np.uint8)
+    for lo, bits in bit_chunks(rng_seed, n):
+        data[lo // 8:(lo + bits.size + 7) // 8] = np.packbits(bits)
+    return PackedBits(data, n)
 
 
-def _as_source(bits: BitSource | np.ndarray | Sequence[int]) -> BitSource | np.ndarray:
-    """A bit source as it is; anything else checked by `_as_bits`."""
-    return bits if isinstance(bits, BitSource) else _as_bits(bits)
+def check_budget(in_len: int, out_len: int, min_entropy_rate: float,
+                 security_margin: int = DEFAULT_SECURITY_MARGIN) -> None:
+    """Refuse an out_len past floor(in_len * rate - security_margin)."""
+    if not (0.0 <= min_entropy_rate <= 1.0):
+        raise ValueError(f"rate must be in [0, 1], got {min_entropy_rate!r}")
+    budget = math.floor(in_len * min_entropy_rate - security_margin)
+    if out_len > budget:
+        raise ExtractionBudgetError(
+            f"out_len {out_len} exceeds certified budget {budget} "
+            f"(= floor({in_len} * {min_entropy_rate:g} - {security_margin}))")
 
 
-def toeplitz_extract(stream: BitSource | np.ndarray, seed_bits: BitSource | np.ndarray,
+def toeplitz_extract(stream: PackedBits | np.ndarray, seed_bits: PackedBits | np.ndarray,
                      out_len: int, *,
                      min_entropy_rate: float | None = None,
                      security_margin: int = DEFAULT_SECURITY_MARGIN) -> np.ndarray:
@@ -154,29 +128,25 @@ def toeplitz_extract(stream: BitSource | np.ndarray, seed_bits: BitSource | np.n
     capped at floor(len * rate - security_margin); exceeding it raises
     ExtractionBudgetError.  Without a rate the caller takes responsibility
     for the budget (the identity-pattern seed then reproduces the input).
-    Stream and seed may each be a `BitSource`, read one block at a time.
+    Stream and seed may each be `PackedBits`, which the kernel unpacks one
+    slice at a time: `extract` passes an n-bit input in n/8 bytes and its
+    seed in (n + out_len - 1)/8.
     """
-    bits = _as_source(stream)
+    bits = stream if isinstance(stream, PackedBits) else _as_bits(stream)
     if bits.size < 1:
         raise ValueError("cannot extract from an empty stream")
     if out_len < 1:
         raise ValueError(f"out_len must be >= 1, got {out_len}")
     if security_margin < 0:
         raise ValueError(f"security_margin must be >= 0, got {security_margin}")
-    seed_bits = _as_source(seed_bits)
+    seed_bits = seed_bits if isinstance(seed_bits, PackedBits) else _as_bits(seed_bits)
     want = bits.size + out_len - 1
     if seed_bits.size != want:
         raise ValueError(
             f"seed_bits must have length in_len + out_len - 1 = {want}, "
             f"got {seed_bits.size}")
     if min_entropy_rate is not None:
-        if not (0.0 <= min_entropy_rate <= 1.0):
-            raise ValueError(f"rate must be in [0, 1], got {min_entropy_rate!r}")
-        budget = math.floor(bits.size * min_entropy_rate - security_margin)
-        if out_len > budget:
-            raise ExtractionBudgetError(
-                f"out_len {out_len} exceeds certified budget {budget} "
-                f"(= floor({bits.size} * {min_entropy_rate:g} - {security_margin}))")
+        check_budget(bits.size, out_len, min_entropy_rate, security_margin)
     return _kernels.toeplitz_gf2(seed_bits, bits, out_len)
 
 
@@ -366,50 +336,47 @@ def save_bits_packed(path, bits) -> None:
     atomic_write_bytes(path, np.packbits(_as_bits(bits)))
 
 
-class _Packed(BitSource):
-    """Bits stored 8 to a byte; a slice unpacks only the bytes that hold it.
+class PackedBits:
+    """`size` bits held 8 to a byte, the first in the most significant position.
 
-    Subclasses set `size` and define `_bytes(first, last)`, bytes first .. last-1.
+    `bits[lo:hi]` is a new uint8 array of bits lo .. hi-1, unpacked from
+    only the bytes that hold them, and `bits[:]` is the whole stream.
     """
 
-    def _bytes(self, first: int, last: int) -> np.ndarray:
-        raise NotImplementedError
+    def __init__(self, data: np.ndarray, size: int):
+        self.data = data
+        self.size = size
 
-    def _read(self, lo: int, hi: int) -> np.ndarray:
-        first, last = lo // 8, -(-hi // 8)
-        return np.unpackbits(self._bytes(first, last), count=hi - 8 * first)[lo - 8 * first:]
+    @classmethod
+    def pack(cls, bits: np.ndarray) -> PackedBits:
+        return cls(np.packbits(bits), bits.size)
 
+    @classmethod
+    def read(cls, path, n_bits: int | None = None) -> PackedBits:
+        """The first `n_bits` of a packed .bin file (all of it by default).
 
-class PackedBits(_Packed):
-    """The first `n_bits` of a packed .bin file (all of it by default), read by range."""
-
-    def __init__(self, path, n_bits: int | None = None):
-        with open(path, "rb") as fh:
-            n_bytes = os.fstat(fh.fileno()).st_size
-        if not n_bytes:
+        The whole file is read once, so the count is checked against the
+        bytes actually read.
+        """
+        data = np.fromfile(path, dtype=np.uint8)
+        if not data.size:
             raise DataFormatError(f"{path}: packed bit file is empty")
-        _check_count(path, n_bits, 8 * n_bytes)
-        self.path = path
-        self.size = 8 * n_bytes if n_bits is None else n_bits
+        _check_count(path, n_bits, 8 * data.size)
+        size = 8 * data.size if n_bits is None else n_bits
+        return cls(data[:-(-size // 8)], size)
 
-    def _bytes(self, first: int, last: int) -> np.ndarray:
-        data = np.fromfile(self.path, dtype=np.uint8, count=last - first, offset=first)
-        if data.size != last - first:
-            raise DataFormatError(f"{self.path}: file shrank to {first + data.size} bytes "
-                                  f"while being read")
-        return data
+    def __len__(self) -> int:
+        return self.size
 
-
-class PackedArray(_Packed):
-    """A bit array kept packed in memory, in an eighth of its size."""
-
-    def __init__(self, bits: np.ndarray):
-        self.size = bits.size
-        self.data = np.packbits(bits)
-
-    def _bytes(self, first: int, last: int) -> np.ndarray:
-        return self.data[first:last]
+    def __getitem__(self, key: slice) -> np.ndarray:
+        if not isinstance(key, slice) or key.step not in (None, 1):
+            raise TypeError("PackedBits takes only contiguous slices")
+        lo, hi, _ = key.indices(self.size)
+        if lo >= hi:
+            return np.zeros(0, dtype=np.uint8)
+        first = lo // 8
+        return np.unpackbits(self.data[first:-(-hi // 8)], count=hi - 8 * first)[lo - 8 * first:]
 
 
 def load_bits_packed(path, n_bits: int | None = None) -> np.ndarray:
-    return PackedBits(path, n_bits)[:]
+    return PackedBits.read(path, n_bits)[:]

@@ -11,6 +11,12 @@ each round's seed from a copy of that hash state (`derive_seeds`).  It
 builds one generator and re-keys it to each round's seed before drawing
 the round's row (`rekeyer`), which draws exactly what a fresh `make_rng` of
 that seed would.
+
+Seeded bits (`uniform_bits`) come from one chunked draw loop
+(`bit_chunks`).  The referee's input bits are kept unpacked; a Toeplitz
+seed of n + m - 1 bits is packed chunk by chunk as it is drawn
+(`randomness.toeplitz_seed_bits`), on the calling thread before the hash,
+so it is held in (n + m - 1)/8 bytes and never unpacked whole.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import numpy as np
 
 SCHEME = "diqrng/philox-sha256/v1"
 
-# doubles per draw in uniform_bits: a 2 MB buffer drew 1.17e7 seed bits
+# doubles per draw in bit_chunks: a 2 MB buffer drew 1.17e7 seed bits
 # as fast as 8 MB ones and faster than one whole-length draw on a 2-vCPU
 # x86 host (about 90 ms against 150 ms)
 _BITS_CHUNK = 1 << 18
@@ -82,26 +88,27 @@ def rekeyer(rng: np.random.Generator) -> Callable[[int], None]:
     return rekey
 
 
-def uniform_bits(seed: int, n: int, start: int = 0) -> np.ndarray:
-    """Bits start .. start+n-1 of the uniform bit stream keyed by seed.
+def bit_chunks(seed: int, n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(lo, bits lo .. lo+k-1) of the uniform bit stream keyed by seed, for bits 0 .. n-1.
 
     Bits come from the high half of unit doubles, the same primitive the
     sampler uses, so the whole package rests on one generator contract.
-    The doubles are drawn _BITS_CHUNK at a time into one reused buffer;
-    draws are sequential, so the bits equal those of one `random(start + n)`
-    without its float64s.  Philox yields four doubles per counter step, so
-    the draw skips to bit `start` by advancing the counter start // 4 steps
-    and discarding start % 4 doubles.  The Philox is built here rather
-    than by `make_rng`, so the seed draws on the Toeplitz kernel's helper
-    thread call no other package function.
+    The doubles are drawn _BITS_CHUNK at a time into one reused buffer, so
+    every chunk starts on a byte; draws are sequential, so the bits equal
+    those of one `random(n)` without its float64s.  Each chunk is a bool
+    array that the next one overwrites.
     """
-    bitgen = np.random.Philox(key=np.uint64(seed))
-    bitgen.advance(start // 4)
-    rng = np.random.Generator(bitgen)
-    rng.random(start % 4)
-    out = np.empty(n, dtype=np.uint8)
+    rng = make_rng(seed)
     buf = np.empty(min(n, _BITS_CHUNK))
+    bits = np.empty(buf.size, dtype=bool)
     for lo in range(0, n, _BITS_CHUNK):
         u = rng.random(out=buf[:min(_BITS_CHUNK, n - lo)])
-        np.less(u, 0.5, out=out[lo:lo + u.size])
+        yield lo, np.less(u, 0.5, out=bits[:u.size])
+
+
+def uniform_bits(seed: int, n: int) -> np.ndarray:
+    """Bits 0 .. n-1 of the uniform bit stream keyed by seed, as a uint8 array."""
+    out = np.empty(n, dtype=np.uint8)
+    for lo, bits in bit_chunks(seed, n):
+        out[lo:lo + bits.size] = bits
     return out

@@ -449,6 +449,20 @@ class TestExtract:
         assert code == EXIT_OK
         assert len((tmp_path / "tp.txt").read_text().strip()) == 32
 
+    def test_over_budget_is_refused_before_the_seed_is_drawn(self, tmp_path, capsys,
+                                                              monkeypatch):
+        from diqrng import cli
+
+        draws = []
+        monkeypatch.setattr(cli, "toeplitz_seed_bits", lambda *args: draws.append(args))
+        path = self._bits_file(tmp_path, "10110010" * 32)  # 256 bits: budget 124
+        code = main(["extract", "--in", str(path), "--method", "toeplitz",
+                     "--out-len", str(10 ** 15), "--extractor-seed", "4",
+                     "--certificate", _certified(tmp_path), "--out", str(tmp_path / "tp")])
+        assert code == EXIT_USAGE
+        assert "exceeds certified budget 124" in capsys.readouterr().err
+        assert draws == [] and not (tmp_path / "tp.txt").exists()
+
     def test_toeplitz_with_seed_file(self, tmp_path, capsys):
         path = self._bits_file(tmp_path, "1011" * 25)  # 100 bits: budget 9
         seed = self._bits_file(tmp_path, "0110010" * 14 + "01110", name="seed.txt")  # 100 + 4 - 1
@@ -482,9 +496,11 @@ class TestExtract:
 
         self._bits_file(tmp_path, "1011")
         self._bits_file(tmp_path, "01x1", name="bad.txt")
-        loads, load_stream = [], cli._load_stream
-        monkeypatch.setattr(cli, "_load_stream",
-                            lambda *args, **kw: loads.append(args) or load_stream(*args, **kw))
+        loads = []
+        for name in ("_load_stream", "_load_packed"):
+            load = getattr(cli, name)
+            monkeypatch.setattr(cli, name,
+                                lambda *args, load=load: loads.append(args) or load(*args))
         base = ["extract", "--in", str(tmp_path / stream), "--method", "toeplitz",
                 "--out", str(tmp_path / "tp")]
         certificate = ["--certificate", _certified(tmp_path)]
@@ -726,13 +742,13 @@ class TestExtract:
 
     def test_toeplitz_text_stream_is_kept_packed(self, tmp_path):
         from diqrng import cli
-        from diqrng.randomness import PackedArray, save_bits_text
+        from diqrng.randomness import PackedBits, save_bits_text
 
         bits = (np.random.default_rng(17).random(1003) < 0.5).astype(np.uint8)
         path = tmp_path / "in.txt"
         save_bits_text(path, bits, line_width=10)
-        stream = cli._load_stream(str(path), 1001, whole=False)
-        assert isinstance(stream, PackedArray) and stream.data.size == 126
+        stream = cli._load_packed(str(path), 1001)
+        assert isinstance(stream, PackedBits) and stream.data.size == 126
         np.testing.assert_array_equal(stream[:], bits[:1001])
 
     def test_unrecognized_extension(self, tmp_path, capsys):
