@@ -130,12 +130,6 @@ def build_parser() -> _Parser:
     p.add_argument("--report-all-events", action="store_const", const=True, default=None,
                    help="also record win fractions over every emitted pair, "
                         "undetected shots scored by their true outcome")
-    p.add_argument("--dependent-inputs", dest="independent_inputs", action="store_const",
-                   const=False, default=None,
-                   help="leave the input-independence loophole open (one stream for x and y)")
-    p.add_argument("--stale-state", dest="fresh_state_per_round", action="store_const",
-                   const=False, default=None,
-                   help="leave the memory loophole open (one stream across rounds)")
     p.add_argument("--out-dir", default=None, help=OUT_DIR_HELP)
     p.set_defaults(func=cmd_play)
 
@@ -247,7 +241,9 @@ def cmd_play(args) -> int:
         "lambda": config.lam,
         "master_seed": config.master_seed,
         "verdict": run.certificate.verdict.value,
-        "loopholes": {**{name: getattr(config, name) for name in LOOPHOLE_FIELDS},
+        # inputs and per-round state are always independent and fresh
+        "loopholes": {"independent_inputs": True, "fresh_state_per_round": True,
+                      **{name: getattr(config, name) for name in LOOPHOLE_FIELDS},
                       "spacelike_separation": "open (single-process simulation)"},
     })
     if profile is not None:
@@ -321,11 +317,11 @@ def cmd_extract(args) -> int:
                               "certificate's rate authorises output")
         rate = certified_rate(args.certificate)
         stream = _load_packed(args.infile, args.bits)
+        check_budget(stream.size, args.out_len, rate)  # before either seed source is read
         need = stream.size + args.out_len - 1
         if args.seed_file:
             seed_bits = PackedBits.pack(load_bits_text(args.seed_file))
         else:
-            check_budget(stream.size, args.out_len, rate)  # before a draw of that size
             seed_bits = toeplitz_seed_bits(stream.size, args.out_len, args.extractor_seed)
         if seed_bits.size != need:
             raise DataFormatError(

@@ -1,18 +1,17 @@
 """End-to-end experiment orchestration.
 
 Ties the pieces together: fit a depolarizing level to a device's published
-average, play seeded or replayed rounds under explicit loophole controls,
+average, play seeded or replayed rounds under a stated loophole posture,
 certify the pooled statistics, hand back Alice's outcome bits as the
 certified stream, and emit the standard report files.
 
-Loophole posture (ExperimentConfig fields, documented, not silently assumed):
+Loophole posture (documented, not silently assumed):
 
-* independent_inputs — x and y come from two independently seeded (or
-  separately recorded) sources; turning this off reuses one stream for
-  both sides and is flagged in the summary.
-* fresh_state_per_round — every round derives its own sampling stream
-  from (master_seed, round index), so no round's data feeds another;
-  turning this off threads one stream through all rounds.
+* Inputs are independent: x and y come from two separately seeded (or
+  separately recorded) sources, and a replayed x record whose bits equal
+  a y record's is refused.
+* State is fresh per round: every round draws from its own stream, keyed
+  by (master_seed, round index), so no round's data feeds another.
 * detection_efficiency — each party's detector fires per shot with
   probability eta; only coincident shots enter the tallies, and
   report_all_events additionally records each round's win fraction over
@@ -138,9 +137,8 @@ def _json_names(value: Any, name: str) -> tuple[str, ...]:
     return tuple(value)
 
 
-# the loophole switches, keyed as in a config's and summary.json's "loopholes" object
-LOOPHOLE_FIELDS = ("independent_inputs", "fresh_state_per_round", "detection_efficiency",
-                   "report_all_events")
+# the loophole settings, keyed as in a config's and summary.json's "loopholes" object
+LOOPHOLE_FIELDS = ("detection_efficiency", "report_all_events")
 # the keys a config file may hold, at the top level and in its two sub-objects
 _CONFIG_KEYS = ("format_version", "rounds", "shots", "lambda", "master_seed", "input_source",
                 "loopholes")
@@ -158,8 +156,6 @@ class ExperimentConfig:
     # a run replays recorded inputs exactly when both file lists are given
     replay_x: tuple[str, ...] = ()
     replay_y: tuple[str, ...] = ()
-    independent_inputs: bool = True
-    fresh_state_per_round: bool = True
     detection_efficiency: float = 1.0
     report_all_events: bool = False
 
@@ -255,20 +251,15 @@ def _referee_columns(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
         # record: equal bits are one source, however the files are named
         xs = [replay_backend([path]) for path in config.replay_x]
         ys = [replay_backend([path]) for path in config.replay_y]
-        if config.independent_inputs:
-            for (path_x, bx), (path_y, by) in product(zip(config.replay_x, xs),
-                                                      zip(config.replay_y, ys)):
-                if np.array_equal(bx, by):
-                    raise ConfigError("input sources must be independent (x record "
-                                      f"{path_x} and y record {path_y} hold the same bits)")
+        for (path_x, bx), (path_y, by) in product(zip(config.replay_x, xs),
+                                                  zip(config.replay_y, ys)):
+            if np.array_equal(bx, by):
+                raise ConfigError("input sources must be independent (x record "
+                                  f"{path_x} and y record {path_y} hold the same bits)")
         bits_x, bits_y = np.concatenate(xs), np.concatenate(ys)
     else:
-        # 2n Alice bits: the second n are y when the inputs are dependent
-        bits_x = uniform_bits(derive_seed(config.master_seed, "alice-inputs"), 2 * n)
+        bits_x = uniform_bits(derive_seed(config.master_seed, "alice-inputs"), n)
         bits_y = uniform_bits(derive_seed(config.master_seed, "bob-inputs"), n)
-    if not config.independent_inputs:
-        # loophole left open on purpose: one stream feeds both sides
-        bits_y = bits_x[n:]
     return referee_inputs(n, bits_x, bits_y)
 
 
@@ -276,21 +267,19 @@ def run_certified_experiment(config: ExperimentConfig) -> CertifiedRun:
     """Play, certify, and collect Alice's outcome bits for one config.
 
     Round i draws one row of uniforms: its shots' outcome uniforms and,
-    under lossy detection, Alice's and then Bob's detector uniforms.  A
-    fresh-state round re-keys the generator to its own seed and draws its
-    row; a stale-state run draws each chunk of rows in one call.  Sampling,
-    detection and tallying run once per chunk.
+    under lossy detection, Alice's and then Bob's detector uniforms.  Each
+    round re-keys the generator to its own seed and draws its row.
+    Sampling, detection and tallying run once per chunk of rows.
     """
     x, y = _referee_columns(config)
     n, shots = config.rounds, config.shots
     eta = config.detection_efficiency
     lossy = eta < 1.0
-    # one generator per run; with fresh state each round re-keys it to the
-    # round's own seed, otherwise one stream runs through every round
-    rng = make_rng(derive_seed(config.master_seed, "shared-stream"))
+    # one generator per run, re-keyed to each round's own seed before the
+    # round draws, so the key it is built with is never drawn from
+    rng = make_rng(0)
     rekey = rekeyer(rng)
-    round_seeds = (derive_seeds(config.master_seed, "round")
-                   if config.fresh_state_per_round else None)
+    round_seeds = derive_seeds(config.master_seed, "round")
     # setting code 2x + y; each distribution present is built once
     settings = 2 * x + y
     cdfs = np.zeros((4, 4))
@@ -306,14 +295,10 @@ def run_certified_experiment(config: ExperimentConfig) -> CertifiedRun:
     for lo in range(0, n, chunk_rows):
         block = u[:min(chunk_rows, n - lo)]
         hi = lo + block.shape[0]
-        if round_seeds is None:
-            # one stream: the block's rows in order are one sequential draw
-            rng.random(out=block)
-        else:
-            # rows first: zip stops on them without pulling one seed too many
-            for row, seed in zip(block, round_seeds):
-                rekey(seed)
-                rng.random(out=row)
+        # rows first: zip stops on them without pulling one seed too many
+        for row, seed in zip(block, round_seeds):
+            rekey(seed)
+            rng.random(out=row)
         idx = _kernels.sample_outcomes(cdfs[settings[lo:hi]], block[:, :shots])
         if not lossy:
             same[lo:hi], diff[lo:hi] = result_from_indices(idx)

@@ -156,10 +156,13 @@ class TestPlay:
         {"loopholes": {"detection_efficiency": "0.8"}},
         {"loopholes": {"detection_efficiency": True}},
         {"loopholes": {"detection_efficiency": 0}},
-        {"loopholes": {"independent_inputs": 0}},
-        {"loopholes": {"fresh_state_per_round": "false"}},
+        {"loopholes": {"report_all_events": 0}},
+        {"loopholes": {"report_all_events": "false"}},
         {"loopholes": {"report_all_events": None}},
         {"loopholes": {"fresh_state": False}},
+        # inputs and per-round state are always independent and fresh: no switch left
+        {"loopholes": {"independent_inputs": False}},
+        {"loopholes": {"fresh_state_per_round": True}},
         {"loopholes": [False]},
         {"lambd": 0.9},
         {"strategy": {"alice_angle": [0.0, 0.5]}},
@@ -177,6 +180,7 @@ class TestPlay:
             "threshold-key-unknown",
             "offset-string", "efficiency-string", "efficiency-bool", "efficiency-zero",
             "switch-int", "switch-string", "switch-null", "switch-unknown",
+            "independent-inputs-key-unknown", "fresh-state-key-unknown",
             "loopholes-not-an-object", "key-unknown", "strategy-key-unknown",
             "source-key-unknown", "strategy-false", "source-empty-string", "strategy-empty",
             "strategy-default"])
@@ -191,6 +195,9 @@ class TestPlay:
         (key,) = field
         if key in ("strategy", "threshold_z", "lambd"):  # no config key: refused by name
             assert f"unknown keys [{key!r}]" in err
+        switches = field.get("loopholes")
+        if switches in ({"independent_inputs": False}, {"fresh_state_per_round": True}):
+            assert f"loopholes holds unknown keys {list(switches)}" in err
         assert not (tmp_path / "out" / "rounds.csv").exists()
 
     @pytest.mark.parametrize("files", ["abc", [1], [0]],
@@ -224,17 +231,22 @@ class TestPlay:
     def test_loophole_flags_recorded(self, tmp_path, capsys):
         code = main(["play", "--rounds", "4", "--shots", "400", "--seed", "2",
                      "--efficiency", "0.7", "--report-all-events",
-                     "--dependent-inputs", "--stale-state",
                      "--out-dir", str(tmp_path)])
         assert code in (EXIT_OK, EXIT_NOT_VIOLATED)
         summary = json.loads((tmp_path / "summary.json").read_text())
         loopholes = summary["loopholes"]
-        assert loopholes["independent_inputs"] is False
-        assert loopholes["fresh_state_per_round"] is False
+        # closed in every run: no flag opens them
+        assert loopholes["independent_inputs"] is True
+        assert loopholes["fresh_state_per_round"] is True
         assert loopholes["detection_efficiency"] == 0.7
         assert "all_event_p_avg" in summary
         assert summary["all_event_p_avg"] == pytest.approx(0.8536, abs=0.05)
         assert summary["detected_fraction"] == pytest.approx(0.49, abs=0.08)
+        for flag in ("--dependent-inputs", "--stale-state"):
+            assert main(["play", "--rounds", "4", "--shots", "400", flag,
+                         "--out-dir", str(tmp_path / "removed")]) == EXIT_USAGE
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "removed").exists()
 
     def test_lossy_run_reports_detected_fraction(self, tmp_path, capsys):
         code = main(["play", "--rounds", "4", "--shots", "400", "--seed", "2",
@@ -348,10 +360,6 @@ class TestReplayFlow:
         assert ("input sources must be independent (x record a.json and y record b.json "
                 "hold the same bits)") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
-        # the loophole left open on purpose still plays
-        assert main(["play", "--rounds", "200", "--shots", "10", "--seed", "1",
-                     "--replay-x", *x_files, "--replay-y", *y_files, "--dependent-inputs",
-                     "--out-dir", "out"]) in (EXIT_OK, EXIT_NOT_VIOLATED)
 
     def test_replay_needs_both_sides(self, tmp_path, capsys):
         xa, _ = self._make_inputs(tmp_path)
@@ -462,6 +470,21 @@ class TestExtract:
         assert code == EXIT_USAGE
         assert "exceeds certified budget 124" in capsys.readouterr().err
         assert draws == [] and not (tmp_path / "tp.txt").exists()
+
+    @pytest.mark.parametrize("source", ["extractor-seed", "missing-seed-file", "short-seed-file"])
+    def test_over_budget_is_refused_whatever_the_seed_source(self, tmp_path, capsys, source):
+        # the budget is checked before either seed source is read
+        path = self._bits_file(tmp_path, "10110010" * 32)  # 256 bits: budget 124
+        short = self._bits_file(tmp_path, "0110010111", name="short.txt")
+        seed_flags = {"extractor-seed": ["--extractor-seed", "4"],
+                      "missing-seed-file": ["--seed-file", str(tmp_path / "absent.txt")],
+                      "short-seed-file": ["--seed-file", str(short)]}[source]
+        code = main(["extract", "--in", str(path), "--method", "toeplitz", "--out-len", "200",
+                     *seed_flags, "--certificate", _certified(tmp_path),
+                     "--out", str(tmp_path / "tp")])
+        assert code == EXIT_USAGE
+        assert "exceeds certified budget 124" in capsys.readouterr().err
+        assert not (tmp_path / "tp.txt").exists()
 
     def test_toeplitz_with_seed_file(self, tmp_path, capsys):
         path = self._bits_file(tmp_path, "1011" * 25)  # 100 bits: budget 9

@@ -1,15 +1,15 @@
 """Golden-output tests for `play`: every file it writes, pinned by sha256.
 
-Five loophole configurations run through `main()` at 20 rounds x 50 shots
+Three loophole configurations run through `main()` at 20 rounds x 50 shots
 and the digests of all files written (including the `qrng` records that
 feed the replay run and a `report` over the defaults run) are compared
 with constants recorded before the two round engines were merged.  A
-sixth run plays 3000 rounds x 10 shots and reports on them, so the density
+fourth run plays 3000 rounds x 10 shots and reports on them, so the density
 estimate spans many blocks of grid rows; its constants were recorded from
 the whole-matrix density estimate.  Any change
 to input drawing, seed derivation, sampling, detection, tallying,
 certification or serialisation shows up here as a digest mismatch.
-Four of the runs are played again from a config file written from the
+Three of the runs are played again from a config file written from the
 config each one played, with no other run flag; the rounds, certificate
 and Alice bits must come out the same.
 
@@ -48,17 +48,6 @@ def _run_report_blocks(d: str) -> None:
                  "--label", "blocks", "--out-dir", os.path.join(d, "report")]) == EXIT_OK
 
 
-def _run_stale_state(d: str) -> None:
-    assert main(["play", *SIZE, "--seed", "6", "--lambda", "0.05", "--stale-state",
-                 "--out-dir", d]) == EXIT_OK
-
-
-def _run_dependent_inputs(d: str) -> None:
-    # the belem noise level is too high to certify at 1000 shots
-    assert main(["play", *SIZE, "--seed", "7", "--profile", "ibmq_belem",
-                 "--dependent-inputs", "--out-dir", d]) == EXIT_NOT_VIOLATED
-
-
 def _run_lossy(d: str) -> None:
     assert main(["play", *SIZE, "--seed", "8", "--efficiency", "0.7",
                  "--report-all-events", "--out-dir", d]) == EXIT_OK
@@ -76,8 +65,6 @@ def _run_replay(d: str) -> None:
 
 RUNS = {
     "defaults": _run_defaults,
-    "stale_state": _run_stale_state,
-    "dependent_inputs": _run_dependent_inputs,
     "lossy_report_all": _run_lossy,
     "replay": _run_replay,
     "report_blocks": _run_report_blocks,
@@ -95,13 +82,6 @@ GOLDEN: dict[str, dict[str, str]] = {
         'report/summary.json': 'ee35bfae17289b6f8675778e0a0ea4646d544d74ae76098e84053668239b7c93',
         'rounds.csv': 'c04fc36717e78356a23785e7397897fcaba029527ba78e1c89e9669052e501f6',
         'summary.json': '80821c9869388bceddcfc5527cdf9bcdd0e18cd439b6fef9424b890f571893bd',
-    },
-    'dependent_inputs': {
-        'alice_bits.bin': 'e8ffbc8e0e686b70e9b6e3a0800a4a37dbbb69f0bbe065844ea74d8b023da040',
-        'alice_bits.txt': 'c697ae293d4e76de36753e4030646777ca1b9f65fee07b9d8d4421da8d715e06',
-        'certificate.json': '76f06ae4c68cc9a366fea314a95cde715589c607e663e18fd6c27a1787a7b7cd',
-        'rounds.csv': '3772b1314cd6346f14ed6b17ee50bfd11a3541672df86706473fc6ae626704c6',
-        'summary.json': 'd2738a7303eb4b9966dc0f478beb5374dd02564249f82d8e1565fdbf4c16e5ed',
     },
     'lossy_report_all': {
         'alice_bits.bin': 'a6e2116649ce9eda5cac22974b9f90ce0f4b774de3ccd6addbc2cf6bd0da4a51',
@@ -134,13 +114,6 @@ GOLDEN: dict[str, dict[str, str]] = {
         'rounds.csv': '35ea25b0775588e90b86f265fd33abdbc0cef2f09f60443a5c47d5e4ce623d07',
         'summary.json': 'd76ddcc212b8b3b3da7289c05998eb0ed65c25dfaa0feb64d99f6facadf6d158',
     },
-    'stale_state': {
-        'alice_bits.bin': '2fba7bb95847f27131ad54f604414fb11332b40b2b53bc3c4fb783b7cc93a2e6',
-        'alice_bits.txt': 'b7d84a9e53e82b7569084cd6732d8619b74cbfc9e5ca4954b828240c53ecbd8a',
-        'certificate.json': 'cdb2cc87b768fd03d11dda98ba0536b708dc2ccaaeb8f9e0f36642b5d7b325b9',
-        'rounds.csv': 'ce88c961c484dfed8af5b237bb24027def0c69e9c1e303b6b8f13185ed23a185',
-        'summary.json': 'd2cbb840748d45d432bdd7b63a9dc16020f7cd1991958aa465303e5695858ba1',
-    },
 }
 
 
@@ -161,8 +134,7 @@ def test_play_outputs_match_golden_digests(name, tmp_path):
     assert _digests(str(tmp_path)) == GOLDEN[name]
 
 
-@pytest.mark.parametrize("name", ["stale_state", "dependent_inputs", "lossy_report_all",
-                                  "replay"])
+@pytest.mark.parametrize("name", ["defaults", "lossy_report_all", "replay"])
 def test_config_file_reproduces_the_flag_driven_run(name, tmp_path, monkeypatch):
     """`play --config FILE` alone, FILE written from the config a flag-driven
     run played, writes the same rounds, certificate and Alice bits."""

@@ -177,9 +177,7 @@ class TestDeviceProfiles:
 class TestExperimentConfig:
     def test_json_round_trip(self, tmp_path):
         config = ExperimentConfig(rounds=7, shots=123, lam=0.25, master_seed=42,
-                                  independent_inputs=False,
-                                  fresh_state_per_round=False, detection_efficiency=0.7,
-                                  report_all_events=True)
+                                  detection_efficiency=0.7, report_all_events=True)
         path = tmp_path / "config.json"
         atomic_write_text(path, canonical_json(config_json_obj(config), precise=True))
         back = ExperimentConfig.from_file(path)
@@ -189,8 +187,7 @@ class TestExperimentConfig:
         obj = config_json_obj(config)
         del obj["loopholes"]
         assert ExperimentConfig.from_json_obj(obj) == dataclasses.replace(
-            config, independent_inputs=True, fresh_state_per_round=True,
-            detection_efficiency=1.0, report_all_events=False)
+            config, detection_efficiency=1.0, report_all_events=False)
 
     def test_json_integers_become_floats(self):
         obj = {"format_version": 1, "rounds": 2, "shots": 10, "lambda": 0,
@@ -254,33 +251,28 @@ class TestCertifiedRuns:
         np.testing.assert_array_equal(a.alice_bits, b.alice_bits)
         assert a.certificate == b.certificate
 
-    # (rounds, shots, eta, report_all_events, fresh_state, independent, replay)
+    # (rounds, shots, eta, report_all_events, replay)
     _CHUNK = harness._CHUNK_DRAWS
     _PER_ROUND_CASES = {
-        "1.0": (5, 400, 1.0, False, True, True, False),
-        "0.8": (5, 400, 0.8, False, True, True, False),
-        "0.8-all-events": (5, 400, 0.8, True, True, True, False),
+        "1.0": (5, 400, 1.0, False, False),
+        "0.8": (5, 400, 0.8, False, False),
+        "0.8-all-events": (5, 400, 0.8, True, False),
         # most rounds keep no shot: they tally zeros and add no all-event fraction
-        "rounds-losing-every-shot": (40, 2, 0.3, True, True, True, False),
-        "stale-state": (5, 400, 1.0, False, False, True, False),
-        "stale-state-0.8": (5, 400, 0.8, True, False, True, False),
-        "dependent-inputs": (40, 10, 0.8, False, True, False, False),
-        "replay": (30, 50, 0.8, True, True, True, True),
+        "rounds-losing-every-shot": (40, 2, 0.3, True, False),
+        "replay": (30, 50, 0.8, True, True),
         # 163 rounds of 400 shots fill a chunk; the second chunk is short
-        "ragged-last-chunk": (_CHUNK // 400 + 7, 400, 1.0, False, True, True, False),
-        "shots-above-one-chunk": (2, _CHUNK + 1, 0.8, True, True, True, False),
+        "ragged-last-chunk": (_CHUNK // 400 + 7, 400, 1.0, False, False),
+        "shots-above-one-chunk": (2, _CHUNK + 1, 0.8, True, False),
     }
 
     @pytest.mark.parametrize("case", list(_PER_ROUND_CASES))
     def test_fresh_state_rounds_match_isolated_replay(self, case, tmp_path):
-        """Each round is the per-round recipe: with fresh state, a generator
-        built from the round's derived seed; otherwise the next draws of one
-        stream run through every round.  The round samples its shots, then
-        under lossy detection draws Alice's and then Bob's detector
-        uniforms.  The chunked engine must give exactly these tallies,
-        Alice bits and all-event fractions, whatever the chunk boundaries."""
-        rounds, shots, eta, all_events, fresh, independent, replay = \
-            self._PER_ROUND_CASES[case]
+        """Each round is the per-round recipe: a generator built from the
+        round's derived seed samples its shots, then under lossy detection
+        draws Alice's and then Bob's detector uniforms.  The chunked engine
+        must give exactly these tallies, Alice bits and all-event fractions,
+        whatever the chunk boundaries."""
+        rounds, shots, eta, all_events, replay = self._PER_ROUND_CASES[case]
         replay_x = replay_y = ()
         if replay:
             dist = OutcomeDistribution(1, np.array([0.5, 0.5]))
@@ -290,19 +282,16 @@ class TestCertifiedRuns:
             replay_x, replay_y = (str(tmp_path / "x.json"),), (str(tmp_path / "y.json"),)
         config = ExperimentConfig(rounds=rounds, shots=shots, lam=0.1, master_seed=77,
                                   replay_x=replay_x, replay_y=replay_y,
-                                  independent_inputs=independent, fresh_state_per_round=fresh,
                                   detection_efficiency=eta, report_all_events=all_events)
         run = run_certified_experiment(config)
         e = run.experiment
         if replay:
             np.testing.assert_array_equal(e.x, replay_backend(replay_x)[:rounds])
             np.testing.assert_array_equal(e.y, replay_backend(replay_y)[:rounds])
-        rng = make_rng(derive_seed(config.master_seed, "shared-stream"))
         start = 0
         all_event = []
         for i in range(config.rounds):
-            if fresh:
-                rng = make_rng(derive_seed(config.master_seed, "round", i))
+            rng = make_rng(derive_seed(config.master_seed, "round", i))
             setting = GameSetting(int(e.x[i]), int(e.y[i]))
             dist = round_distribution(setting, config.lam)
             emitted = _kernels.sample_outcomes(dist.cdf, rng.random(config.shots))
@@ -370,33 +359,12 @@ class TestCertifiedRuns:
             assert got.dtype == np.uint8
             np.testing.assert_array_equal(got, (make_rng(seed).random(n) < 0.5).astype(np.uint8))
 
-    def test_stale_state_stream_changes_outcomes(self):
-        config = ExperimentConfig(rounds=5, shots=400, master_seed=77)
-        fresh = run_certified_experiment(config)
-        stale = run_certified_experiment(
-            dataclasses.replace(config, fresh_state_per_round=False))
-        fresh_fracs = fresh.experiment.win_fractions.tolist()
-        stale_fracs = stale.experiment.win_fractions.tolist()
-        assert fresh_fracs != stale_fracs
-        # but the stale stream is itself reproducible
-        again = run_certified_experiment(
-            dataclasses.replace(config, fresh_state_per_round=False))
-        assert again.experiment.win_fractions.tolist() == stale_fracs
-
-    def test_dependent_inputs_change_settings(self):
-        config = ExperimentConfig(rounds=40, shots=10, master_seed=3)
-        indep = run_certified_experiment(config)
-        dep = run_certified_experiment(dataclasses.replace(config, independent_inputs=False))
-        indep_settings = list(zip(indep.experiment.x.tolist(), indep.experiment.y.tolist()))
-        dep_settings = list(zip(dep.experiment.x.tolist(), dep.experiment.y.tolist()))
-        assert indep_settings != dep_settings
-
-    def test_dependent_inputs_split_the_alice_stream(self):
-        config = ExperimentConfig(rounds=40, shots=10, master_seed=3)
-        dep = run_certified_experiment(dataclasses.replace(config, independent_inputs=False))
-        alice = uniform_bits(derive_seed(3, "alice-inputs"), 80)
-        np.testing.assert_array_equal(dep.experiment.x, alice[:40])
-        np.testing.assert_array_equal(dep.experiment.y, alice[40:])
+    def test_seeded_inputs_are_the_first_bits_of_two_streams(self):
+        run = run_certified_experiment(ExperimentConfig(rounds=40, shots=10, master_seed=3))
+        np.testing.assert_array_equal(run.experiment.x,
+                                      uniform_bits(derive_seed(3, "alice-inputs"), 40))
+        np.testing.assert_array_equal(run.experiment.y,
+                                      uniform_bits(derive_seed(3, "bob-inputs"), 40))
 
     def test_detection_efficiency_bookkeeping(self):
         eta = 0.8
@@ -486,11 +454,6 @@ class TestReplayBackend:
                                   replay_x=(str(path),), replay_y=(str(path),))
         with pytest.raises(ConfigError, match="independent"):
             run_certified_experiment(config)
-        # leaving the loophole open on purpose reads x and y from one stream
-        run = run_certified_experiment(dataclasses.replace(config, independent_inputs=False))
-        bits = replay_backend([path])
-        np.testing.assert_array_equal(run.experiment.x, bits[:10])
-        np.testing.assert_array_equal(run.experiment.y, bits[10:20])
 
     def test_record_without_memory_is_rejected(self, tmp_path):
         dist = OutcomeDistribution(1, np.array([0.5, 0.5]))
